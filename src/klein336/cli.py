@@ -44,7 +44,7 @@ def _parse_point(table: GroupTable, text: str) -> TorusPoint:
             raise UsageError(f"bad point literal: {exc}") from exc
     try:
         return registry_point(table, s)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:  # unknown name, or index out of range
         raise UsageError(str(exc)) from exc
 
 

@@ -133,6 +133,11 @@ def _vec_key(v: Sequence[QNum]) -> tuple:
     return tuple((q.x, q.y) for q in v)
 
 
+def _mat_key(mat: Mat3) -> tuple:
+    """Interning key: the reduced integer triples of the nine entries."""
+    return tuple((q.a, q.b, q.d) for row in mat.rows for q in row)
+
+
 def positive_roots() -> list[CVec3]:
     """One root from each +/- pair: the lexicographically larger one."""
     chosen = []
@@ -163,7 +168,7 @@ class GroupTable:
         elements: list[dict] = []
 
         def intern(mat: Mat3, word: tuple[int, ...]) -> tuple[int, bool]:
-            key = tuple(_vec_key(row) for row in mat.rows)
+            key = _mat_key(mat)
             if key in index_of:
                 return index_of[key], False
             idx = len(elements)
@@ -202,21 +207,25 @@ class GroupTable:
                 raise GroupConstructionError(f"element determinant {d} is not +/-1")
 
         self.int6_stack = np.array(int6s, dtype=np.int64)
+        self.int6_max_abs = int(np.abs(self.int6_stack).max())
         self._index_of = index_of
         n = len(elements)
         self.size = n
 
-        # multiplication table via the faithful integer representation
-        key_to_idx = {
-            self.int6_stack[i].tobytes(): i for i in range(n)
-        }
-        mul = np.empty((n, n), dtype=np.int32)
+        # multiplication table via the faithful integer representation; each
+        # 6x6 matrix is keyed by its raw bytes
         stack = self.int6_stack
-        for i in range(n):
-            prods = stack[i] @ stack  # (n, 6, 6)
-            row = mul[i]
-            for j in range(n):
-                row[j] = key_to_idx[prods[j].tobytes()]
+        as_bytes = np.dtype((np.void, stack[0].nbytes))
+
+        def keys(mats: np.ndarray) -> list[bytes]:
+            return np.ascontiguousarray(mats).reshape(n, -1).view(as_bytes).ravel().tolist()
+
+        key_to_idx = {k: i for i, k in enumerate(keys(stack))}
+        # the table as nested lists, so that element walks index Python ints
+        self.mul_list: list[list[int]] = [
+            [key_to_idx[k] for k in keys(stack[i] @ stack)] for i in range(n)
+        ]
+        mul = np.array(self.mul_list, dtype=np.int32)
         self.mul = mul
         self.identity = 0
         inv = np.empty(n, dtype=np.int32)
@@ -224,11 +233,12 @@ class GroupTable:
             inv[i] = int(np.nonzero(mul[i] == 0)[0][0])
         self.inv = inv
 
+        rows = self.mul_list
         orders = []
         for i in range(n):
             k, acc = 1, i
             while acc != 0:
-                acc = int(mul[acc][i])
+                acc = rows[acc][i]
                 k += 1
             orders.append(k)
 
@@ -271,8 +281,7 @@ class GroupTable:
     # --- elementary queries ---------------------------------------------
 
     def index_of_mat(self, mat: Mat3) -> int:
-        key = tuple(_vec_key(row) for row in mat.rows)
-        idx = self._index_of.get(key)
+        idx = self._index_of.get(_mat_key(mat))
         if idx is None:
             raise KeyError("matrix is not an element of the group")
         return idx
@@ -281,26 +290,29 @@ class GroupTable:
         return self.elements[i]
 
     def multiply(self, i: int, j: int) -> int:
-        return int(self.mul[i, j])
+        return self.mul_list[i][j]
 
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
 
     def conjugate(self, g: int, x: int) -> int:
-        return int(self.mul[int(self.mul[g, x]), self.inv[g]])
+        rows = self.mul_list
+        return rows[rows[g][x]][int(self.inv[g])]
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
             return self.power(self.inverse(i), -k)
+        rows = self.mul_list
         acc = self.identity
         for _ in range(k):
-            acc = int(self.mul[acc, i])
+            acc = rows[acc][i]
         return acc
 
     def product(self, ids: Iterable[int]) -> int:
+        rows = self.mul_list
         acc = self.identity
         for i in ids:
-            acc = int(self.mul[acc, i])
+            acc = rows[acc][i]
         return acc
 
     def _build_named_registry(self) -> dict[str, int]:
@@ -365,12 +377,13 @@ class GroupTable:
         gens = [g for g in gens]
         seen = {self.identity}
         frontier = [self.identity]
-        mul = self.mul
+        rows = self.mul_list
         while frontier:
             nxt = []
             for x in frontier:
+                row = rows[x]
                 for g in gens:
-                    y = int(mul[x, g])
+                    y = row[g]
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -378,9 +391,9 @@ class GroupTable:
         return frozenset(seen)
 
     def conjugate_subgroup(self, g: int, s: frozenset[int]) -> frozenset[int]:
-        arr = np.fromiter(s, dtype=np.int64, count=len(s))
-        conj = self.mul[g, self.mul[arr, self.inv[g]]]
-        return frozenset(int(v) for v in conj)
+        rows = self.mul_list
+        row_g, g_inv = rows[g], int(self.inv[g])
+        return frozenset(row_g[rows[x][g_inv]] for x in s)
 
     def centralizer_size(self, x: int, subset: Sequence[int]) -> int:
         arr = np.asarray(subset, dtype=np.int64)
@@ -611,9 +624,8 @@ class GroupTable:
 
     def _is_abelian(self, s: frozenset[int]) -> bool:
         items = sorted(s)
-        return all(
-            self.mul[a, b] == self.mul[b, a] for a, b in itertools.combinations(items, 2)
-        )
+        rows = self.mul_list
+        return all(rows[a][b] == rows[b][a] for a, b in itertools.combinations(items, 2))
 
     def reflection_subgroup_closure(self, s: frozenset[int]) -> frozenset[int]:
         return self.subgroup_closure(sorted(s & self.reflection_set))

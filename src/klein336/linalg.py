@@ -11,13 +11,17 @@ Three layers live here:
   Smith (diagonalization with unimodular transforms).
 
 The rational chart of C^3 is the componentwise (x, y) coefficient pair of
-each field entry, so the whole basis change is a single exact rational 6x6
-matrix and its inverse.
+each field entry, so the whole basis change is a single exact 6x6 matrix and
+its inverse.  The forward matrix is integral and the inverse is an integer
+matrix over 2, so both directions work on integer numerators over one common
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .qfield import ALPHA, ALPHA_BAR, CVec3, ONE, QNum, ZERO, vec3, vscale
@@ -251,33 +255,27 @@ EPS_VECTORS: tuple[CVec3, ...] = (
 )
 
 
-def chart(v: CVec3) -> list[Fraction]:
-    """Rational coordinates (x1, y1, x2, y2, x3, y3) of a field vector."""
-    out: list[Fraction] = []
+def _chart_numerators(v: CVec3) -> tuple[list[int], int]:
+    """Integer chart (a1, b1, a2, b2, a3, b3) of a field vector over one denominator.
+
+    The rational chart (x1, y1, x2, y2, x3, y3) is these numerators over den.
+    """
+    den = lcm(v[0].d, v[1].d, v[2].d)
+    out: list[int] = []
     for q in v:
-        out.append(q.x)
-        out.append(q.y)
-    return out
-
-
-def unchart(c: Sequence[Fraction]) -> CVec3:
-    return (QNum(c[0], c[1]), QNum(c[2], c[3]), QNum(c[4], c[5]))
+        s = den // q.d
+        out.append(q.a * s)
+        out.append(q.b * s)
+    return out, den
 
 
 def _rat_identity(n: int) -> RatMat:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def rat_mat_mul(a: RatMat, b: RatMat) -> RatMat:
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def rat_mat_vec(a: RatMat, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
+def _int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def rat_inverse(a: RatMat) -> RatMat:
@@ -327,21 +325,40 @@ def rat_solve(a: RatMat, b: Sequence[Fraction]) -> list[Fraction] | None:
     return sol
 
 
-_FORWARD: RatMat = [
-    [chart(eps)[i] for eps in EPS_VECTORS] for i in range(6)
-]
-_INVERSE: RatMat = rat_inverse(_FORWARD)
+def _scaled_inverse(a: IntMat) -> tuple[IntMat, int]:
+    """(N, den) with a^-1 = N / den and N an integer matrix."""
+    inv = rat_inverse([[Fraction(x) for x in row] for row in a])
+    den = lcm(*(v.denominator for row in inv for v in row))
+    return [[int(v * den) for v in row] for row in inv], den
+
+
+# chart(eps_1) .. chart(eps_6) as columns: integral, as the eps vectors lie in Z[w]^3
+_EPS_CHARTS = [_chart_numerators(e) for e in EPS_VECTORS]
+assert all(den == 1 for _, den in _EPS_CHARTS)
+_FORWARD: IntMat = [list(col) for col in zip(*(nums for nums, _ in _EPS_CHARTS))]
+# the inverse basis change is _INVERSE_NUM / _INVERSE_DEN, with _INVERSE_DEN = 2
+_INVERSE_NUM, _INVERSE_DEN = _scaled_inverse(_FORWARD)
 
 
 def to_eps_coords(v: CVec3) -> tuple[Fraction, ...]:
     """Coordinates of a field vector in the eps basis of the lattice."""
-    return tuple(rat_mat_vec(_INVERSE, chart(v)))
+    nums, den = _chart_numerators(v)
+    den *= _INVERSE_DEN
+    return tuple(Fraction(sum(map(mul, row, nums)), den) for row in _INVERSE_NUM)
 
 
 def from_eps_coords(c: Sequence[Fraction]) -> CVec3:
     if len(c) != 6:
         raise ValueError("eps coordinates must have length 6")
-    return unchart(rat_mat_vec(_FORWARD, [Fraction(x) for x in c]))
+    c = [Fraction(x) for x in c]
+    den = lcm(*(x.denominator for x in c))
+    nums = [x.numerator * (den // x.denominator) for x in c]
+    w = [sum(map(mul, row, nums)) for row in _FORWARD]
+    return (
+        QNum.from_ints(w[0], w[1], den),
+        QNum.from_ints(w[2], w[3], den),
+        QNum.from_ints(w[4], w[5], den),
+    )
 
 
 def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:
@@ -349,23 +366,27 @@ def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:
 
     Raises NonIntegralError when m does not preserve the lattice.
     """
-    # 6x6 rational chart matrix: 2x2 multiplication blocks per field entry
-    cm: RatMat = [[Fraction(0)] * 6 for _ in range(6)]
+    # 6x6 chart matrix over one denominator: 2x2 multiplication blocks per entry
+    den = lcm(*(q.d for row in m.rows for q in row))
+    cm: IntMat = [[0] * 6 for _ in range(6)]
     for i in range(3):
         for j in range(3):
-            a = m.rows[i][j]
-            cm[2 * i][2 * j] = a.x
-            cm[2 * i][2 * j + 1] = -2 * a.y
-            cm[2 * i + 1][2 * j] = a.y
-            cm[2 * i + 1][2 * j + 1] = a.x + a.y
-    res = rat_mat_mul(_INVERSE, rat_mat_mul(cm, _FORWARD))
+            q = m.rows[i][j]
+            s = den // q.d
+            a, b = q.a * s, q.b * s
+            cm[2 * i][2 * j] = a
+            cm[2 * i][2 * j + 1] = -2 * b
+            cm[2 * i + 1][2 * j] = b
+            cm[2 * i + 1][2 * j + 1] = a + b
+    res = _int_mat_mul(_INVERSE_NUM, _int_mat_mul(cm, _FORWARD))
+    den *= _INVERSE_DEN
     out: list[tuple[int, ...]] = []
     for i, row in enumerate(res):
         ints = []
         for j, v in enumerate(row):
-            if v.denominator != 1:
-                raise NonIntegralError(i, j, v)
-            ints.append(int(v))
+            if v % den:
+                raise NonIntegralError(i, j, Fraction(v, den))
+            ints.append(v // den)
         out.append(tuple(ints))
     return tuple(out)
 

@@ -54,10 +54,22 @@ class ConsistencyError(RuntimeError):
 # --- stabilizers and orbits ---------------------------------------------------
 
 
-def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
+def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
+    """The products stack @ n on p's numerators n over den, computed exactly.
+
+    int64 serves while no entry of stack @ n - n can reach 2^63; larger
+    denominators use Python integers.
+    """
     nums, den = p.as_int_vec()
-    n = np.array(nums, dtype=np.int64)
-    moved = table.int6_stack @ n
+    if (6 * table.int6_max_abs + 1) * den < 2**63:
+        n = np.array(nums, dtype=np.int64)
+        return stack @ n, n, den
+    n = np.array(nums, dtype=object)
+    return stack.astype(object) @ n, n, den
+
+
+def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
+    moved, n, den = _moved_numerators(table, table.int6_stack, p)
     mask = np.all((moved - n) % den == 0, axis=1)
     if quotient == "H":
         mask &= table.h_mask
@@ -74,18 +86,15 @@ def stabilizer(table: GroupTable, p: TorusPoint, quotient: str = "G"):
 
 
 def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> list[TorusPoint]:
-    nums, den = p.as_int_vec()
-    n = np.array(nums, dtype=np.int64)
     stack = table.int6_stack
     if quotient == "H":
         stack = stack[table.h_mask]
     elif quotient != "G":
         raise ValueError(f"unknown group selector {quotient!r}")
-    moved = (stack @ n) % den
-    uniq = np.unique(moved, axis=0)
-    return sorted(
-        TorusPoint([Fraction(int(x), den) for x in row]) for row in uniq
-    )
+    moved, _, den = _moved_numerators(table, stack, p)
+    # numerator order over the common denominator is coordinate order
+    uniq = sorted(set(map(tuple, (moved % den).tolist())))
+    return [TorusPoint([Fraction(x, den) for x in row]) for row in uniq]
 
 
 def reflection_generated(table: GroupTable, s: frozenset[int]) -> bool:

@@ -1,14 +1,16 @@
 """Exact arithmetic in the imaginary quadratic field Q(w), w = (1 + i*sqrt(7))/2.
 
 The generator w satisfies w**2 = w - 2, its conjugate is 1 - w, and
-w * (1 - w) = 2.  Every value is a pair of exact rationals (x, y)
-representing x + y*w; no floating point enters any structural decision.
+w * (1 - w) = 2.  Every value is a reduced integer triple (a, b, d)
+representing (a + b*w)/d with d > 0 and gcd(a, b, d) = 1, so equal values
+have equal triples; no floating point enters any structural decision.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -24,13 +26,35 @@ def _frac_str(f: Fraction) -> str:
 
 
 class QNum:
-    """An element x + y*w of Q(w)."""
+    """An element x + y*w of Q(w), stored as (a + b*w)/d."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, x: Rational = 0, y: Rational = 0) -> None:
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        if type(x) is int and type(y) is int:
+            a, b, d = x, y, 1
+        else:
+            x, y = Fraction(x), Fraction(y)
+            dx, dy = x.denominator, y.denominator
+            d = dx * dy // gcd(dx, dy)
+            # both fractions are in lowest terms, so the triple is reduced
+            a, b = x.numerator * (d // dx), y.numerator * (d // dy)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    @classmethod
+    def from_ints(cls, a: int, b: int, d: int) -> QNum:
+        """The value (a + b*w)/d for integers a, b and d != 0."""
+        return _reduced(a, b, d)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("QNum is immutable")
@@ -39,40 +63,61 @@ class QNum:
         return f"QNum({self.x!r}, {self.y!r})"
 
     def __str__(self) -> str:
-        if self.y == 0:
-            return _frac_str(self.x)
-        wpart = "w" if abs(self.y) == 1 else f"{_frac_str(abs(self.y))}*w"
-        if self.x == 0:
-            return wpart if self.y > 0 else f"-{wpart}"
-        sign = "+" if self.y > 0 else "-"
-        return f"{_frac_str(self.x)}{sign}{wpart}"
+        x, y = self.x, self.y
+        if y == 0:
+            return _frac_str(x)
+        wpart = "w" if abs(y) == 1 else f"{_frac_str(abs(y))}*w"
+        if x == 0:
+            return wpart if y > 0 else f"-{wpart}"
+        sign = "+" if y > 0 else "-"
+        return f"{_frac_str(x)}{sign}{wpart}"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QNum):
-            return self.x == other.x and self.y == other.y
-        if isinstance(other, (int, Fraction)):
-            return self.y == 0 and self.x == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (
+                self.b == 0
+                and self.d == other.denominator
+                and self.a == other.numerator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y))
+        if self.b == 0:  # equal to a rational, so hash as that rational does
+            return hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return self.x != 0 or self.y != 0
+        return self.a != 0 or self.b != 0
 
     def __add__(self, other: QNum | Rational) -> QNum:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QNum(self.x + other.x, self.y + other.y)
+        if type(other) is not QNum:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _raw(self.a + other.a, self.b + other.b, 1)
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: QNum | Rational) -> QNum:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QNum(self.x - other.x, self.y - other.y)
+        if type(other) is not QNum:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _raw(self.a - other.a, self.b - other.b, 1)
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other: QNum | Rational) -> QNum:
         other = _coerce(other)
@@ -81,17 +126,20 @@ class QNum:
         return other - self
 
     def __neg__(self) -> QNum:
-        return QNum(-self.x, -self.y)
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other: QNum | Rational) -> QNum:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # (x1 + y1 w)(x2 + y2 w) with w^2 = w - 2
-        return QNum(
-            self.x * other.x - 2 * self.y * other.y,
-            self.x * other.y + self.y * other.x + self.y * other.y,
-        )
+        if type(other) is not QNum:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a1 + b1 w)(a2 + b2 w) with w^2 = w - 2
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        bb = b1 * b2
+        d = self.d * other.d
+        if d == 1:
+            return _raw(a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb, 1)
+        return _reduced(a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb, d)
 
     __rmul__ = __mul__
 
@@ -121,33 +169,32 @@ class QNum:
 
     def conj(self) -> QNum:
         """Complex conjugate: conj(x + y*w) = (x + y) - y*w."""
-        return QNum(self.x + self.y, -self.y)
+        # gcd(a + b, -b, d) = gcd(a, b, d) = 1, so the triple stays reduced
+        return _raw(self.a + self.b, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm x^2 + xy + 2y^2, a nonnegative rational."""
-        return self.x * self.x + self.x * self.y + 2 * self.y * self.y
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + a * b + 2 * b * b, d * d)
 
     def inv(self) -> QNum:
-        n = self.norm()
+        a, b, d = self.a, self.b, self.d
+        n = a * a + a * b + 2 * b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        c = self.conj()
-        return QNum(c.x / n, c.y / n)
+        # conj / norm = ((a + b) - b w) d / n
+        return _reduced((a + b) * d, -b * d, n)
 
     def is_rational(self) -> bool:
-        return self.y == 0
+        return self.b == 0
 
     def is_integral(self) -> bool:
         """True iff the value lies in Z[w]."""
-        return self.x.denominator == 1 and self.y.denominator == 1
-
-    def is_half_integral(self) -> bool:
-        """True iff the value lies in (1/2) Z[w]."""
-        return self.x.denominator in (1, 2) and self.y.denominator in (1, 2)
+        return self.d == 1
 
     def to_complex(self) -> complex:
         """Float embedding w -> (1 + i*sqrt(7))/2; for eigenvalue snapping only."""
-        return float(self.x) + float(self.y) * _W_COMPLEX
+        return self.a / self.d + self.b / self.d * _W_COMPLEX
 
     @classmethod
     def parse(cls, text: str) -> QNum:
@@ -166,8 +213,34 @@ class QNum:
                 y += Fraction(term[:-2])
             else:
                 x += Fraction(term)
-        got = cls(x, y)
-        return got
+        return cls(x, y)
+
+
+_new = object.__new__
+_set_a = QNum.a.__set__
+_set_b = QNum.b.__set__
+_set_d = QNum.d.__set__
+
+
+def _raw(a: int, b: int, d: int) -> QNum:
+    """(a + b*w)/d from a triple that is already reduced with d > 0."""
+    q = _new(QNum)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> QNum:
+    """(a + b*w)/d for any d != 0, brought to lowest terms with d > 0."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
@@ -183,7 +256,6 @@ def _coerce(value) -> QNum | None:
 
 ZERO = QNum(0)
 ONE = QNum(1)
-TWO = QNum(2)
 MINUS_ONE = QNum(-1)
 ALPHA = QNum(0, 1)
 ALPHA_BAR = QNum(1, -1)
@@ -208,16 +280,8 @@ def _as_qnum(v) -> QNum:
     return q
 
 
-def vadd(u: CVec3, v: CVec3) -> CVec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
 def vsub(u: CVec3, v: CVec3) -> CVec3:
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def vneg(u: CVec3) -> CVec3:
-    return (-u[0], -u[1], -u[2])
 
 
 def vscale(s: QNum | Rational, u: CVec3) -> CVec3:
@@ -230,7 +294,7 @@ def hermitian(x: CVec3, y: CVec3) -> QNum:
     total = ZERO
     for xi, yi in zip(x, y):
         total = total + xi.conj() * yi
-    return QNum(total.x / 2, total.y / 2)
+    return _reduced(total.a, total.b, 2 * total.d)
 
 
 def vec_is_zero(u: Iterable[QNum]) -> bool:

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .group import GroupTable
@@ -56,9 +57,7 @@ class TorusPoint:
     def __init__(self, coords: Sequence[Fraction | int]) -> None:
         if len(coords) != 6:
             raise ValueError("torus points have 6 eps coordinates")
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) % 1 for c in coords)
-        )
+        object.__setattr__(self, "coords", tuple(map(_mod1, coords)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusPoint is immutable")
@@ -121,6 +120,18 @@ class TorusPoint:
     @classmethod
     def from_cvec(cls, v: CVec3) -> "TorusPoint":
         return cls(to_eps_coords(v))
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _mod1(c: Fraction | int) -> Fraction:
+    """c mod 1, in [0, 1)."""
+    if type(c) is int:
+        return _FRACTION_ZERO
+    if type(c) is Fraction and 0 <= c.numerator < c.denominator:
+        return c
+    return Fraction(c) % 1
 
 
 ZERO_POINT = TorusPoint([0] * 6)
@@ -189,19 +200,26 @@ def enumerate_fixed_points(table: GroupTable, gi: int) -> list[TorusPoint]:
     if int_det(a) == 0:
         raise ParabolicElementError(f"element {gi} is parabolic")
     _, d, v = smith_normal_form(a)
-    diag = [d[i][i] for i in range(6)]
-    points = []
-    for combo in itertools.product(*(range(di) for di in diag)):
-        y = [Fraction(k, di) for k, di in zip(combo, diag)]
-        x = [
-            sum(v[i][j] * y[j] for j in range(6))
-            for i in range(6)
-        ]
-        points.append(TorusPoint(x))
-    unique = sorted(set(points))
+    unique = _snf_solutions(v, [d[i][i] for i in range(6)])
     if len(unique) != abs(int_det(a)):
         raise RuntimeError("fixed point enumeration does not match the determinant")
     return unique
+
+
+def _snf_solutions(v: Sequence[Sequence[int]], diag: Sequence[int]) -> list[TorusPoint]:
+    """The distinct points V y mod Z^6 with y_j in (1/d_j) Z, in sorted order.
+
+    With m = lcm(d_j) = max(d_j), every point is an integer numerator vector
+    mod m over m; one TorusPoint is made per distinct vector, and numerator
+    order is coordinate order.
+    """
+    m = lcm(*diag)
+    scaled = [[v[i][j] * (m // diag[j]) for j in range(6)] for i in range(6)]
+    nums = {
+        tuple(sum(map(mul, row, combo)) % m for row in scaled)
+        for combo in itertools.product(*(range(dj) for dj in diag))
+    }
+    return [TorusPoint([Fraction(x, m) for x in n]) for n in sorted(nums)]
 
 
 # --- parabolic fixed loci ----------------------------------------------------
@@ -335,24 +353,16 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
     _, d, v = smith_normal_form(c_shift)
     diag = [d[i][i] for i in range(rank_a)]
     projector = _AxisProjector(v1_basis)
-    fixed: list[tuple[tuple[Fraction, ...], TorusPoint, bool]] = []
+    # restricted fixed points y = V k / d as integer numerators over lcm(d)
+    den = lcm(*diag)
+    v_scaled = [[v[i][j] * (den // diag[j]) for j in range(rank_a)] for i in range(rank_a)]
+    seen: dict[tuple[int, ...], tuple[TorusPoint, bool]] = {}
     for combo in itertools.product(*(range(di) for di in diag)):
-        y = tuple(
-            Fraction(k, di) % 1 for k, di in zip(combo, diag)
-        )
-        yv = [
-            sum(v[i][j] * Fraction(combo[j], diag[j]) for j in range(rank_a))
-            for i in range(rank_a)
-        ]
-        w_eps = [
-            sum(bmat_frac[i][t] * yv[t] for t in range(rank_a)) for i in range(6)
-        ]
+        yv = [sum(map(mul, row, combo)) for row in v_scaled]
+        w_eps = [Fraction(sum(map(mul, row, yv)), den) for row in bmat]
         member = projector.in_v1_plus_lattice(w_eps)
-        fixed.append((tuple(Fraction(x) % 1 for x in yv), TorusPoint(w_eps), member))
-    # dedupe on the y coordinate mod 1 (SNF solutions are distinct already)
-    seen = {}
-    for y, pt, member in fixed:
-        seen[y] = (pt, member)
+        # the SNF solutions are distinct mod 1 already
+        seen[tuple(x % den for x in yv)] = (TorusPoint(w_eps), member)
     if len(seen) != abs(det_a):
         raise RuntimeError("restricted fixed point count mismatch")
 
@@ -363,7 +373,7 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
 
     # coset decomposition of the restricted fixed group by the member subgroup
     def y_sub(a, b):
-        return tuple((x - y) % 1 for x, y in zip(a, b))
+        return tuple((x - y) % den for x, y in zip(a, b))
 
     cosets: list[list[tuple]] = []
     assigned: dict[tuple, int] = {}
@@ -421,11 +431,7 @@ def subgroup_fixed_points(table: GroupTable, elements) -> list[TorusPoint]:
         raise ParabolicElementError(
             "the joint fixed locus is positive-dimensional"
         )
-    points = set()
-    for combo in itertools.product(*(range(di) for di in diag)):
-        y = [Fraction(k, di) for k, di in zip(combo, diag)]
-        points.add(TorusPoint([sum(v[i][j] * y[j] for j in range(6)) for i in range(6)]))
-    return sorted(points)
+    return _snf_solutions(v, diag)
 
 
 # --- the named point registry --------------------------------------------------

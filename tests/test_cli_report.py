@@ -200,3 +200,19 @@ def test_fixed_matrix_with_field_entries(capsys):
     assert main(["fixed", "--matrix", m]) == 0
     out = capsys.readouterr().out
     assert "parabolic" in out and "mirror" in out
+
+
+@pytest.mark.parametrize("name", ["beta_99", "xi_64", "eta_9", "omega_22"])
+def test_out_of_range_registry_name_is_a_usage_error(name, capsys):
+    for command in ("stabilizer", "orbit"):
+        assert main([command, "--point", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+def test_point_literal_beyond_int64(capsys):
+    point = "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"
+    assert main(["stabilizer", "--point", point]) == 0
+    assert "stabilizer order 1" in capsys.readouterr().out

@@ -1,0 +1,237 @@
+"""Property tests: the integer kernels against the exact rational references.
+
+QNum (a reduced integer triple) is compared with the Fraction-pair FracQNum,
+and the integer eps chart with the Fraction-matrix chart, in tests/oracles.py.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from klein336.linalg import (
+    Mat3,
+    NonIntegralError,
+    from_eps_coords,
+    mat3_to_int6,
+    to_eps_coords,
+)
+from klein336.orbits import orbit_points, stabilizer_indices
+from klein336.qfield import QNum
+from klein336.torus import TorusPoint
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+rationals = st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9) | st.integers(
+    -(10**30), 10**30
+).map(Fraction)
+small_rationals = st.builds(
+    Fraction, st.integers(-20, 20), st.sampled_from([1, 1, 2, 2, 3, 4, 7, 8, 14])
+)
+
+
+@st.composite
+def pairs(draw, coords=rationals):
+    """The same field element as a QNum and as a FracQNum."""
+    x, y = draw(coords), draw(coords)
+    return QNum(x, y), oracles.FracQNum(x, y)
+
+
+def check_triple(q: QNum) -> None:
+    from math import gcd, lcm
+
+    assert q.d > 0 and gcd(q.a, q.b, q.d) == 1
+    assert q.d == lcm(q.x.denominator, q.y.denominator)
+    assert (Fraction(q.a, q.d), Fraction(q.b, q.d)) == (q.x, q.y)
+
+
+@PROPERTY
+@given(pairs(), pairs())
+def test_ring_operations_match_fraction_pairs(p, r):
+    (a, fa), (b, fb) = p, r
+    for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa)):
+        check_triple(got)
+        assert (got.x, got.y) == (want.x, want.y)
+    if fb:
+        got, want = a / b, fa / fb
+        check_triple(got)
+        assert (got.x, got.y) == (want.x, want.y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+@PROPERTY
+@given(pairs(), st.integers(-(10**12), 10**12), rationals)
+def test_mixed_operands_match_fraction_pairs(p, k, f):
+    a, fa = p
+    for other in (k, f):
+        for got, want in (
+            (a + other, fa + other),
+            (other + a, other + fa),
+            (a - other, fa - other),
+            (other - a, other - fa),
+            (a * other, fa * other),
+            (other * a, other * fa),
+        ):
+            check_triple(got)
+            assert (got.x, got.y) == (want.x, want.y)
+    if fa:
+        got, want = k / a, k / fa
+        assert (got.x, got.y) == (want.x, want.y)
+
+
+@PROPERTY
+@given(pairs())
+def test_inv_conj_norm_match_fraction_pairs(p):
+    a, fa = p
+    conj = a.conj()
+    check_triple(conj)
+    assert (conj.x, conj.y) == (fa.conj().x, fa.conj().y)
+    assert a.norm() == fa.norm() and type(a.norm()) is Fraction
+    if fa:
+        inv = a.inv()
+        check_triple(inv)
+        assert (inv.x, inv.y) == (fa.inv().x, fa.inv().y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+    assert a.is_rational() == fa.is_rational()
+    assert a.is_integral() == fa.is_integral()
+    assert bool(a) == bool(fa)
+    assert a.to_complex() == fa.to_complex()
+
+
+@PROPERTY
+@given(pairs(small_rationals), pairs(small_rationals), st.integers(-3, 3), small_rationals)
+def test_equality_and_hash_are_consistent(p, r, k, f):
+    (a, fa), (b, fb) = p, r
+    assert (a == b) == (fa == fb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == k) == (fa == k) and (k == a) == (k == fa)
+    assert (a == f) == (fa == f) and (f == a) == (f == fa)
+    if a == k:
+        assert hash(a) == hash(k) and len({a, k}) == 1
+    if a == f:
+        assert hash(a) == hash(f) and len({a, f}) == 1
+    assert a == QNum.parse(str(a)) and hash(a) == hash(QNum.parse(str(a)))
+    assert (a != b) == (fa != fb)
+
+
+def test_rational_values_hash_as_rationals():
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        q = QNum(value)
+        assert q == value and hash(q) == hash(value) and len({q, value}) == 1
+
+
+@PROPERTY
+@given(pairs())
+def test_wire_format_round_trip(p):
+    a, fa = p
+    assert str(a) == str(fa)
+    assert repr(a) == repr(fa)
+    back = QNum.parse(str(a))
+    check_triple(back)
+    assert back == a and str(back) == str(a)
+    ref = oracles.FracQNum.parse(str(fa))
+    assert (back.x, back.y) == (ref.x, ref.y)
+
+
+@PROPERTY
+@given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9), st.integers(-(10**6), 10**6))
+def test_from_ints_reduces(a, b, d):
+    assume(d != 0)
+    q = QNum.from_ints(a, b, d)
+    check_triple(q)
+    assert (q.x, q.y) == (Fraction(a, d), Fraction(b, d))
+
+
+def test_powers_match_repeated_products():
+    a, fa = QNum(Fraction(3, 2), Fraction(-1, 3)), oracles.FracQNum(Fraction(3, 2), Fraction(-1, 3))
+    acc = oracles.FracQNum(1)
+    for n in range(6):
+        assert ((a**n).x, (a**n).y) == (acc.x, acc.y)
+        acc = acc * fa
+    inv3 = fa.inv() * fa.inv() * fa.inv()
+    assert ((a**-3).x, (a**-3).y) == (inv3.x, inv3.y)
+
+
+# --- the integer eps chart ----------------------------------------------------
+
+
+def test_mat3_to_int6_matches_rational_chart_on_the_group(group):
+    for el in group.elements:
+        assert mat3_to_int6(el.mat) == oracles.mat3_to_int6(el.mat.rows) == el.int6
+
+
+field_entries = st.builds(QNum, small_rationals, small_rationals)
+
+
+@PROPERTY
+@given(st.lists(field_entries, min_size=9, max_size=9))
+def test_mat3_to_int6_matches_rational_chart_on_random_matrices(entries):
+    m = Mat3([entries[0:3], entries[3:6], entries[6:9]])
+    try:
+        want = oracles.mat3_to_int6(m.rows)
+    except NonIntegralError as ref:
+        with pytest.raises(NonIntegralError) as got:
+            mat3_to_int6(m)
+        assert (got.value.row, got.value.col, got.value.value) == (ref.row, ref.col, ref.value)
+        assert str(got.value) == str(ref)
+        return
+    assert mat3_to_int6(m) == want
+
+
+@PROPERTY
+@given(st.lists(st.builds(QNum, rationals, rationals), min_size=3, max_size=3))
+def test_to_eps_coords_matches_rational_chart(v):
+    got = to_eps_coords(tuple(v))
+    assert got == oracles.to_eps_coords(v)
+    assert all(type(c) is Fraction for c in got)
+    assert from_eps_coords(got) == tuple(v)
+
+
+@PROPERTY
+@given(st.lists(rationals | st.integers(-50, 50), min_size=6, max_size=6))
+def test_from_eps_coords_matches_rational_chart(c):
+    got = from_eps_coords(c)
+    assert got == oracles.from_eps_coords(c)
+    assert to_eps_coords(got) == tuple(Fraction(x) for x in c)
+
+
+def test_eps_basis_round_trip():
+    for j in range(6):
+        unit = [int(i == j) for i in range(6)]
+        assert from_eps_coords(unit) == oracles.from_eps_coords(unit)
+        assert to_eps_coords(from_eps_coords(unit)) == tuple(unit)
+    with pytest.raises(ValueError):
+        from_eps_coords([0] * 5)
+
+
+# --- torsion points -------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.lists(rationals | st.integers(-(10**20), 10**20), min_size=6, max_size=6))
+def test_torus_point_coordinates_are_reduced_mod_1(c):
+    p = TorusPoint(c)
+    assert p.coords == tuple(Fraction(x) % 1 for x in c)
+    assert all(type(x) is Fraction and 0 <= x < 1 for x in p.coords)
+
+
+denominators = st.integers(2, 400) | st.integers(2, 10**25)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(denominators, st.lists(st.integers(0, 10**30), min_size=6, max_size=6))
+def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
+    p = TorusPoint([Fraction(n, den) for n in nums])
+    int6s = [el.int6 for el in group.elements]
+    want = oracles.exact_stabilizer(int6s, p.coords)
+    assert stabilizer_indices(group, p, "G") == want
+    assert stabilizer_indices(group, p, "H") == want & frozenset(group.h_indices)
+    orbit = orbit_points(group, p, "G")
+    assert [q.coords for q in orbit] == sorted(oracles.exact_orbit(int6s, p.coords))

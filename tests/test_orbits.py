@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import exact_orbit, exact_stabilizer
 from klein336.orbits import (
     ConsistencyError,
     beta_table_summary,
@@ -393,3 +394,50 @@ def test_zero_point_statuses(group):
     s_h = stabilizer_indices(group, ZERO_POINT, "H")
     assert not reflection_generated(group, s_h)
     assert singularity_weights(group, s_h).status == "non-cyclic"
+
+
+# --- denominators beyond the int64 range ------------------------------------------
+
+BIG_PRIME = 4611686018427387847  # a prime below 2^62
+
+
+def _check_against_exact_oracle(group, p, orbit_too):
+    int6s = [el.int6 for el in group.elements]
+    want = exact_stabilizer(int6s, p.coords)
+    assert stabilizer_indices(group, p, "G") == want
+    assert stabilizer_indices(group, p, "H") == want & frozenset(group.h_indices)
+    if orbit_too:
+        orbit = orbit_points(group, p, "G")
+        assert {q.coords for q in orbit} == exact_orbit(int6s, p.coords)
+        assert len(orbit) * len(want) == 336 and orbit == sorted(orbit)
+    return want
+
+
+@pytest.mark.parametrize("carrier", ["r2", "rho1", "h4"])
+def test_large_prime_denominator_on_fixed_curves(group, carrier):
+    # int64 products wrap for this denominator; the stabilizers must stay exact
+    rows = fixed_locus_structure(group, group.named[carrier]).lambda1_rows
+    rng = random.Random(carrier)
+    for k in range(20):
+        coeffs = [F(rng.randrange(1, BIG_PRIME), BIG_PRIME) for _ in rows]
+        p = TorusPoint([sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(6)])
+        want = _check_against_exact_oracle(group, p, orbit_too=k < 2)
+        assert group.named[carrier] in want
+
+
+def test_denominator_above_2_to_63(group):
+    den = 10**20
+    p = TorusPoint([F(1, den), F(3, den), 0, 0, 0, F(7, den)])
+    assert len(_check_against_exact_oracle(group, p, orbit_too=True)) == 1
+    rows = fixed_locus_structure(group, group.named["r2"]).lambda1_rows
+    on_mirror = TorusPoint([sum(F(k, den) * r[i] for k, r in zip((3, 11), rows)) for i in range(6)])
+    assert group.named["r2"] in _check_against_exact_oracle(group, on_mirror, orbit_too=True)
+
+
+def test_int64_threshold(group):
+    # the int64 path serves exactly while (6 * max|int6| + 1) * den < 2^63
+    limit = 2**63 // (6 * group.int6_max_abs + 1)
+    rows = fixed_locus_structure(group, group.named["rho1"]).lambda1_rows
+    for den in (limit - 1, limit, limit + 1, 2 * limit + 1):
+        p = TorusPoint([sum(F(k, den) * r[i] for k, r in zip((den - 1, den // 3), rows)) for i in range(6)])
+        _check_against_exact_oracle(group, p, orbit_too=True)
