@@ -62,7 +62,7 @@ def _parse_element(table: GroupTable, args) -> int:
     try:
         entries = json.loads(args.matrix)
         mat = Mat3.from_strings(entries)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"bad matrix literal: {exc}") from exc
     try:
         return table.index_of_mat(mat)
@@ -72,7 +72,10 @@ def _parse_element(table: GroupTable, args) -> int:
 
 def _write(path: str | None, data: bytes) -> None:
     if path:
-        Path(path).write_bytes(data)
+        try:
+            Path(path).write_bytes(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_group(args) -> int:

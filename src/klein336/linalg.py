@@ -138,15 +138,31 @@ class Mat3:
         return [str(v) for row in self.rows for v in row]
 
     @classmethod
-    def from_strings(cls, items: Sequence[str]) -> Mat3:
+    def from_strings(cls, items: Sequence[str | int]) -> Mat3:
+        """A matrix from 9 entries, flat or as 3 rows of 3.
+
+        Each entry is a field-element string or an integer; any other entry
+        (a float, None, a bool or a list) raises TypeError.
+        """
+        if not isinstance(items, (list, tuple)):
+            raise TypeError("matrix literal must be a list")
         if len(items) == 3 and all(
             isinstance(r, (list, tuple)) and len(r) == 3 for r in items
         ):
             items = [v for row in items for v in row]  # type: ignore[union-attr]
         if len(items) != 9:
             raise ValueError("matrix literal must have 9 entries")
-        vals = [QNum.parse(s) for s in items]
+        vals = [_entry(v) for v in items]
         return cls([vals[0:3], vals[3:6], vals[6:9]])
+
+
+def _entry(v: str | int) -> QNum:
+    """One matrix-literal entry: a field-element string or an integer."""
+    if isinstance(v, str):
+        return QNum.parse(v)
+    if type(v) is int:
+        return QNum(v)
+    raise TypeError(f"matrix entries must be strings or integers, got {v!r}")
 
 
 def _q(v) -> QNum:

@@ -94,7 +94,8 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> list[
     moved, _, den = _moved_numerators(table, stack, p)
     # numerator order over the common denominator is coordinate order
     uniq = sorted(set(map(tuple, (moved % den).tolist())))
-    return [TorusPoint([Fraction(x, den) for x in row]) for row in uniq]
+    # every int6 has det +-1, so each image has the exact order den of p
+    return [TorusPoint(row, den) for row in uniq]
 
 
 def reflection_generated(table: GroupTable, s: frozenset[int]) -> bool:

@@ -1,7 +1,8 @@
 """Torsion points of the quotient torus and fixed loci of group elements.
 
-Points of the torus are represented by their eps-basis coordinates modulo
-Z^6, reduced to the canonical box [0, 1)^6 with exact rationals.  Elements
+A torsion point is stored in integer form: six numerators in [0, den) over
+its exact order den, meaning the eps-basis coordinates nums/den modulo Z^6;
+its Fraction coordinates in [0, 1) are built only when read.  Elements
 without eigenvalue 1 (elliptic) have finitely many fixed points, counted
 and enumerated through the Smith normal form of the integer matrix of
 (gamma - id) on the lattice.  Elements with eigenvalue 1 (parabolic) fix a
@@ -16,7 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -50,56 +51,91 @@ class IdentityElementError(ValueError):
 
 
 class TorusPoint:
-    """A torsion point: 6 rationals in [0, 1), exact and canonical."""
+    """A torsion point of J = C^3/L, in canonical integer form.
 
-    __slots__ = ("coords",)
+    ``nums`` holds six integers in [0, den), the eps coordinates times
+    ``den``, and ``den`` is the point's exact additive order, so
+    gcd(*nums, den) == 1.  Equality, hashing, order and arithmetic work on
+    this form; ``coords``, the six coordinates as Fractions in [0, 1), is
+    built on first read.
 
-    def __init__(self, coords: Sequence[Fraction | int]) -> None:
+    ``TorusPoint(coords)`` reduces any six rationals mod 1.
+    ``TorusPoint(nums, den)`` takes the canonical form as given: the caller
+    guarantees 0 <= n < den for each n and gcd(*nums, den) == 1.
+    """
+
+    __slots__ = ("nums", "den", "_coords")
+
+    def __init__(self, coords: Sequence[Fraction | int], den: int | None = None) -> None:
         if len(coords) != 6:
             raise ValueError("torus points have 6 eps coordinates")
-        object.__setattr__(self, "coords", tuple(map(_mod1, coords)))
+        if den is None:
+            fracs = [c if type(c) is Fraction else Fraction(c) for c in coords]
+            # c mod 1 keeps c's reduced denominator, so the lcm is the order
+            den = lcm(*(f.denominator for f in fracs))
+            coords = [f.numerator * (den // f.denominator) % den for f in fracs]
+        object.__setattr__(self, "nums", tuple(coords))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusPoint is immutable")
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            coords = tuple(Fraction(n, self.den) for n in self.nums)
+            object.__setattr__(self, "_coords", coords)
+            return coords
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TorusPoint):
-            return self.coords == other.coords
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __lt__(self, other: "TorusPoint") -> bool:
-        return self.coords < other.coords
+        """Lexicographic order of the coordinates in [0, 1)."""
+        d, e = self.den, other.den
+        if d == e:
+            return self.nums < other.nums
+        return [x * e for x in self.nums] < [y * d for y in other.nums]
+
+    def _combine(self, other: "TorusPoint", sign: int) -> "TorusPoint":
+        d, e = self.den, other.den
+        m = lcm(d, e)
+        a, b = m // d, sign * (m // e)
+        return _point([x * a + y * b for x, y in zip(self.nums, other.nums)], m)
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint([a + b for a, b in zip(self.coords, other.coords)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint([a - b for a, b in zip(self.coords, other.coords)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TorusPoint":
-        return TorusPoint([-a for a in self.coords])
+        d = self.den
+        return TorusPoint([-x % d for x in self.nums], d)
 
     def __mul__(self, k: int) -> "TorusPoint":
-        return TorusPoint([k * a for a in self.coords])
+        if not isinstance(k, int):
+            return NotImplemented
+        return _point([k * x for x in self.nums], self.den)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def denominator(self) -> int:
-        return lcm(*(c.denominator for c in self.coords))
+        return self.den == 1
 
     def order(self) -> int:
         """Additive order in the torus."""
-        return self.denominator()
+        return self.den
 
     def as_int_vec(self) -> tuple[list[int], int]:
-        d = self.denominator()
-        return [int(c * d) for c in self.coords], d
+        return list(self.nums), self.den
 
     def __str__(self) -> str:
         return "[" + ",".join(_frac(c) for c in self.coords) + "]"
@@ -122,16 +158,14 @@ class TorusPoint:
         return cls(to_eps_coords(v))
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
-def _mod1(c: Fraction | int) -> Fraction:
-    """c mod 1, in [0, 1)."""
-    if type(c) is int:
-        return _FRACTION_ZERO
-    if type(c) is Fraction and 0 <= c.numerator < c.denominator:
-        return c
-    return Fraction(c) % 1
+def _point(nums: Sequence[int], m: int) -> TorusPoint:
+    """The point with eps coordinates nums / m mod Z^6, for any integers nums."""
+    nums = [x % m for x in nums]
+    g = gcd(*nums, m)
+    if g > 1:
+        nums = [x // g for x in nums]
+        m //= g
+    return TorusPoint(nums, m)
 
 
 ZERO_POINT = TorusPoint([0] * 6)
@@ -142,12 +176,8 @@ def _frac(f: Fraction) -> str:
 
 
 def apply_element(int6: Sequence[Sequence[int]], p: TorusPoint) -> TorusPoint:
-    return TorusPoint(
-        [
-            sum(int6[i][j] * p.coords[j] for j in range(6))
-            for i in range(6)
-        ]
-    )
+    n = p.nums
+    return _point([sum(map(mul, row, n)) for row in int6], p.den)
 
 
 # --- lattice membership -------------------------------------------------------
@@ -219,7 +249,7 @@ def _snf_solutions(v: Sequence[Sequence[int]], diag: Sequence[int]) -> list[Toru
         tuple(sum(map(mul, row, combo)) % m for row in scaled)
         for combo in itertools.product(*(range(dj) for dj in diag))
     }
-    return [TorusPoint([Fraction(x, m) for x in n]) for n in sorted(nums)]
+    return [_point(n, m) for n in sorted(nums)]
 
 
 # --- parabolic fixed loci ----------------------------------------------------
@@ -359,10 +389,11 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
     seen: dict[tuple[int, ...], tuple[TorusPoint, bool]] = {}
     for combo in itertools.product(*(range(di) for di in diag)):
         yv = [sum(map(mul, row, combo)) for row in v_scaled]
-        w_eps = [Fraction(sum(map(mul, row, yv)), den) for row in bmat]
-        member = projector.in_v1_plus_lattice(w_eps)
+        w = _point([sum(map(mul, row, yv)) for row in bmat], den)
+        # membership in V_1 + Lambda is invariant under Z^6, so w mod 1 serves
+        member = projector.in_v1_plus_lattice(w.coords)
         # the SNF solutions are distinct mod 1 already
-        seen[tuple(x % den for x in yv)] = (TorusPoint(w_eps), member)
+        seen[tuple(x % den for x in yv)] = (w, member)
     if len(seen) != abs(det_a):
         raise RuntimeError("restricted fixed point count mismatch")
 

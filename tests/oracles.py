@@ -5,6 +5,9 @@
   before it became a reduced integer triple;
 * the rational eps chart: the basis change between C^3 and the lattice
   basis eps_1..eps_6 as ``Fraction`` matrices;
+* ``FracTorusPoint``: a torsion point as six ``Fraction`` coordinates in
+  [0, 1), the representation ``klein336.torus.TorusPoint`` used before it
+  stored integer numerators over its order;
 * torsion-point stabilizers and orbits in unbounded Python integers, with
   no numpy and hence no overflow.
 """
@@ -230,3 +233,68 @@ def exact_orbit(int6s: Sequence, coords: Sequence[Fraction]) -> set[tuple[Fracti
         tuple(Fraction(sum(a * n for a, n in zip(row, nums)) % den, den) for row in m)
         for m in int6s
     }
+
+
+# --- torsion points as Fraction tuples ------------------------------------------
+
+
+class FracTorusPoint:
+    """Six Fraction coordinates reduced to [0, 1); the reference for TorusPoint."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Sequence) -> None:
+        if len(coords) != 6:
+            raise ValueError("torus points have 6 eps coordinates")
+        object.__setattr__(self, "coords", tuple(Fraction(c) % 1 for c in coords))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FracTorusPoint is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FracTorusPoint):
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __lt__(self, other: FracTorusPoint) -> bool:
+        return self.coords < other.coords
+
+    def __add__(self, other: FracTorusPoint) -> FracTorusPoint:
+        return FracTorusPoint([a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other: FracTorusPoint) -> FracTorusPoint:
+        return FracTorusPoint([a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self) -> FracTorusPoint:
+        return FracTorusPoint([-a for a in self.coords])
+
+    def __mul__(self, k: int) -> FracTorusPoint:
+        return FracTorusPoint([k * a for a in self.coords])
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+    def order(self) -> int:
+        return lcm(*(c.denominator for c in self.coords))
+
+    def __str__(self) -> str:
+        return "[" + ",".join(_frac_str(c) for c in self.coords) + "]"
+
+    @classmethod
+    def parse(cls, text: str) -> FracTorusPoint:
+        s = text.strip()
+        if not (s.startswith("[") and s.endswith("]")):
+            raise ValueError(f"torus point literal must be bracketed: {text!r}")
+        parts = s[1:-1].split(",")
+        if len(parts) != 6:
+            raise ValueError("torus point literal must have 6 coordinates")
+        return cls([Fraction(p.strip()) for p in parts])
+
+
+def frac_apply_element(int6: Sequence[Sequence[int]], p: FracTorusPoint) -> FracTorusPoint:
+    return FracTorusPoint([sum(int6[i][j] * p.coords[j] for j in range(6)) for i in range(6)])

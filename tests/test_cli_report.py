@@ -216,3 +216,51 @@ def test_point_literal_beyond_int64(capsys):
     point = "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"
     assert main(["stabilizer", "--point", point]) == 0
     assert "stabilizer order 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [1, 0, 0, 0, 1, 0, 0, 0, -1],
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        ["1", 0, 0, 0, 1, 0, 0, 0, "-1"],
+    ],
+)
+def test_fixed_matrix_with_integer_entries(entries, capsys):
+    assert main(["fixed", "--matrix", json.dumps(["1", "0", "0", "0", "1", "0", "0", "0", "-1"])]) == 0
+    want = capsys.readouterr().out
+    assert main(["fixed", "--matrix", json.dumps(entries)]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "[1.0,0,0,0,1,0,0,0,1]",
+        "[null,0,0,0,1,0,0,0,1]",
+        "[[1],0,0,0,1,0,0,0,1]",
+        "[true,0,0,0,1,0,0,0,1]",
+        '"100010001"',
+        '["1/0","0","0","0","1","0","0","0","1"]',
+    ],
+)
+def test_bad_matrix_entries_are_a_usage_error(literal, capsys):
+    assert main(["fixed", "--matrix", literal]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad matrix literal") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stabilizer", "--point", "beta_0011", "--json"],
+        ["orbit", "--point", "eta_1", "--json"],
+        ["group", "classes", "--json"],
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        assert main(argv + [str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1

@@ -1,10 +1,13 @@
 """Property tests: the integer kernels against the exact rational references.
 
 QNum (a reduced integer triple) is compared with the Fraction-pair FracQNum,
-and the integer eps chart with the Fraction-matrix chart, in tests/oracles.py.
+the integer eps chart with the Fraction-matrix chart, and TorusPoint
+(integer numerators over the point's order) with the Fraction-tuple
+FracTorusPoint, all in tests/oracles.py.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +23,7 @@ from klein336.linalg import (
 )
 from klein336.orbits import orbit_points, stabilizer_indices
 from klein336.qfield import QNum
-from klein336.torus import TorusPoint
+from klein336.torus import TorusPoint, apply_element
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -222,7 +225,87 @@ def test_torus_point_coordinates_are_reduced_mod_1(c):
     assert all(type(x) is Fraction and 0 <= x < 1 for x in p.coords)
 
 
-denominators = st.integers(2, 400) | st.integers(2, 10**25)
+# denominators 1, 2 and 7, primes above 336, a prime just below 2^62 and 10^20 > 2^63
+SPECIAL_DENOMINATORS = [1, 2, 7, 337, 349, 20011, 4611686018427387847, 10**20]
+point_denominators = st.sampled_from(SPECIAL_DENOMINATORS) | st.integers(1, 400)
+
+
+@st.composite
+def points(draw):
+    """The same torsion point as a TorusPoint and a FracTorusPoint."""
+    den = draw(point_denominators)
+    numerators = st.integers(-3 * den, 3 * den) | st.sampled_from([0, den // 2])
+    coords = [Fraction(n, den) for n in draw(st.lists(numerators, min_size=6, max_size=6))]
+    return TorusPoint(coords), oracles.FracTorusPoint(coords)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points, the second often the first shifted by a lattice vector."""
+    p, fp = draw(points())
+    if draw(st.booleans()):
+        return (p, fp), draw(points())
+    shift = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    coords = [c + s for c, s in zip(fp.coords, shift)]
+    return (p, fp), (TorusPoint(coords), oracles.FracTorusPoint(coords))
+
+
+def check_point(p: TorusPoint, want: oracles.FracTorusPoint) -> None:
+    """p is canonical and is the oracle's point."""
+    nums, den = p.as_int_vec()
+    assert (nums, den) == (list(p.nums), p.den)
+    assert all(0 <= n < den for n in nums) and gcd(*nums, den) == 1
+    assert p.coords == want.coords
+    assert p.order() == want.order() and p.is_zero() == want.is_zero()
+
+
+@PROPERTY
+@given(points())
+def test_torus_point_matches_fraction_tuples(pt):
+    p, fp = pt
+    check_point(p, fp)
+    assert str(p) == str(fp)
+    assert TorusPoint.parse(str(p)) == p
+    assert oracles.FracTorusPoint.parse(str(p)) == fp
+    assert TorusPoint(p.nums, p.den) == p
+
+
+@PROPERTY
+@given(point_pairs())
+def test_torus_point_equality_hash_and_order(pair):
+    (p, fp), (q, fq) = pair
+    assert (p == q) == (fp == fq) and (p != q) == (fp != fq)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p < q) == (fp < fq) and (q < p) == (fq < fp)
+    assert [x.coords for x in sorted([q, p])] == [x.coords for x in sorted([fq, fp])]
+
+
+@PROPERTY
+@given(point_pairs(), st.integers(-(10**6), 10**6))
+def test_torus_point_arithmetic_matches_fraction_tuples(pair, k):
+    (p, fp), (q, fq) = pair
+    for got, want in (
+        (p + q, fp + fq),
+        (p - q, fp - fq),
+        (-p, -fp),
+        (k * p, k * fp),
+        (p * k, fp * k),
+    ):
+        check_point(got, want)
+
+
+@PROPERTY
+@given(points(), st.integers(0, 335))
+def test_apply_element_matches_fraction_tuples(group, pt, g):
+    p, fp = pt
+    int6 = group.elements[g].int6
+    got = apply_element(int6, p)
+    check_point(got, oracles.frac_apply_element(int6, fp))
+    assert got.order() == p.order()
+
+
+denominators = st.integers(2, 400) | st.integers(2, 10**25) | st.sampled_from(SPECIAL_DENOMINATORS)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -233,5 +316,8 @@ def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
     want = oracles.exact_stabilizer(int6s, p.coords)
     assert stabilizer_indices(group, p, "G") == want
     assert stabilizer_indices(group, p, "H") == want & frozenset(group.h_indices)
-    orbit = orbit_points(group, p, "G")
-    assert [q.coords for q in orbit] == sorted(oracles.exact_orbit(int6s, p.coords))
+    h_int6s = [int6s[i] for i in group.h_indices]
+    for quotient, elements in (("G", int6s), ("H", h_int6s)):
+        orbit = orbit_points(group, p, quotient)
+        assert [q.coords for q in orbit] == sorted(oracles.exact_orbit(elements, p.coords))
+        assert all(q.order() == p.order() == oracles.FracTorusPoint(q.coords).order() for q in orbit)
