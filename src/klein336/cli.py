@@ -156,7 +156,7 @@ def cmd_fixed(args) -> int:
             print(f"  {p}")
         payload["points"] = [str(p) for p in locus.points]
     else:
-        dim = len(locus.v1_basis)
+        dim = locus.dim
         print(f"eigenspace dimension {dim} ({'mirror' if dim == 2 else 'axis'})")
         print(f"components: {locus.component_count}")
         print("translate representatives:")
@@ -247,7 +247,7 @@ def cmd_classify(args) -> int:
 
 def cmd_singularities(args) -> int:
     table = get_group()
-    rep = singularity_report(table, args.quotient, args.seed)
+    rep = singularity_report(table, args.quotient)
     print(f"quotient by {args.quotient}:")
     print("isolated singular points:")
     for r in rep.isolated:
@@ -341,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sing = sub.add_parser("singularities", help="singularity report of a quotient")
     p_sing.add_argument("--quotient", choices=("G", "H"), default="G")
-    p_sing.add_argument("--seed", type=int, default=0)
+    p_sing.add_argument(
+        "--seed", type=int, default=0,
+        help="accepted for compatibility; the report no longer depends on it",
+    )
     p_sing.add_argument("--json")
     p_sing.set_defaults(func=cmd_singularities)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import IDENTITY3, Mat3, kernel_K, mat3_to_int6
-from .qfield import CVec3, MINUS_ONE, ONE, QNum, hermitian, vec3, vsub
+from .qfield import CVec3, MINUS_ONE, ONE, QNum, vec3
 
 GENERATOR_ORDER = (1, 2, 3)
 
@@ -145,18 +145,6 @@ def positive_roots() -> list[CVec3]:
         if _vec_key(e) > _vec_key(tuple(-q for q in e)):
             chosen.append(e)
     return chosen
-
-
-def reflection_matrix(e: CVec3) -> Mat3:
-    """Unitary reflection x -> x - (e, x) e in a root of square 2."""
-    if hermitian(e, e) != QNum(2):
-        raise ValueError("reflection roots must have square 2")
-    cols = []
-    basis = (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
-    for b in basis:
-        coeff = hermitian(e, b)
-        cols.append(vsub(b, tuple(coeff * ei for ei in e)))  # type: ignore[arg-type]
-    return Mat3([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
 class GroupTable:
@@ -394,12 +382,6 @@ class GroupTable:
         rows = self.mul_list
         row_g, g_inv = rows[g], int(self.inv[g])
         return frozenset(row_g[rows[x][g_inv]] for x in s)
-
-    def centralizer_size(self, x: int, subset: Sequence[int]) -> int:
-        arr = np.asarray(subset, dtype=np.int64)
-        left = self.mul[arr, x]
-        right = self.mul[x, arr]
-        return int(np.count_nonzero(left == right))
 
     def conjugacy_classes(self, quotient: str = "G") -> list[ConjClass]:
         subset = self.subset_indices(quotient)

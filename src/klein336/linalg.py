@@ -311,36 +311,6 @@ def rat_inverse(a: RatMat) -> RatMat:
     return [row[n:] for row in work]
 
 
-def rat_solve(a: RatMat, b: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve a x = b exactly; None when inconsistent; a must have full column rank."""
-    m, n = len(a), len(a[0])
-    work = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        work[r] = [v / piv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [work[i][j] - f * work[r][j] for j in range(n + 1)]
-        pivots.append((r, c))
-        r += 1
-    if len(pivots) < n:
-        raise ValueError("coefficient matrix does not have full column rank")
-    for i in range(r, m):
-        if work[i][n]:
-            return None
-    sol = [Fraction(0)] * n
-    for pr, pc in pivots:
-        sol[pc] = work[pr][n]
-    return sol
-
-
 def _scaled_inverse(a: IntMat) -> tuple[IntMat, int]:
     """(N, den) with a^-1 = N / den and N an integer matrix."""
     inv = rat_inverse([[Fraction(x) for x in row] for row in a])
@@ -575,28 +545,3 @@ def hnf_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return not any(v)
-
-
-def int_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : a x = 0}; primitive (saturated)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    _, d, v = smith_normal_form(a)
-    out = []
-    for j in range(n):
-        dj = d[j][j] if j < min(m, n) else 0
-        if dj == 0:
-            out.append([v[i][j] for i in range(n)])
-    return out
-
-
-def lattice_index(basis_rows: Sequence[Sequence[int]]) -> int:
-    """Index in Z^n of the full-rank row lattice; 0 when rank-deficient."""
-    h = hnf_rows(basis_rows)
-    n = len(basis_rows[0])
-    if len(h) < n:
-        return 0
-    det = 1
-    for i, row in enumerate(h):
-        det *= row[i] if row[i] else 0
-    return abs(det)

@@ -6,19 +6,16 @@ quotient by the stabilizer, and for cyclic stabilizers the type is read off
 the generator's eigenvalues, snapped from floats to roots of unity and
 cross-checked against the exact trace and determinant.
 
-Generic points of the special curves are sampled with torsion denominators
-that are primes larger than the group order; three independent samples are
-intersected, so an unlucky sample can only enlarge one input, never shrink
-the intersection below the true generic stabilizer.
+The stabilizers along a special curve t + V_1 are exact integer tests on
+the curve's lattice Lambda_1 and translate t: no point of the curve is
+sampled.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -27,21 +24,19 @@ from .group import GroupTable
 from .linalg import IDENTITY3, qnum_nullspace, qnum_solve
 from .qfield import ONE as FIELD_ONE, QNum
 from .torus import (
+    FixedLocus,
     TorusPoint,
     ZERO_POINT,
-    _AxisProjector,
     apply_element,
     beta_point,
     enumerate_fixed_points,
     eta_point,
     fixed_locus_structure,
+    fixes_curve,
     half_periods,
     kappa_translates,
     omega_point,
 )
-
-GENERIC_PRIMES = (349, 353, 359, 367, 373)
-
 
 class SnappingError(RuntimeError):
     """Float eigenvalues failed to land on roots of unity; signals an arithmetic bug."""
@@ -295,51 +290,38 @@ def generic_curve_stabilizer(
     translate: TorusPoint,
     direction_rows: Sequence[Sequence[int]],
     quotient: str = "G",
-    seed: int = 0,
-    samples: int = 3,
 ) -> frozenset[int]:
-    """Stabilizer of a generic point of translate + span(directions).
-
-    Three torsion samples with distinct prime denominators > group order are
-    intersected; degeneracy can only enlarge a sample stabilizer, so the
-    intersection never drops below the generic one.
-    """
-    rng = random.Random(seed)
-    result: frozenset[int] | None = None
-    for p in GENERIC_PRIMES[:samples]:
-        coords = list(translate.coords)
-        for row in direction_rows:
-            c = Fraction(rng.randrange(1, p), p)
-            coords = [x + c * r for x, r in zip(coords, row)]
-        stab = stabilizer_indices(table, TorusPoint(coords), quotient)
-        result = stab if result is None else (result & stab)
-    assert result is not None
-    return result
+    """Stabilizer of a generic point of translate + span(directions)."""
+    return frozenset(
+        g
+        for g in table.subset_indices(quotient)
+        if fixes_curve(table.elements[g].int6, direction_rows, translate)
+    )
 
 
 def curve_setwise_stabilizer(
     table: GroupTable,
-    v1_basis,
+    locus: FixedLocus,
     translate: TorusPoint,
     quotient: str = "H",
 ) -> frozenset[int]:
-    """Elements mapping the curve translate + V1 onto itself (mod the lattice)."""
-    projector = _AxisProjector(v1_basis)
-    members = []
-    for g in table.subset_indices(quotient):
-        el = table.elements[g]
-        stable = True
-        for b in v1_basis:
-            image = el.mat.apply(b)
-            if any(projector.project_eps(image)):
-                stable = False
-                break
-        if not stable:
-            continue
-        moved = apply_element(el.int6, translate)
-        if projector.in_v1_plus_lattice((moved - translate).coords):
-            members.append(g)
-    return frozenset(members)
+    """Elements mapping the curve translate + V_1 onto itself (mod the lattice).
+
+    g maps V_1 onto itself when the transverse rows vanish on g of every
+    Lambda_1 row, and then maps the curve onto itself when g t - t lies in
+    V_1 + Lambda.
+    """
+    rows = np.array(locus.lambda1_rows, dtype=np.int64).T
+    transverse = np.array(locus.transverse_rows, dtype=np.int64)
+    keeps_v1 = ~np.any(transverse @ table.int6_stack @ rows, axis=(1, 2))
+    return frozenset(
+        g
+        for g in table.subset_indices(quotient)
+        if keeps_v1[g]
+        and locus.in_v1_plus_lattice(
+            apply_element(table.elements[g].int6, translate) - translate
+        )
+    )
 
 
 # --- locus classification -------------------------------------------------------
@@ -570,15 +552,15 @@ class SingularityReport:
         }
 
 
-def curve_strata(table: GroupTable, quotient: str = "G", seed: int = 0) -> list[CurveStratum]:
+def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     """Generic-stabilizer records for every special-curve class through the action."""
     named = table.named
     out: list[CurveStratum] = []
 
-    def add(name: str, carrier: str, translate: TorusPoint, direction_rows, v1_basis):
-        stab = generic_curve_stabilizer(table, translate, direction_rows, quotient, seed)
+    def add(name: str, carrier: str, translate: TorusPoint, locus: FixedLocus):
+        stab = generic_curve_stabilizer(table, translate, locus.lambda1_rows, quotient)
         winfo = singularity_weights(table, stab)
-        inv = curve_setwise_stabilizer(table, v1_basis, translate, "H")
+        inv = curve_setwise_stabilizer(table, locus, translate, "H")
         out.append(
             CurveStratum(
                 name=name,
@@ -594,21 +576,15 @@ def curve_strata(table: GroupTable, quotient: str = "G", seed: int = 0) -> list[
             )
         )
 
-    mirror = fixed_locus_structure(table, named["r2"])
-    add("mirror", "r2", ZERO_POINT, mirror.lambda1_rows, mirror.v1_basis)
-
+    add("mirror", "r2", ZERO_POINT, fixed_locus_structure(table, named["r2"]))
     rho1 = named["rho1"]
     axis = fixed_locus_structure(table, rho1)
     for i, t in enumerate(kappa_translates(table, rho1)):
         if i == 0:
             continue
-        add(f"kappa_{i}", "rho1", t, axis.lambda1_rows, axis.v1_basis)
-
-    c3_axis = fixed_locus_structure(table, named["c3"])
-    add("c3_axis", "c3", ZERO_POINT, c3_axis.lambda1_rows, c3_axis.v1_basis)
-
-    h4_axis = fixed_locus_structure(table, named["h4"])
-    add("h4_axis", "h4", ZERO_POINT, h4_axis.lambda1_rows, h4_axis.v1_basis)
+        add(f"kappa_{i}", "rho1", t, axis)
+    add("c3_axis", "c3", ZERO_POINT, fixed_locus_structure(table, named["c3"]))
+    add("h4_axis", "h4", ZERO_POINT, fixed_locus_structure(table, named["h4"]))
     return out
 
 
@@ -617,9 +593,7 @@ def point_on_off_mirror_curve(table: GroupTable, p: TorusPoint) -> bool:
     stab = stabilizer_indices(table, p, "G")
     for rho in sorted(stab & set(table.antireflections)):
         ks = kappa_translates(table, rho)
-        locus = fixed_locus_structure(table, rho)
-        projector = _AxisProjector(locus.v1_basis)
-        if projector.in_v1_plus_lattice((p - ks[3]).coords):
+        if fixed_locus_structure(table, rho).in_v1_plus_lattice(p - ks[3]):
             return True
     return False
 
@@ -635,8 +609,7 @@ def _beta_0011_on_kappa3_curve(table: GroupTable) -> bool:
         raise ConsistencyError("the square of the order-4 element is not an antireflection")
     ks = kappa_translates(table, rho)
     locus = fixed_locus_structure(table, rho)
-    projector = _AxisProjector(locus.v1_basis)
-    if not projector.in_v1_plus_lattice((q_point - ks[3]).coords):
+    if not locus.in_v1_plus_lattice(q_point - ks[3]):
         return False
     # the off-mirror curve of rho is in the same orbit as the reference curve:
     # conjugating rho1 to rho maps translate classes to translate classes
@@ -649,7 +622,7 @@ def _beta_0011_on_kappa3_curve(table: GroupTable) -> bool:
     ref = kappa_translates(table, rho1)[3]
     moved = apply_element(table.elements[carrier].int6, ref)
     for i, t in enumerate(ks):
-        if projector.in_v1_plus_lattice((moved - t).coords):
+        if locus.in_v1_plus_lattice(moved - t):
             return i == 3
     raise ConsistencyError("conjugated reference translate matches no translate class")
 
@@ -659,13 +632,14 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
 
     Sweeps every elliptic special orbit and every special-curve class; for
     the full group the result must consist of exactly one isolated point,
-    one singular curve, and one dissident point on it.
+    one singular curve, and one dissident point on it.  ``seed`` is accepted
+    for compatibility and unused: every stabilizer in the report is exact.
     """
     point_records: dict[TorusPoint, OrbitRecord] = {}
     for locus in ("T2", "T6", "T4p", "T7"):
         for rec in classify_locus(table, locus, quotient):
             point_records.setdefault(rec.orbit_min, rec)
-    curves = curve_strata(table, quotient, seed)
+    curves = curve_strata(table, quotient)
 
     singular_points = [r for r in point_records.values() if r.image_status != "smooth"]
     singular_curves = [c for c in curves if c.image_status != "smooth"]

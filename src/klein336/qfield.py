@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -202,9 +202,12 @@ class QNum:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty QNum literal")
+        terms = _TERM_RE.findall(s)
+        if "".join(terms) != s:  # a stray sign starts no term
+            raise ValueError(f"malformed QNum literal {text!r}")
         x = Fraction(0)
         y = Fraction(0)
-        for term in _TERM_RE.findall(s):
+        for term in terms:
             if term in ("w", "+w"):
                 y += 1
             elif term == "-w":
@@ -280,10 +283,6 @@ def _as_qnum(v) -> QNum:
     return q
 
 
-def vsub(u: CVec3, v: CVec3) -> CVec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
 def vscale(s: QNum | Rational, u: CVec3) -> CVec3:
     s = _as_qnum(s)
     return (s * u[0], s * u[1], s * u[2])
@@ -296,6 +295,3 @@ def hermitian(x: CVec3, y: CVec3) -> QNum:
         total = total + xi.conj() * yi
     return _reduced(total.a, total.b, 2 * total.d)
 
-
-def vec_is_zero(u: Iterable[QNum]) -> bool:
-    return all(not q for q in u)

@@ -219,7 +219,7 @@ def _ac6(table: GroupTable) -> list[VerifyOutcome]:
     ok = True
     for name, want in expectations.items():
         locus = fixed_locus_structure(table, n[name])
-        dim = len(locus.v1_basis)
+        dim = locus.dim
         ok = ok and locus.component_count == want
         if name == "r2":
             ok = ok and dim == 2
@@ -433,8 +433,8 @@ _EXPECTED_LATTICE = {
 }
 
 
-def _ac11(table: GroupTable, seed: int) -> list[VerifyOutcome]:
-    rep_g = singularity_report(table, "G", seed)
+def _ac11(table: GroupTable) -> list[VerifyOutcome]:
+    rep_g = singularity_report(table, "G")
     by_name = {c["name"]: c for c in rep_g.curves}
     singular_curves = [c["name"] for c in rep_g.curves if c["image_status"] != "smooth"]
     diss = by_name["kappa_3"]["dissident_points"]
@@ -446,7 +446,7 @@ def _ac11(table: GroupTable, seed: int) -> list[VerifyOutcome]:
         and len(diss) == 1
         and diss[0]["image_status"] == "1/4(1,2,3)"
     )
-    rep_h = singularity_report(table, "H", seed)
+    rep_h = singularity_report(table, "H")
     ok_h = len(rep_h.isolated) == 2 and all(
         r["image_status"] == "1/7(1,2,4)" for r in rep_h.isolated
     )
@@ -468,12 +468,12 @@ def _ac11(table: GroupTable, seed: int) -> list[VerifyOutcome]:
     ]
 
 
-def _ac12(table: GroupTable, seed: int) -> list[VerifyOutcome]:
+def _ac12(table: GroupTable) -> list[VerifyOutcome]:
     rho1 = table.named["rho1"]
     axis = fixed_locus_structure(table, rho1)
     ks = kappa_translates(table)
     stabs = [
-        generic_curve_stabilizer(table, ks[i], axis.lambda1_rows, "G", seed)
+        generic_curve_stabilizer(table, ks[i], axis.lambda1_rows, "G")
         for i in (1, 2, 3)
     ]
     labels = [table.recognize(s) for s in stabs]
@@ -485,10 +485,10 @@ def _ac12(table: GroupTable, seed: int) -> list[VerifyOutcome]:
     inter = stabs[2] == stabs[0] & stabs[1]
     c3 = table.named["c3"]
     l3 = fixed_locus_structure(table, c3)
-    s3 = generic_curve_stabilizer(table, ZERO_POINT, l3.lambda1_rows, "G", seed)
+    s3 = generic_curve_stabilizer(table, ZERO_POINT, l3.lambda1_rows, "G")
     h4 = table.named["h4"]
     l4 = fixed_locus_structure(table, h4)
-    s4 = generic_curve_stabilizer(table, ZERO_POINT, l4.lambda1_rows, "G", seed)
+    s4 = generic_curve_stabilizer(table, ZERO_POINT, l4.lambda1_rows, "G")
     ok = (
         labels == ["2^2", "2^2", "C2-antirefl"]
         and two_refl
@@ -627,8 +627,8 @@ def run_verify(table: GroupTable | None = None, seed: int = 0) -> list[VerifyOut
     outcomes += _ac8(table)
     outcomes += _ac9(table)
     outcomes += _ac10(table)
-    outcomes += _ac11(table, seed)
-    outcomes += _ac12(table, seed)
+    outcomes += _ac11(table)
+    outcomes += _ac12(table)
     outcomes += _ac13(table)
     outcomes += _ac14(table, seed)
     return outcomes

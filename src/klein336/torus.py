@@ -2,13 +2,13 @@
 
 A torsion point is stored in integer form: six numerators in [0, den) over
 its exact order den, meaning the eps-basis coordinates nums/den modulo Z^6;
-its Fraction coordinates in [0, 1) are built only when read.  Elements
-without eigenvalue 1 (elliptic) have finitely many fixed points, counted
-and enumerated through the Smith normal form of the integer matrix of
-(gamma - id) on the lattice.  Elements with eigenvalue 1 (parabolic) fix a
-finite union of translates of a subtorus; the component count comes from
-the restricted elliptic action on the orthogonal-complement torus and a
-membership test against the projected lattice.
+its Fraction coordinates in [0, 1) are built only when read.  Every fixed
+locus comes from the Smith normal form of the integer matrix of
+(gamma - id) on the lattice.  Elements without eigenvalue 1 (elliptic)
+have finitely many fixed points, enumerated from it.  Elements with
+eigenvalue 1 (parabolic) fix a finite union of translates of a subtorus;
+the same normal form gives the components, the subtorus lattice, and the
+integer rows that test whether a point lies on the component through zero.
 """
 
 from __future__ import annotations
@@ -22,20 +22,8 @@ from operator import mul
 from typing import Sequence
 
 from .group import GroupTable
-from .linalg import (
-    IDENTITY3,
-    from_eps_coords,
-    hnf_contains,
-    hnf_rows,
-    int_det,
-    int_kernel,
-    kernel_K,
-    lattice_index,
-    rat_solve,
-    smith_normal_form,
-    to_eps_coords,
-)
-from .qfield import ALPHA, ALPHA_BAR, CVec3, QNum, ZERO, hermitian, vec3, vec_is_zero
+from .linalg import hnf_rows, int_det, smith_normal_form, to_eps_coords
+from .qfield import ALPHA, CVec3, QNum, ZERO, vec3
 
 
 class ParabolicElementError(ValueError):
@@ -188,21 +176,6 @@ def lattice_contains(v: CVec3) -> bool:
     return all(c.denominator == 1 for c in to_eps_coords(v))
 
 
-def _o_divides(d: QNum, w: QNum) -> bool:
-    q = w * d.conj()
-    n = d.norm()
-    return (q.x / n).denominator == 1 and (q.y / n).denominator == 1
-
-
-def lattice_contains_congruence(v: CVec3) -> bool:
-    """Independent membership oracle straight from the defining congruences."""
-    if not all(q.is_integral() for q in v):
-        return False
-    if not _o_divides(ALPHA, v[0] - v[1]) or not _o_divides(ALPHA, v[1] - v[2]):
-        return False
-    return _o_divides(ALPHA_BAR, v[0] + v[1] + v[2])
-
-
 # --- elliptic fixed points ----------------------------------------------------
 
 
@@ -257,178 +230,73 @@ def _snf_solutions(v: Sequence[Sequence[int]], diag: Sequence[int]) -> list[Toru
 
 @dataclass
 class FixedLocus:
+    """The fixed locus of a non-identity element.
+
+    Elliptic: the finitely many fixed ``points``.  Parabolic: the union of
+    ``component_count`` translates of the subtorus V_1/Lambda_1, with
+    V_1 = ker(gamma - id) of complex dimension ``dim`` and Lambda_1 spanned
+    by ``lambda1_rows``.  The integer ``transverse_rows`` vanish exactly on
+    V_1 and take integer values exactly on V_1 + Lambda.
+    """
+
     element: int
     kind: str  # "elliptic" | "parabolic"
     points: list[TorusPoint] | None = None
-    v1_basis: list[CVec3] | None = None
+    dim: int = 0
     lambda1_rows: list[list[int]] | None = None
+    transverse_rows: list[list[int]] | None = None
     translates: list[TorusPoint] | None = None
     component_count: int | None = None
-    restricted_fixed_count: int | None = None
-    lattice_sum_index: int | None = None  # [Lambda : Lambda_1 + Lambda_a]
 
-
-def _qnum_solve(gram: list[list[QNum]], rhs: list[QNum]) -> list[QNum]:
-    """Solve a 1x1 or 2x2 field-valued linear system (positive-definite Gram)."""
-    if len(gram) == 1:
-        return [rhs[0] * gram[0][0].inv()]
-    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
-    inv = det.inv()
-    c0 = (rhs[0] * gram[1][1] - gram[0][1] * rhs[1]) * inv
-    c1 = (gram[0][0] * rhs[1] - rhs[0] * gram[1][0]) * inv
-    return [c0, c1]
-
-
-class _AxisProjector:
-    """Hermitian-orthogonal projection away from V_1, with its lattice image."""
-
-    def __init__(self, v1_basis: list[CVec3]) -> None:
-        self.basis = v1_basis
-        self.gram = [[hermitian(b, c) for c in v1_basis] for b in v1_basis]
-        rows = []
-        for j in range(6):
-            eps = _EPS_CVECS[j]
-            rows.append(self.project_eps(eps))
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, x.denominator)
-        self.den = den
-        self.lattice = hnf_rows([[int(x * den) for x in row] for row in rows])
-
-    def project_eps(self, v: CVec3) -> tuple[Fraction, ...]:
-        rhs = [hermitian(b, v) for b in self.basis]
-        coeffs = _qnum_solve(self.gram, rhs)
-        res = list(v)
-        for c, b in zip(coeffs, self.basis):
-            res = [res[i] - c * b[i] for i in range(3)]
-        return to_eps_coords((res[0], res[1], res[2]))
-
-    def in_v1_plus_lattice(self, eps_coords: Sequence[Fraction]) -> bool:
-        v = from_eps_coords(list(eps_coords))
-        proj = self.project_eps(v)
-        scaled = []
-        for x in proj:
-            y = x * self.den
-            if y.denominator != 1:
-                return False
-            scaled.append(int(y))
-        return hnf_contains(self.lattice, scaled)
-
-
-_EPS_CVECS = [from_eps_coords([int(i == j) for i in range(6)]) for j in range(6)]
+    def in_v1_plus_lattice(self, p: TorusPoint) -> bool:
+        """Does p lie on the component through zero, V_1 + Lambda mod Lambda?"""
+        n, den = p.nums, p.den
+        return all(sum(map(mul, row, n)) % den == 0 for row in self.transverse_rows)
 
 
 def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
-    """Components of the fixed locus of a parabolic element.
+    """Components of the fixed locus of a parabolic element, by Smith normal form.
 
-    Computes V_1 = ker(gamma - id), its lattice, the orthogonal complement
-    torus with the restricted elliptic action, and counts which restricted
-    fixed points fall into V_1 + Lambda.
+    With U (gamma - id) V = D of rank r and x = V y, x is fixed exactly when
+    d_i y_i is an integer for i < r: the classes of (d_i y_i) mod d_i index
+    the prod(d_i) components, translates of V_1, the span of the last 6 - r
+    columns of V.  Rows i < r of V^-1, the rows of U (gamma - id) over d_i,
+    are the transverse rows.  Each component is represented by its
+    lexicographically smallest point of order dividing m = max(d_i).
     """
     if gi == table.identity:
         raise IdentityElementError("the identity fixes the whole torus")
-    el = table.elements[gi]
     shifted = _shifted_int6(table, gi)
-    if int_det(shifted) != 0:
+    u, d, v = smith_normal_form(shifted)
+    diag = [d[i][i] for i in range(6) if d[i][i]]
+    r = len(diag)
+    if r == 6:
         raise EllipticElementError(f"element {gi} is elliptic; use enumerate_fixed_points")
-
-    v1_basis = kernel_K(el.mat - IDENTITY3)
-    lambda1 = hnf_rows(int_kernel(shifted))
-    if len(lambda1) != 2 * len(v1_basis):
-        raise RuntimeError("lattice rank does not match eigenspace dimension")
-
-    # orthogonal complement and its lattice
-    pairing_rows = []
-    for b in v1_basis:
-        row_x = []
-        row_y = []
-        for eps in _EPS_CVECS:
-            val = hermitian(b, eps)
-            row_x.append(val.x)
-            row_y.append(val.y)
-        den = 1
-        for x in row_x + row_y:
-            den = lcm(den, x.denominator)
-        pairing_rows.append([int(x * den) for x in row_x])
-        pairing_rows.append([int(x * den) for x in row_y])
-    lambda_a = int_kernel(pairing_rows)
-    rank_a = len(lambda_a)
-    if rank_a != 6 - len(lambda1):
-        raise RuntimeError("complement lattice has unexpected rank")
-
-    # restriction of gamma to the complement lattice: int6 B = B C
-    bmat = [[lambda_a[k][i] for k in range(rank_a)] for i in range(6)]  # 6 x r
-    m = el.int6
-    image = [
-        [sum(m[i][j] * bmat[j][k] for j in range(6)) for k in range(rank_a)]
-        for i in range(6)
+    if r % 2:
+        raise RuntimeError("the fixed space is not a complex subspace")
+    cols = list(zip(*shifted))
+    transverse = [
+        [sum(map(mul, u[i], col)) // diag[i] for col in cols] for i in range(r)
     ]
-    bmat_frac = [[Fraction(x) for x in row] for row in bmat]
-    c_mat: list[list[int]] = [[0] * rank_a for _ in range(rank_a)]
-    for k in range(rank_a):
-        col = [Fraction(image[i][k]) for i in range(6)]
-        sol = rat_solve(bmat_frac, col)
-        if sol is None:
-            raise RuntimeError("complement lattice is not invariant")
-        for t in range(rank_a):
-            if sol[t].denominator != 1:
-                raise RuntimeError("restriction matrix is not integral")
-            c_mat[t][k] = int(sol[t])
-
-    c_shift = [[c_mat[i][j] - int(i == j) for j in range(rank_a)] for i in range(rank_a)]
-    det_a = int_det(c_shift)
-    if det_a == 0:
-        raise RuntimeError("restricted action is not elliptic")
-    _, d, v = smith_normal_form(c_shift)
-    diag = [d[i][i] for i in range(rank_a)]
-    projector = _AxisProjector(v1_basis)
-    # restricted fixed points y = V k / d as integer numerators over lcm(d)
-    den = lcm(*diag)
-    v_scaled = [[v[i][j] * (den // diag[j]) for j in range(rank_a)] for i in range(rank_a)]
-    seen: dict[tuple[int, ...], tuple[TorusPoint, bool]] = {}
-    for combo in itertools.product(*(range(di) for di in diag)):
-        yv = [sum(map(mul, row, combo)) for row in v_scaled]
-        w = _point([sum(map(mul, row, yv)) for row in bmat], den)
-        # membership in V_1 + Lambda is invariant under Z^6, so w mod 1 serves
-        member = projector.in_v1_plus_lattice(w.coords)
-        # the SNF solutions are distinct mod 1 already
-        seen[tuple(x % den for x in yv)] = (w, member)
-    if len(seen) != abs(det_a):
-        raise RuntimeError("restricted fixed point count mismatch")
-
-    members = {y for y, (_, flag) in seen.items() if flag}
-    if not members or abs(det_a) % len(members):
-        raise RuntimeError("membership subgroup does not divide the fixed group")
-    component_count = abs(det_a) // len(members)
-
-    # coset decomposition of the restricted fixed group by the member subgroup
-    def y_sub(a, b):
-        return tuple((x - y) % den for x, y in zip(a, b))
-
-    cosets: list[list[tuple]] = []
-    assigned: dict[tuple, int] = {}
-    for y in sorted(seen):
-        if y in assigned:
-            continue
-        coset = [z for z in seen if y_sub(z, y) in members]
-        idx = len(cosets)
-        cosets.append(sorted(coset))
-        for z in coset:
-            assigned[z] = idx
-    if len(cosets) != component_count:
-        raise RuntimeError("coset count does not match component count")
-    translates = sorted(min(seen[z][0] for z in coset) for coset in cosets)
-
+    m = max(diag)
+    scale = [m // di for di in diag]
+    translates = []
+    for k in itertools.product(*(range(di) for di in diag)):
+        # y = (k_i / d_i, s / m) as numerators over m; x = V y
+        head = [ki * si for ki, si in zip(k, scale)]
+        best = min(
+            tuple(sum(map(mul, row, head + list(s))) % m for row in v)
+            for s in itertools.product(range(m), repeat=6 - r)
+        )
+        translates.append(_point(best, m))
     return FixedLocus(
         element=gi,
         kind="parabolic",
-        v1_basis=v1_basis,
-        lambda1_rows=lambda1,
-        translates=translates,
-        component_count=component_count,
-        restricted_fixed_count=abs(det_a),
-        lattice_sum_index=lattice_index(lambda1 + lambda_a),
+        dim=(6 - r) // 2,
+        lambda1_rows=hnf_rows([[row[j] for row in v] for j in range(r, 6)]),
+        transverse_rows=transverse,
+        translates=sorted(translates),
+        component_count=len(translates),
     )
 
 
@@ -441,6 +309,17 @@ def fixed_locus(table: GroupTable, gi: int) -> FixedLocus:
             element=gi, kind="elliptic", points=enumerate_fixed_points(table, gi)
         )
     return fixed_locus_structure(table, gi)
+
+
+def fixes_curve(int6: Sequence[Sequence[int]], rows, t: TorusPoint) -> bool:
+    """Does the element fix a generic point of the curve t + span(rows)?
+
+    Exactly when it fixes every row and t: (gamma - id)(t + s) lies in Z^6
+    for s in an open set only if gamma - id vanishes on the span.
+    """
+    return all(
+        [sum(map(mul, r, lam)) for r in int6] == list(lam) for lam in rows
+    ) and apply_element(int6, t) == t
 
 
 def subgroup_fixed_points(table: GroupTable, elements) -> list[TorusPoint]:
@@ -523,17 +402,6 @@ def eta_point(i: int) -> TorusPoint:
     return TorusPoint([Fraction(i * b, 7) for b in base])
 
 
-def _curve_lies_on_mirror(table: GroupTable, axis: CVec3, t: TorusPoint) -> bool:
-    """Does some reflection fix the whole curve t + <axis> pointwise mod the lattice?"""
-    for r in table.reflections:
-        rm = table.elements[r].mat
-        if not vec_is_zero((rm - IDENTITY3).apply(axis)):
-            continue
-        if apply_element(table.elements[r].int6, t) == t:
-            return True
-    return False
-
-
 def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoint]:
     """Component representatives [0, k1, k2, k3] of an antireflection's fixed locus.
 
@@ -547,9 +415,15 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
         raise ValueError("kappa translates are defined for antireflections")
     locus = fixed_locus_structure(table, gi)
     assert locus.component_count == 4 and locus.translates is not None
-    axis = locus.v1_basis[0]
     nonzero = [t for t in locus.translates if not t.is_zero()]
-    off_mirror = [t for t in nonzero if not _curve_lies_on_mirror(table, axis, t)]
+    off_mirror = [
+        t
+        for t in nonzero
+        if not any(
+            fixes_curve(table.elements[r].int6, locus.lambda1_rows, t)
+            for r in table.reflections
+        )
+    ]
     if len(off_mirror) != 1:
         raise RuntimeError(
             f"expected exactly one off-mirror translate class, found {len(off_mirror)}"
@@ -557,9 +431,7 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
     k3_class = off_mirror[0]
     k1, k2 = sorted(t for t in nonzero if t != k3_class)
     k3 = k1 + k2
-    projector = _AxisProjector(locus.v1_basis)
-    diff = k3 - k3_class
-    if not projector.in_v1_plus_lattice(diff.coords):
+    if not locus.in_v1_plus_lattice(k3 - k3_class):
         raise RuntimeError("k1 + k2 does not land in the off-mirror translate class")
     return [ZERO_POINT, k1, k2, k3]
 

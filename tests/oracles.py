@@ -9,18 +9,45 @@
   [0, 1), the representation ``klein336.torus.TorusPoint`` used before it
   stored integer numerators over its order;
 * torsion-point stabilizers and orbits in unbounded Python integers, with
-  no numpy and hence no overflow.
+  no numpy and hence no overflow;
+* parabolic fixed loci through the orthogonal-complement torus: the
+  Hermitian projector away from V_1 in field arithmetic, the restricted
+  elliptic action on the complement lattice, and the coset translates;
+* curve stabilizers the field-valued way: generic ones by intersecting
+  the stabilizers of seeded torsion samples with prime denominators larger
+  than the group order, setwise ones through the projector;
+* test-only membership and group helpers: the lattice congruences, the
+  reflection formula and centralizer sizes; the saturated integer kernel and
+  lattice index that the complement-torus path uses.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
-from klein336.linalg import EPS_VECTORS, NonIntegralError, rat_inverse
-from klein336.qfield import QNum
+import numpy as np
+
+from klein336.linalg import (
+    EPS_VECTORS,
+    IDENTITY3,
+    Mat3,
+    NonIntegralError,
+    hnf_contains,
+    hnf_rows,
+    int_det,
+    kernel_K,
+    rat_inverse,
+    smith_normal_form,
+)
+from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
+from klein336.torus import TorusPoint, apply_element
 
 _W_COMPLEX = complex(0.5, 7 ** 0.5 / 2)
 
@@ -298,3 +325,272 @@ class FracTorusPoint:
 
 def frac_apply_element(int6: Sequence[Sequence[int]], p: FracTorusPoint) -> FracTorusPoint:
     return FracTorusPoint([sum(int6[i][j] * p.coords[j] for j in range(6)) for i in range(6)])
+
+
+# --- lattice congruences, the reflection formula, centralizers -------------------
+
+
+def _o_divides(d: QNum, w: QNum) -> bool:
+    q = w * d.conj()
+    n = d.norm()
+    return (q.x / n).denominator == 1 and (q.y / n).denominator == 1
+
+
+def lattice_contains_congruence(v: CVec3) -> bool:
+    """Membership in the lattice straight from its defining congruences."""
+    if not all(q.is_integral() for q in v):
+        return False
+    if not _o_divides(ALPHA, v[0] - v[1]) or not _o_divides(ALPHA, v[1] - v[2]):
+        return False
+    return _o_divides(ALPHA_BAR, v[0] + v[1] + v[2])
+
+
+def reflection_matrix(e: CVec3) -> Mat3:
+    """Unitary reflection x -> x - (e, x) e in a root of square 2."""
+    if hermitian(e, e) != QNum(2):
+        raise ValueError("reflection roots must have square 2")
+    cols = []
+    for b in (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)):
+        coeff = hermitian(e, b)
+        cols.append([bi - coeff * ei for bi, ei in zip(b, e)])
+    return Mat3([[cols[j][i] for j in range(3)] for i in range(3)])
+
+
+def centralizer_size(table, x: int, subset: Sequence[int]) -> int:
+    """How many elements of the subset commute with x."""
+    arr = np.asarray(subset, dtype=np.int64)
+    return int(np.count_nonzero(table.mul[arr, x] == table.mul[x, arr]))
+
+
+# --- parabolic fixed loci through the complement torus ----------------------------
+
+
+def int_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of the integer kernel {x : a x = 0}; primitive (saturated)."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    _, d, v = smith_normal_form(a)
+    out = []
+    for j in range(n):
+        dj = d[j][j] if j < min(m, n) else 0
+        if dj == 0:
+            out.append([v[i][j] for i in range(n)])
+    return out
+
+
+def lattice_index(basis_rows: Sequence[Sequence[int]]) -> int:
+    """Index in Z^n of the full-rank row lattice; 0 when rank-deficient."""
+    h = hnf_rows(basis_rows)
+    n = len(basis_rows[0])
+    if len(h) < n:
+        return 0
+    det = 1
+    for i, row in enumerate(h):
+        det *= row[i] if row[i] else 0
+    return abs(det)
+
+
+
+def rat_solve(a: RatMat, b: Sequence[Fraction]) -> list[Fraction] | None:
+    """Solve a x = b exactly; None when inconsistent; a must have full column rank."""
+    m, n = len(a), len(a[0])
+    work = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        piv = work[r][c]
+        work[r] = [v / piv for v in work[r]]
+        for i in range(m):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [work[i][j] - f * work[r][j] for j in range(n + 1)]
+        pivots.append((r, c))
+        r += 1
+    if len(pivots) < n:
+        raise ValueError("coefficient matrix does not have full column rank")
+    for i in range(r, m):
+        if work[i][n]:
+            return None
+    sol = [Fraction(0)] * n
+    for pr, pc in pivots:
+        sol[pc] = work[pr][n]
+    return sol
+
+
+def _qnum_solve(gram: list[list[QNum]], rhs: list[QNum]) -> list[QNum]:
+    """Solve a 1x1 or 2x2 field-valued linear system (positive-definite Gram)."""
+    if len(gram) == 1:
+        return [rhs[0] * gram[0][0].inv()]
+    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    inv = det.inv()
+    c0 = (rhs[0] * gram[1][1] - gram[0][1] * rhs[1]) * inv
+    c1 = (gram[0][0] * rhs[1] - rhs[0] * gram[1][0]) * inv
+    return [c0, c1]
+
+
+_EPS_CVECS = [from_eps_coords([int(i == j) for i in range(6)]) for j in range(6)]
+
+
+class AxisProjector:
+    """Hermitian-orthogonal projection away from V_1, with its lattice image."""
+
+    def __init__(self, v1_basis: list[CVec3]) -> None:
+        self.basis = v1_basis
+        self.gram = [[hermitian(b, c) for c in v1_basis] for b in v1_basis]
+        rows = [self.project_eps(eps) for eps in _EPS_CVECS]
+        self.den = lcm(*(x.denominator for row in rows for x in row))
+        self.lattice = hnf_rows([[int(x * self.den) for x in row] for row in rows])
+
+    def project_eps(self, v: CVec3) -> tuple[Fraction, ...]:
+        rhs = [hermitian(b, v) for b in self.basis]
+        coeffs = _qnum_solve(self.gram, rhs)
+        res = list(v)
+        for c, b in zip(coeffs, self.basis):
+            res = [res[i] - c * b[i] for i in range(3)]
+        return to_eps_coords(res)
+
+    def in_v1_plus_lattice(self, eps_coords: Sequence[Fraction]) -> bool:
+        proj = self.project_eps(from_eps_coords(list(eps_coords)))
+        scaled = [x * self.den for x in proj]
+        if any(y.denominator != 1 for y in scaled):
+            return False
+        return hnf_contains(self.lattice, [int(y) for y in scaled])
+
+
+@dataclass
+class ComplementLocus:
+    v1_basis: list[CVec3]
+    lambda1_rows: list[list[int]]
+    translates: list[TorusPoint]
+    component_count: int
+    restricted_fixed_count: int
+    lattice_sum_index: int  # [Lambda : Lambda_1 + Lambda_a]
+    projector: AxisProjector
+
+
+def complement_fixed_locus(table, gi: int) -> ComplementLocus:
+    """Components of a parabolic element's fixed locus, the field-valued way.
+
+    Computes V_1 = ker(gamma - id), its lattice, the orthogonal complement
+    torus with the restricted elliptic action, and counts which restricted
+    fixed points fall into V_1 + Lambda; each component's translate is the
+    smallest restricted fixed point in its coset.
+    """
+    el = table.elements[gi]
+    m = el.int6
+    shifted = [[m[i][j] - int(i == j) for j in range(6)] for i in range(6)]
+    v1_basis = kernel_K(el.mat - IDENTITY3)
+    lambda1 = hnf_rows(int_kernel(shifted))
+    assert len(lambda1) == 2 * len(v1_basis)
+
+    # orthogonal complement and its lattice
+    pairing_rows = []
+    for b in v1_basis:
+        vals = [hermitian(b, eps) for eps in _EPS_CVECS]
+        row_x, row_y = [v.x for v in vals], [v.y for v in vals]
+        den = lcm(*(x.denominator for x in row_x + row_y))
+        pairing_rows.append([int(x * den) for x in row_x])
+        pairing_rows.append([int(x * den) for x in row_y])
+    lambda_a = int_kernel(pairing_rows)
+    rank_a = len(lambda_a)
+    assert rank_a == 6 - len(lambda1)
+
+    # restriction of gamma to the complement lattice: int6 B = B C
+    bmat = [[lambda_a[k][i] for k in range(rank_a)] for i in range(6)]
+    bmat_frac = [[Fraction(x) for x in row] for row in bmat]
+    c_mat = [[0] * rank_a for _ in range(rank_a)]
+    for k in range(rank_a):
+        col = [Fraction(sum(m[i][j] * bmat[j][k] for j in range(6))) for i in range(6)]
+        sol = rat_solve(bmat_frac, col)
+        assert sol is not None and all(x.denominator == 1 for x in sol)
+        for t in range(rank_a):
+            c_mat[t][k] = int(sol[t])
+    c_shift = [[c_mat[i][j] - int(i == j) for j in range(rank_a)] for i in range(rank_a)]
+    det_a = abs(int_det(c_shift))
+    assert det_a != 0
+    _, d, v = smith_normal_form(c_shift)
+    diag = [d[i][i] for i in range(rank_a)]
+    projector = AxisProjector(v1_basis)
+
+    # restricted fixed points y = V k / d as integer numerators over lcm(d)
+    den = lcm(*diag)
+    v_scaled = [[v[i][j] * (den // diag[j]) for j in range(rank_a)] for i in range(rank_a)]
+    seen: dict[tuple[int, ...], tuple[TorusPoint, bool]] = {}
+    for combo in itertools.product(*(range(di) for di in diag)):
+        yv = [sum(map(mul, row, combo)) for row in v_scaled]
+        w = TorusPoint([Fraction(sum(map(mul, row, yv)), den) for row in bmat])
+        seen[tuple(x % den for x in yv)] = (w, projector.in_v1_plus_lattice(w.coords))
+    assert len(seen) == det_a
+    members = {y for y, (_, flag) in seen.items() if flag}
+    assert members and det_a % len(members) == 0
+
+    # coset decomposition of the restricted fixed group by the member subgroup
+    def y_sub(a, b):
+        return tuple((x - y) % den for x, y in zip(a, b))
+
+    cosets: list[list[tuple]] = []
+    assigned: set[tuple] = set()
+    for y in sorted(seen):
+        if y in assigned:
+            continue
+        coset = [z for z in seen if y_sub(z, y) in members]
+        cosets.append(coset)
+        assigned.update(coset)
+    assert len(cosets) == det_a // len(members)
+    return ComplementLocus(
+        v1_basis=v1_basis,
+        lambda1_rows=lambda1,
+        translates=sorted(min(seen[z][0] for z in coset) for coset in cosets),
+        component_count=len(cosets),
+        restricted_fixed_count=det_a,
+        lattice_sum_index=lattice_index(lambda1 + lambda_a),
+        projector=projector,
+    )
+
+
+# --- curve stabilizers the field-valued way ---------------------------------------
+
+GENERIC_PRIMES = (349, 353, 359, 367, 373)
+
+
+def sampled_curve_stabilizer(
+    table, translate: TorusPoint, direction_rows, quotient: str = "G", seed: int = 0,
+    samples: int = 3,
+) -> frozenset[int]:
+    """Stabilizer of a generic point of translate + span(directions), by sampling.
+
+    Torsion samples with distinct prime denominators > group order are
+    intersected; degeneracy can only enlarge a sample stabilizer, so the
+    intersection never drops below the generic one.
+    """
+    rng = random.Random(seed)
+    int6s = [el.int6 for el in table.elements]
+    allowed = frozenset(table.subset_indices(quotient))
+    result = allowed
+    for p in GENERIC_PRIMES[:samples]:
+        coords = list(translate.coords)
+        for row in direction_rows:
+            c = Fraction(rng.randrange(1, p), p)
+            coords = [x + c * r for x, r in zip(coords, row)]
+        result &= exact_stabilizer(int6s, coords)
+    return result
+
+
+def projector_setwise_stabilizer(
+    table, v1_basis: list[CVec3], translate: TorusPoint, quotient: str = "H"
+) -> frozenset[int]:
+    """Elements mapping the curve translate + V_1 onto itself, through the projector."""
+    projector = AxisProjector(v1_basis)
+    members = []
+    for g in table.subset_indices(quotient):
+        el = table.elements[g]
+        if any(any(projector.project_eps(el.mat.apply(b))) for b in v1_basis):
+            continue
+        moved = apply_element(el.int6, translate)
+        if projector.in_v1_plus_lattice((moved - translate).coords):
+            members.append(g)
+    return frozenset(members)

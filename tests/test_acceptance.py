@@ -24,7 +24,7 @@ CRITERIA = {
     "AC09-half-period-orbits": "orbit sizes, labels, germ statuses",
     "AC10-subgroup-lattice": "15 classes, 179 subgroups, inclusion profiles",
     "AC11-singularity-report": "full stratification of both quotients",
-    "AC12-generic-curve-stabilizers": "seeded generic stabilizers along special curves",
+    "AC12-generic-curve-stabilizers": "exact generic stabilizers along special curves",
     "AC13-quartic-invariance": "exact invariance of the quartic form",
     "AC14-property-suites": "randomized algebraic contracts",
 }

@@ -242,6 +242,7 @@ def test_fixed_matrix_with_integer_entries(entries, capsys):
         "[true,0,0,0,1,0,0,0,1]",
         '"100010001"',
         '["1/0","0","0","0","1","0","0","0","1"]',
+        '["1+","0","0","0","1","0","0","0","-1+"]',
     ],
 )
 def test_bad_matrix_entries_are_a_usage_error(literal, capsys):

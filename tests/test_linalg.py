@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import int_kernel, lattice_index
 from klein336.linalg import (
     E1,
     E2,
@@ -16,9 +17,7 @@ from klein336.linalg import (
     hnf_contains,
     hnf_rows,
     int_det,
-    int_kernel,
     kernel_K,
-    lattice_index,
     mat3_to_int6,
     smith_normal_form,
     to_eps_coords,

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import exact_orbit, exact_stabilizer
+from oracles import (
+    complement_fixed_locus,
+    exact_orbit,
+    exact_stabilizer,
+    projector_setwise_stabilizer,
+    sampled_curve_stabilizer,
+)
 from klein336.orbits import (
     ConsistencyError,
     beta_table_summary,
@@ -21,7 +27,10 @@ from klein336.orbits import (
     singularity_weights,
     stabilizer_indices,
 )
+from klein336.qfield import QNum
 from klein336.torus import (
+    EllipticElementError,
+    IdentityElementError,
     TorusPoint,
     ZERO_POINT,
     apply_element,
@@ -258,10 +267,7 @@ def test_generic_curve_stabilizers_seed0(group):
     rho1 = group.named["rho1"]
     axis = fixed_locus_structure(group, rho1)
     ks = kappa_translates(group)
-    stabs = [
-        generic_curve_stabilizer(group, ks[i], axis.lambda1_rows, "G", seed=0)
-        for i in (1, 2, 3)
-    ]
+    stabs = [generic_curve_stabilizer(group, ks[i], axis.lambda1_rows, "G") for i in (1, 2, 3)]
     assert [group.recognize(s) for s in stabs] == ["2^2", "2^2", "C2-antirefl"]
     # the kappa_1 and kappa_2 groups are generated by two reflections each
     for s in stabs[:2]:
@@ -271,16 +277,19 @@ def test_generic_curve_stabilizers_seed0(group):
     # kappa_3 stabilizer is their intersection
     assert stabs[2] == stabs[0] & stabs[1]
     assert stabs[2] == group.subgroup_closure([rho1])
+    # the seed-0 prime-denominator samples find the same groups
+    for i, s in zip((1, 2, 3), stabs):
+        assert sampled_curve_stabilizer(group, ks[i], axis.lambda1_rows, "G", seed=0) == s
 
 
 def test_generic_axis_stabilizers(group):
     c3 = group.named["c3"]
     locus = fixed_locus_structure(group, c3)
-    s = generic_curve_stabilizer(group, ZERO_POINT, locus.lambda1_rows, "G", seed=0)
+    s = generic_curve_stabilizer(group, ZERO_POINT, locus.lambda1_rows, "G")
     assert group.recognize(s) == "S3'"
     h4 = group.named["h4"]
     locus4 = fixed_locus_structure(group, h4)
-    s4 = generic_curve_stabilizer(group, ZERO_POINT, locus4.lambda1_rows, "G", seed=0)
+    s4 = generic_curve_stabilizer(group, ZERO_POINT, locus4.lambda1_rows, "G")
     assert group.recognize(s4) == "D8'"
     assert reflection_generated(group, s) and reflection_generated(group, s4)
 
@@ -289,10 +298,11 @@ def test_generic_sampling_is_seed_stable(group):
     rho1 = group.named["rho1"]
     axis = fixed_locus_structure(group, rho1)
     k3 = kappa_translates(group)[3]
-    a = generic_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=0)
-    b = generic_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=0)
-    c = generic_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=7)
+    a = sampled_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=0)
+    b = sampled_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=0)
+    c = sampled_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=7)
     assert a == b == c  # the generic stabilizer does not depend on the sample
+    assert a == generic_curve_stabilizer(group, k3, axis.lambda1_rows, "G")
 
 
 def test_curve_invariance_groups(group):
@@ -300,8 +310,64 @@ def test_curve_invariance_groups(group):
     locus = fixed_locus_structure(group, rho1)
     ks = kappa_translates(group)
     for t in ks[1:]:
-        inv = curve_setwise_stabilizer(group, locus.v1_basis, t, "H")
+        inv = curve_setwise_stabilizer(group, locus, t, "H")
         assert len(inv) == 8 and group.recognize(inv) == "D8"
+
+
+def _six_curves(group):
+    """(carrier, translate) of the mirror, the three kappa curves and the two axes."""
+    ks = kappa_translates(group)
+    return [("r2", ZERO_POINT)] + [("rho1", k) for k in ks[1:]] + [
+        ("c3", ZERO_POINT),
+        ("h4", ZERO_POINT),
+    ]
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_exact_curve_stabilizers_match_field_oracles(group, quotient):
+    for carrier, t in _six_curves(group):
+        gi = group.named[carrier]
+        locus = fixed_locus_structure(group, gi)
+        generic = generic_curve_stabilizer(group, t, locus.lambda1_rows, quotient)
+        assert (gi in generic) == (gi in group.subset_indices(quotient))
+        for seed in (0, 7):
+            assert sampled_curve_stabilizer(group, t, locus.lambda1_rows, quotient, seed) == generic
+        v1_basis = complement_fixed_locus(group, gi).v1_basis
+        assert curve_setwise_stabilizer(group, locus, t, quotient) == projector_setwise_stabilizer(
+            group, v1_basis, t, quotient
+        )
+
+
+def test_no_field_arithmetic_in_fixed_loci_and_curve_stabilizers(group, monkeypatch):
+    # fixed loci and curve stabilizers run on the integer lattice alone
+    counts = {}
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "__truediv__", "inv"):
+        fn = getattr(QNum, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(QNum, name, counted)
+    curves = _six_curves(group)  # kappa_translates, under the counters
+    parabolic = 0
+    for el in group.elements:
+        try:
+            fixed_locus_structure(group, el.index)
+        except (EllipticElementError, IdentityElementError):
+            continue
+        parabolic += 1
+    assert parabolic == 140
+    for carrier, t in curves:
+        locus = fixed_locus_structure(group, group.named[carrier])
+        for quotient in ("G", "H"):
+            generic_curve_stabilizer(group, t, locus.lambda1_rows, quotient)
+            curve_setwise_stabilizer(group, locus, t, quotient)
+    assert counts == {}
+    # the counters do see field arithmetic where it happens
+    QNum(1) * QNum(0, 1) + QNum(2)
+    assert counts == {"__mul__": 1, "__add__": 1}
 
 
 def test_singular_points_lie_on_off_mirror_curves(group):

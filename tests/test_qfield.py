@@ -126,6 +126,18 @@ def test_wire_format():
         assert QNum.parse(text) == value
 
 
+@pytest.mark.parametrize("text", ["+", "1+", "1++w", "--1", "w-", "-", "1+-w", "+*w"])
+def test_parse_rejects_malformed_literals(text):
+    with pytest.raises(ValueError):
+        QNum.parse(text)
+
+
+def test_parse_accepts_well_formed_sums():
+    assert QNum.parse("w+w") == QNum(0, 2)
+    assert QNum.parse("1+w-1") == ALPHA
+    assert QNum.parse(" -1/2 + 3/4*w ") == QNum(Fraction(-1, 2), Fraction(3, 4))
+
+
 def test_wire_format_roundtrip_randomized():
     rng = random.Random(4)
     for _ in range(500):

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from klein336.linalg import from_eps_coords, to_eps_coords
+from oracles import complement_fixed_locus, lattice_contains_congruence
+from klein336.linalg import from_eps_coords, int_det, to_eps_coords
 from klein336.qfield import ALPHA, ALPHA_BAR, QNum, vec3
 from klein336.torus import (
     EllipticElementError,
@@ -21,12 +22,26 @@ from klein336.torus import (
     half_periods,
     kappa_translates,
     lattice_contains,
-    lattice_contains_congruence,
     omega_point,
     registry_point,
     xi_point,
 )
-from klein336.torus import _AxisProjector
+
+
+@pytest.fixture(scope="module")
+def parabolic_loci(group):
+    """(element, integer locus, complement-torus oracle locus) for every parabolic element."""
+    out = []
+    for el in group.elements:
+        if el.index == group.identity:
+            continue
+        shifted = [[el.int6[i][j] - int(i == j) for j in range(6)] for i in range(6)]
+        if int_det(shifted) == 0:
+            out.append(
+                (el.index, fixed_locus_structure(group, el.index),
+                 complement_fixed_locus(group, el.index))
+            )
+    return out
 
 
 def test_torus_point_canonicalization():
@@ -161,45 +176,57 @@ def test_parabolic_structure(group):
     }
     for name, (dim, rank, restricted, comps) in expectations.items():
         locus = fixed_locus_structure(group, n[name])
-        assert len(locus.v1_basis) == dim
+        assert locus.dim == dim
         assert len(locus.lambda1_rows) == rank
-        assert locus.restricted_fixed_count == restricted
+        assert len(locus.transverse_rows) == 6 - rank
         assert locus.component_count == comps
-        assert locus.lattice_sum_index and locus.lattice_sum_index > 0
+        oracle = complement_fixed_locus(group, n[name])
+        assert oracle.restricted_fixed_count == restricted
+        assert oracle.lattice_sum_index > 0
     with pytest.raises(EllipticElementError):
         fixed_locus_structure(group, n["g7"])
     with pytest.raises(IdentityElementError):
         fixed_locus_structure(group, group.identity)
 
 
-def test_every_parabolic_element_has_consistent_locus(group):
-    from klein336.linalg import int_det
-
-    count = 0
-    for el in group.elements:
-        if el.index == group.identity:
-            continue
-        shifted = [
-            [el.int6[i][j] - int(i == j) for j in range(6)] for i in range(6)
-        ]
-        if int_det(shifted) != 0:
-            continue
-        locus = fixed_locus_structure(group, el.index)
-        count += 1
-        dim = len(locus.v1_basis)
-        if el.index in group.reflection_set:
-            assert dim == 2
+def test_every_parabolic_element_has_consistent_locus(group, parabolic_loci):
+    for gi, locus, oracle in parabolic_loci:
+        if gi in group.reflection_set:
+            assert locus.dim == 2
         else:
-            assert dim == 1
-        assert locus.restricted_fixed_count % locus.component_count == 0
-        assert locus.lattice_sum_index > 0
-    assert count == 21 + 21 + 56 + 42  # reflections, antireflections, order 3, order 4 det 1
+            assert locus.dim == 1
+        assert oracle.restricted_fixed_count % locus.component_count == 0
+        assert oracle.lattice_sum_index > 0
+    assert len(parabolic_loci) == 21 + 21 + 56 + 42  # reflections, antireflections, order 3, order 4 det 1
+
+
+def test_integer_loci_match_complement_oracle(group, parabolic_loci):
+    rng = random.Random(22)
+    for gi, locus, oracle in parabolic_loci:
+        assert locus.translates == oracle.translates
+        assert locus.component_count == oracle.component_count
+        assert locus.lambda1_rows == oracle.lambda1_rows
+        assert locus.dim == len(oracle.v1_basis)
+        proj = oracle.projector
+        diffs = [t - u for t in locus.translates for u in locus.translates]
+        # torsion points on random components, and points off the locus
+        for _ in range(6):
+            den = rng.choice((2, 3, 4, 5, 7, 12))
+            on_curve = [
+                sum(F(rng.randrange(den), den) * row[i] for row in locus.lambda1_rows)
+                for i in range(6)
+            ]
+            t = rng.choice(locus.translates)
+            diffs.append(t + TorusPoint(on_curve))
+            diffs.append(TorusPoint([F(rng.randrange(den), den) for _ in range(6)]))
+        for p in diffs:
+            assert locus.in_v1_plus_lattice(p) == proj.in_v1_plus_lattice(p.coords)
+        assert sum(locus.in_v1_plus_lattice(p) for p in diffs) >= len(locus.translates)
 
 
 def test_rho2_translates_match_published_representatives(group):
     n = group.named
     locus = fixed_locus_structure(group, n["rho2"])
-    proj = _AxisProjector(locus.v1_basis)
     half = F(1, 2)
     listed = [
         vec3(0, 0, 0),
@@ -210,11 +237,7 @@ def test_rho2_translates_match_published_representatives(group):
     listed_pts = [TorusPoint.from_cvec(v) for v in listed]
     matches = []
     for t in locus.translates:
-        hits = [
-            i
-            for i, r in enumerate(listed_pts)
-            if proj.in_v1_plus_lattice((t - r).coords)
-        ]
+        hits = [i for i, r in enumerate(listed_pts) if locus.in_v1_plus_lattice(t - r)]
         assert len(hits) == 1
         matches.append(hits[0])
     assert sorted(matches) == [0, 1, 2, 3]
@@ -225,7 +248,12 @@ def test_projected_lattice_rank_for_antireflection(group):
 
     n = group.named
     locus = fixed_locus_structure(group, n["rho2"])
-    proj = _AxisProjector(locus.v1_basis)
+    # four transverse rows: integer, vanishing on the axis lattice
+    assert len(locus.transverse_rows) == 4
+    for row in locus.transverse_rows:
+        for lam in locus.lambda1_rows:
+            assert sum(a * b for a, b in zip(row, lam)) == 0
+    proj = complement_fixed_locus(group, n["rho2"]).projector
     assert len(proj.lattice) == 4  # rank-4 projection of the rank-6 lattice
     # the axis lattice projects to zero, so membership against the projected
     # lattice is well-defined on classes modulo the axis
@@ -248,15 +276,14 @@ def test_kappa_registry(group):
     assert all(k.order() == 2 for k in ks[1:])
     rho1 = group.named["rho1"]
     locus = fixed_locus_structure(group, rho1)
-    proj = _AxisProjector(locus.v1_basis)
+    proj = complement_fixed_locus(group, rho1).projector
     matched = set()
     for k in ks:
-        hits = [
-            i
-            for i, t in enumerate(locus.translates)
-            if proj.in_v1_plus_lattice((k - t).coords)
-        ]
+        hits = [i for i, t in enumerate(locus.translates) if locus.in_v1_plus_lattice(k - t)]
         assert len(hits) == 1
+        assert [proj.in_v1_plus_lattice((k - t).coords) for t in locus.translates] == [
+            i == hits[0] for i in range(4)
+        ]
         matched.add(hits[0])
     assert matched == {0, 1, 2, 3}
     with pytest.raises(ValueError):
