@@ -5,6 +5,10 @@ Regenerate with:
     klein336 singularities --quotient G --json tests/golden/singularities_G.json
     klein336 singularities --quotient H --json tests/golden/singularities_H.json
     klein336 classify --locus beta --json tests/golden/classify_beta_G.json
+    klein336 group build --json tests/golden/group_build.json
+    klein336 group subgroups --json tests/golden/group_subgroups.json > tests/golden/group_subgroups.tsv
+    klein336 group classes --in G > tests/golden/group_classes_G.tsv
+    klein336 group classes --in H > tests/golden/group_classes_H.tsv
 """
 
 import json
@@ -23,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
         (["singularities", "--quotient", "G", "--json"], "singularities_G.json"),
         (["singularities", "--quotient", "H", "--json"], "singularities_H.json"),
         (["classify", "--locus", "beta", "--json"], "classify_beta_G.json"),
+        (["group", "build", "--json"], "group_build.json"),
     ],
 )
 def test_json_outputs_match_golden(tmp_path, capsys, argv, filename):
@@ -30,6 +35,28 @@ def test_json_outputs_match_golden(tmp_path, capsys, argv, filename):
     assert main(argv + [str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / filename).read_bytes()
+
+
+def test_group_build_summary(capsys):
+    assert main(["group", "build"]) == 0
+    assert capsys.readouterr().out == (
+        "group of order 336; unimodular subgroup of order 168; 21 reflections, "
+        "21 antireflections; presentation holds: True\n"
+    )
+
+
+def test_group_subgroups_match_golden(tmp_path, capsys):
+    out = tmp_path / "group_subgroups.json"
+    assert main(["group", "subgroups", "--json", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "group_subgroups.tsv").read_text()
+    assert out.read_bytes() == (GOLDEN / "group_subgroups.json").read_bytes()
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_group_classes_match_golden(capsys, quotient):
+    assert main(["group", "classes", "--in", quotient]) == 0
+    expected = (GOLDEN / f"group_classes_{quotient}.tsv").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_outputs_match_golden(tmp_path, capsys, verify_outcomes):
