@@ -53,7 +53,8 @@ def _parse_element(table: GroupTable, args) -> int:
         name = args.element.strip()
         if name in table.named:
             return table.named[name]
-        if name.isdigit() and int(name) < table.size:
+        # ASCII digits only: str.isdigit also accepts '²' and '٣'
+        if name.isascii() and name.isdigit() and int(name) < table.size:
             return int(name)
         raise UsageError(
             f"unknown element {name!r}; use a named element "

@@ -1,15 +1,20 @@
 """Construction and combinatorics of the order-336 unitary reflection group.
 
 The group is generated by three reflections r1, r2, r3 whose matrices have
-entries in half the ring of integers of Q(w).  ``build_group`` closes the
-generators under multiplication (BFS, fixed generator order, so element ids
-and witness words are reproducible), caches each element's integer 6x6
-matrix on the invariant lattice, and precomputes the multiplication table.
+entries in half the ring of integers of Q(w).  ``GroupTable`` closes the
+generators' integer 6x6 matrices on the invariant lattice under
+multiplication (BFS, fixed generator order, so element ids and witness words
+are reproducible).  The multiplication table is filled column by column
+from the right-regular permutations of the generators, determinants are the
+parity of the witness word, reflections and antireflections come from
+integer ranks, and each element's 3x3 matrix over Q(w) is read back from
+its integer matrix.
 
 On top of the table live conjugacy classes, the full subgroup lattice of
 the determinant-1 subgroup (168 elements, 179 subgroups in 15 conjugacy
-classes), normalizers, and a signature-based recognizer that names every
-subgroup the torus action can produce.
+classes, by cyclic extension up to conjugacy), normalizers, and a
+signature-based recognizer that names every subgroup the torus action can
+produce.
 """
 
 from __future__ import annotations
@@ -18,14 +23,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import IDENTITY3, Mat3, kernel_K, mat3_to_int6
-from .qfield import CVec3, MINUS_ONE, ONE, QNum, vec3
-
-GENERATOR_ORDER = (1, 2, 3)
+from .linalg import Mat3, hnf_rows, int6_to_mat3, mat3_to_int6
+from .qfield import CVec3, MINUS_ONE, QNum, vec3
 
 R1 = Mat3([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 R2 = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -151,75 +155,59 @@ class GroupTable:
     """The closed group: elements, multiplication table, and named members."""
 
     def __init__(self) -> None:
-        gens = {1: R1, 2: R2, 3: R3}
-        index_of: dict[tuple, int] = {}
-        elements: list[dict] = []
-
-        def intern(mat: Mat3, word: tuple[int, ...]) -> tuple[int, bool]:
-            key = _mat_key(mat)
-            if key in index_of:
-                return index_of[key], False
-            idx = len(elements)
-            index_of[key] = idx
-            elements.append({"mat": mat, "word": word})
-            return idx, True
-
-        intern(IDENTITY3, ())
-        queue = [0]
-        while queue:
-            nxt: list[int] = []
-            for i in queue:
-                base = elements[i]
-                for gi in GENERATOR_ORDER:
-                    prod = base["mat"] * gens[gi]
-                    idx, new = intern(prod, base["word"] + (gi,))
-                    if new:
-                        nxt.append(idx)
-            queue = nxt
-        if len(elements) != 336:
-            raise GroupConstructionError(
-                f"generator closure has {len(elements)} elements, expected 336"
-            )
-
-        int6s = []
-        dets = []
-        for rec in elements:
-            mat: Mat3 = rec["mat"]
-            int6s.append(mat3_to_int6(mat))
-            d = mat.det()
-            if d == ONE:
-                dets.append(1)
-            elif d == MINUS_ONE:
-                dets.append(-1)
-            else:
-                raise GroupConstructionError(f"element determinant {d} is not +/-1")
-
-        self.int6_stack = np.array(int6s, dtype=np.int64)
-        self.int6_max_abs = int(np.abs(self.int6_stack).max())
-        self._index_of = index_of
-        n = len(elements)
+        gens = (R1, R2, R3)
+        if any(m.det() != MINUS_ONE for m in gens):
+            raise GroupConstructionError("every generator must have determinant -1")
+        gen6 = [np.array(mat3_to_int6(m), dtype=np.int64) for m in gens]
+        ident6 = np.eye(6, dtype=np.int64)
+        # BFS over the integer matrices, generators in the order r1, r2, r3;
+        # elements are keyed by raw bytes and processed in id order, so
+        # rperm[g][i], the id of element i times r(g + 1), fills in id order
+        stack = [ident6]
+        words: list[tuple[int, ...]] = [()]
+        parent = [0]
+        key_to_idx = {ident6.tobytes(): 0}
+        rperm: list[list[int]] = [[], [], []]
+        i = 0
+        while i < len(stack):
+            for g, m in enumerate(gen6):
+                prod = stack[i] @ m
+                key = prod.tobytes()
+                j = key_to_idx.get(key)
+                if j is None:
+                    j = len(stack)
+                    if j == 336:
+                        raise GroupConstructionError("generator closure exceeds 336 elements")
+                    key_to_idx[key] = j
+                    stack.append(prod)
+                    words.append(words[i] + (g + 1,))
+                    parent.append(i)
+                rperm[g].append(j)
+            i += 1
+        n = len(stack)
+        if n != 336:
+            raise GroupConstructionError(f"generator closure has {n} elements, expected 336")
         self.size = n
 
-        # multiplication table via the faithful integer representation; each
-        # 6x6 matrix is keyed by its raw bytes
-        stack = self.int6_stack
-        as_bytes = np.dtype((np.void, stack[0].nbytes))
+        self.int6_stack = np.array(stack)
+        self.int6_max_abs = int(np.abs(self.int6_stack).max())
+        int6s = [tuple(map(tuple, m)) for m in self.int6_stack.tolist()]
+        # every generator has det -1
+        dets = [-1 if len(w) % 2 else 1 for w in words]
 
-        def keys(mats: np.ndarray) -> list[bytes]:
-            return np.ascontiguousarray(mats).reshape(n, -1).view(as_bytes).ravel().tolist()
-
-        key_to_idx = {k: i for i, k in enumerate(keys(stack))}
-        # the table as nested lists, so that element walks index Python ints
-        self.mul_list: list[list[int]] = [
-            [key_to_idx[k] for k in keys(stack[i] @ stack)] for i in range(n)
-        ]
-        mul = np.array(self.mul_list, dtype=np.int32)
+        # column j of the table: g_i g_j = (g_i g_parent(j)) r_gen(j)
+        perm = np.array(rperm, dtype=np.int32)
+        mul = np.empty((n, n), dtype=np.int32)
+        mul[:, 0] = np.arange(n)
+        for j in range(1, n):
+            mul[:, j] = perm[words[j][-1] - 1][mul[:, parent[j]]]
         self.mul = mul
+        # the table as nested lists, so that element walks index Python ints;
+        # the rows share the int objects of ids (ints above 256 are not cached)
+        ids = list(range(n))
+        self.mul_list: list[list[int]] = [list(itemgetter(*row.tolist())(ids)) for row in mul]
         self.identity = 0
-        inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            inv[i] = int(np.nonzero(mul[i] == 0)[0][0])
-        self.inv = inv
+        self.inv = mul.argmin(axis=1).astype(np.int32)
 
         rows = self.mul_list
         orders = []
@@ -230,30 +218,26 @@ class GroupTable:
                 k += 1
             orders.append(k)
 
+        mats = [int6_to_mat3(a) for a in int6s]
+        self._index_of = {_mat_key(m): i for i, m in enumerate(mats)}
         self.elements: list[GroupElement] = [
-            GroupElement(
-                index=i,
-                mat=elements[i]["mat"],
-                int6=int6s[i],
-                det=dets[i],
-                order=orders[i],
-                word=elements[i]["word"],
-            )
-            for i in range(n)
+            GroupElement(i, mats[i], int6s[i], dets[i], orders[i], words[i]) for i in range(n)
         ]
 
-        self.minus_one = self.index_of_mat(-IDENTITY3)
+        self.minus_one = key_to_idx[(-ident6).tobytes()]
         self.h_indices = tuple(i for i in range(n) if dets[i] == 1)
         self.h_mask = np.zeros(n, dtype=bool)
         self.h_mask[list(self.h_indices)] = True
+        # a reflection fixes a complex plane and an antireflection negates
+        # one, so the integer matrix minus or plus the identity has rank 2
         refl = []
         antirefl = []
-        for el in self.elements:
+        for el, m in zip(self.elements, stack):
             if el.order != 2:
                 continue
-            if el.det == -1 and len(kernel_K(el.mat - IDENTITY3)) == 2:
+            if el.det == -1 and len(hnf_rows((m - ident6).tolist())) == 2:
                 refl.append(el.index)
-            elif el.det == 1 and len(kernel_K(el.mat + IDENTITY3)) == 2:
+            elif el.det == 1 and len(hnf_rows((m + ident6).tolist())) == 2:
                 antirefl.append(el.index)
         self.reflections = tuple(refl)
         self.antireflections = tuple(antirefl)
@@ -424,47 +408,41 @@ class GroupTable:
     def all_subgroups_of_h(self) -> list[SubgroupClass]:
         """Every subgroup of the determinant-1 subgroup, as conjugacy classes.
 
-        Fixpoint closure: seed with the cyclic subgroups, then repeatedly
-        adjoin a cyclic generator to each known subgroup.  Any subgroup is
-        reached this way, because a proper subgroup of its closure extends
-        by some cyclic subgroup it does not contain.
+        Cyclic extension up to conjugacy (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 2005): seed with the classes of cyclic
+        subgroups, then adjoin each cyclic generator to one representative
+        of each class, and add the whole class of every new closure.  Any
+        subgroup T is reached: T = <S, x> for a maximal subgroup S of T, and
+        if S = hRh^-1 for a representative R, then h^-1 T h = <R, h^-1 x h>.
         """
         if self._subgroup_lattice is not None:
             return self._subgroup_lattice
 
         cyclic = self.cyclic_subgroups("H")
-        gens_of: dict[frozenset[int], tuple[int, ...]] = {}
-        pending: list[frozenset[int]] = []
+        known: set[frozenset[int]] = set()
+        raw_classes: list[list[frozenset[int]]] = []
+        pending: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+        def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
+            orbit = {self.conjugate_subgroup(g, rep) for g in self.h_indices}
+            known.update(orbit)
+            raw_classes.append(sorted(orbit, key=lambda x: sorted(x)))
+            pending.append((rep, gens))
+
         for sub, gen in cyclic:
-            gens_of[sub] = (gen,) if gen != self.identity else ()
-            pending.append(sub)
+            if sub not in known:
+                add_class(sub, (gen,) if gen != self.identity else ())
         h_order = len(self.h_indices)
         while pending:
-            nxt: list[frozenset[int]] = []
-            for s in pending:
-                if len(s) == h_order:
-                    continue
-                base_gens = gens_of[s]
-                for csub, cgen in cyclic:
-                    if cgen in s:
-                        continue
-                    t = self.subgroup_closure(base_gens + (cgen,))
-                    if t not in gens_of:
-                        gens_of[t] = base_gens + (cgen,)
-                        nxt.append(t)
-            pending = nxt
-
-        subgroups = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
-        unclassified = set(subgroups)
-        raw_classes: list[list[frozenset[int]]] = []
-        for s in subgroups:
-            if s not in unclassified:
+            rep, base_gens = pending.pop()
+            if len(rep) == h_order:
                 continue
-            orbit = {s}
-            for g in self.h_indices:
-                orbit.add(self.conjugate_subgroup(g, s))
-            raw_classes.append(sorted(orbit, key=lambda x: sorted(x)))
-            unclassified -= orbit
+            for _, cgen in cyclic:
+                if cgen in rep:
+                    continue
+                t = self.subgroup_closure(base_gens + (cgen,))
+                if t not in known:
+                    add_class(t, base_gens + (cgen,))
 
         # canonical listing: decreasing order, then class length, then rep key
         raw_classes.sort(

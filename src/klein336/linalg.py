@@ -113,9 +113,6 @@ class Mat3:
             r[2][0] * v[0] + r[2][1] * v[1] + r[2][2] * v[2],
         )
 
-    def conj_transpose(self) -> Mat3:
-        return Mat3([[self.rows[j][i].conj() for j in range(3)] for i in range(3)])
-
     def det(self) -> QNum:
         r = self.rows
         return (
@@ -126,9 +123,6 @@ class Mat3:
 
     def trace(self) -> QNum:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def is_unitary(self) -> bool:
-        return self.conj_transpose() * self == IDENTITY3
 
     def to_complex(self) -> list[list[complex]]:
         return [[v.to_complex() for v in row] for row in self.rows]
@@ -324,6 +318,7 @@ assert all(den == 1 for _, den in _EPS_CHARTS)
 _FORWARD: IntMat = [list(col) for col in zip(*(nums for nums, _ in _EPS_CHARTS))]
 # the inverse basis change is _INVERSE_NUM / _INVERSE_DEN, with _INVERSE_DEN = 2
 _INVERSE_NUM, _INVERSE_DEN = _scaled_inverse(_FORWARD)
+_INVERSE_EVEN_COLS = list(zip(*_INVERSE_NUM))[::2]
 
 
 def to_eps_coords(v: CVec3) -> tuple[Fraction, ...]:
@@ -375,6 +370,23 @@ def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:
             ints.append(v // den)
         out.append(tuple(ints))
     return tuple(out)
+
+
+def int6_to_mat3(a: Sequence[Sequence[int]]) -> Mat3:
+    """The Mat3 whose eps-basis matrix is a: the inverse of mat3_to_int6.
+
+    a must be the matrix of a Q(w)-linear map.  The chart matrix is
+    _FORWARD . a . _INVERSE_NUM / 2; entry (i, j) is read off column 2j of
+    its (i, j) 2x2 multiplication block, so only columns 0, 2 and 4 are formed.
+    """
+    a_cols = [[sum(map(mul, row, col)) for row in a] for col in _INVERSE_EVEN_COLS]
+    cm = [[sum(map(mul, row, col)) for col in a_cols] for row in _FORWARD]
+    return Mat3(
+        [
+            [QNum.from_ints(cm[2 * i][j], cm[2 * i + 1][j], _INVERSE_DEN) for j in range(3)]
+            for i in range(3)
+        ]
+    )
 
 
 # --- integer normal forms ----------------------------------------------------

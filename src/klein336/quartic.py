@@ -5,16 +5,18 @@ In the unitary coordinates used throughout, the invariant quartic is
     x^4 + y^4 + z^4 - 3*conj(w)*(x^2 y^2 + x^2 z^2 + y^2 z^2),
 
 and invariance is checked coefficient by coefficient after exact
-substitution of the linear action.
+substitution of the linear action.  The substitution expands on integer
+pairs a + b*w of Z[w], with one common denominator divided out at the end.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterator
 
 from .group import GroupTable
 from .linalg import Mat3
-from .qfield import ALPHA_BAR, QNum, ZERO
+from .qfield import QNum
 
 Monomial = tuple[int, int, int]
 
@@ -75,15 +77,9 @@ class QuarticForm:
             parts.append(f"({c})*{vars_part}")
         return " + ".join(parts) if parts else "0"
 
-    def evaluate(self, x: complex, y: complex, z: complex) -> complex:
-        total = 0j
-        for (i, j, k), c in self.coeffs.items():
-            total += c.to_complex() * x**i * y**j * z**k
-        return total
-
 
 def klein_quartic() -> QuarticForm:
-    minus3ab = QNum(-3) * ALPHA_BAR
+    minus3ab = QNum(-3, 3)  # -3*conj(w) = -3*(1 - w)
     return QuarticForm(
         {
             (4, 0, 0): QNum(1),
@@ -96,43 +92,54 @@ def klein_quartic() -> QuarticForm:
     )
 
 
-def _linear_form_power(coeffs: list[QNum], power: int) -> dict[Monomial, QNum]:
-    """(c0 x + c1 y + c2 z)^power as an exponent-keyed dictionary."""
-    acc: dict[tuple[int, int, int], QNum] = {(0, 0, 0): QNum(1)}
-    for _ in range(power):
-        nxt: dict[tuple[int, int, int], QNum] = {}
-        for (i, j, k), c in acc.items():
-            for var, cv in enumerate(coeffs):
-                if not cv:
-                    continue
-                key = (i + (var == 0), j + (var == 1), k + (var == 2))
-                prev = nxt.get(key, ZERO)
-                nxt[key] = prev + c * cv
-        acc = nxt
-    return acc
+Pair = tuple[int, int]  # a + b*w in Z[w]
+Poly = dict[Monomial, Pair]
+
+
+def _poly_mul(f: Poly, g: Poly, out: Poly | None = None) -> Poly:
+    """f * g, added into out when given."""
+    out = {} if out is None else out
+    for (i, j, k), (a1, b1) in f.items():
+        for (e, f2, h), (a2, b2) in g.items():
+            key = (i + e, j + f2, k + h)
+            # (a1 + b1 w)(a2 + b2 w) with w^2 = w - 2
+            bb = b1 * b2
+            a, b = a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb
+            prev = out.get(key)
+            out[key] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
+    return out
+
+
+def _scaled_pairs(values: list[QNum]) -> tuple[list[Pair], int]:
+    """Integer pairs of values times D, the lcm of their denominators."""
+    den = lcm(*(q.d for q in values))
+    return [(q.a * (den // q.d), q.b * (den // q.d)) for q in values], den
 
 
 def act(m: Mat3, form: QuarticForm) -> QuarticForm:
-    """Right action (m . F)(v) = F(m v), expanded exactly."""
-    rows = [list(r) for r in m.rows]
-    out: dict[Monomial, QNum] = {}
-    for (i, j, k), c in form.coeffs.items():
-        term: dict[Monomial, QNum] = {(0, 0, 0): c}
-        for var, power in ((0, i), (1, j), (2, k)):
-            if power == 0:
-                continue
-            factor = _linear_form_power(rows[var], power)
-            nxt: dict[Monomial, QNum] = {}
-            for (a, b, d), c1 in term.items():
-                for (e, f, g), c2 in factor.items():
-                    key = (a + e, b + f, d + g)
-                    prev = nxt.get(key, ZERO)
-                    nxt[key] = prev + c1 * c2
-            term = nxt
-        for key, val in term.items():
-            prev = out.get(key, ZERO)
-            out[key] = prev + val
-    return QuarticForm(out)
+    """Right action (m . F)(v) = F(m v), expanded exactly.
+
+    The expansion runs on Z[w] integer pairs: m is scaled by the lcm D of its
+    entry denominators and the form by the lcm E of its coefficient
+    denominators, and the result is divided by E * D^4 at the end.
+    """
+    entries, den = _scaled_pairs([q for row in m.rows for q in row])
+    coeffs, cden = _scaled_pairs(list(form.coeffs.values()))
+    # powers of the three scaled linear forms (D m v)_r, built on demand
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    powers = [
+        [{(0, 0, 0): (1, 0)}, {u: c for u, c in zip(units, entries[3 * r : 3 * r + 3]) if any(c)}]
+        for r in range(3)
+    ]
+    out: Poly = {}
+    for exps, c in zip(form.coeffs, coeffs):
+        for pw, e in zip(powers, exps):
+            while len(pw) <= e:
+                pw.append(_poly_mul(pw[-1], pw[1]))
+        x, y, z = (pw[e] for pw, e in zip(powers, exps))
+        _poly_mul(_poly_mul({(0, 0, 0): c}, x), _poly_mul(y, z), out)
+    scale = cden * den**4
+    return QuarticForm({key: QNum.from_ints(a, b, scale) for key, (a, b) in out.items()})
 
 
 def verify_quartic_invariance(table: GroupTable, generators_only: bool = False) -> bool:

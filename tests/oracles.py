@@ -18,7 +18,12 @@
   than the group order, setwise ones through the projector;
 * test-only membership and group helpers: the lattice congruences, the
   reflection formula and centralizer sizes; the saturated integer kernel and
-  lattice index that the complement-torus path uses.
+  lattice index that the complement-torus path uses;
+* the group built the field-valued way: BFS over ``Mat3`` products, field
+  determinants and field kernels for the reflections; unitarity of a
+  ``Mat3`` and the floating-point value of a quartic form;
+* the subgroup lattice of H by fixpoint closure over all subgroups, and the
+  quartic action expanded in ``QNum`` arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -34,6 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
+from klein336 import linalg
+from klein336.group import R1, R2, R3, SubgroupClass
 from klein336.linalg import (
     EPS_VECTORS,
     IDENTITY3,
@@ -47,6 +55,7 @@ from klein336.linalg import (
     smith_normal_form,
 )
 from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
+from klein336.quartic import QuarticForm
 from klein336.torus import TorusPoint, apply_element
 
 _W_COMPLEX = complex(0.5, 7 ** 0.5 / 2)
@@ -594,3 +603,178 @@ def projector_setwise_stabilizer(
         if projector.in_v1_plus_lattice((moved - translate).coords):
             members.append(g)
     return frozenset(members)
+
+
+# --- the field-valued group build, subgroup lattice and quartic action -------
+
+
+def is_unitary(m: Mat3) -> bool:
+    adjoint = Mat3([[m.rows[j][i].conj() for j in range(3)] for i in range(3)])
+    return adjoint * m == IDENTITY3
+
+
+def evaluate(form: QuarticForm, x: complex, y: complex, z: complex) -> complex:
+    """A quartic form at a complex point, in floating point."""
+    total = 0j
+    for (i, j, k), c in form.coeffs.items():
+        total += c.to_complex() * x**i * y**j * z**k
+    return total
+
+
+@dataclass
+class FieldBuild:
+    """The group as the Mat3 BFS built it, with every derived table."""
+
+    mats: list[Mat3]
+    words: list[tuple[int, ...]]
+    int6s: list[tuple[tuple[int, ...], ...]]
+    mul_list: list[list[int]]
+    inv: list[int]
+    orders: list[int]
+    dets: list[int]
+    reflections: tuple[int, ...]
+    antireflections: tuple[int, ...]
+
+
+def field_group_build() -> FieldBuild:
+    """BFS over Mat3 products in Q(w): fixed generator order, matrices
+    interned by their entries; determinants in the field, reflections and
+    antireflections by the dimension of a field kernel."""
+    gens = {1: R1, 2: R2, 3: R3}
+    index_of: dict[Mat3, int] = {IDENTITY3: 0}
+    mats, words = [IDENTITY3], [()]
+    queue = [0]
+    while queue:
+        nxt = []
+        for i in queue:
+            for gi in (1, 2, 3):
+                prod = mats[i] * gens[gi]
+                if prod not in index_of:
+                    index_of[prod] = len(mats)
+                    nxt.append(len(mats))
+                    mats.append(prod)
+                    words.append(words[i] + (gi,))
+        queue = nxt
+    # the integer chart; test_kernels checks it against the rational one
+    int6s = [linalg.mat3_to_int6(m) for m in mats]
+    stack = np.array(int6s, dtype=np.int64)
+    key_of = {m.tobytes(): i for i, m in enumerate(stack)}
+    mul_list = [[key_of[p.tobytes()] for p in a @ stack] for a in stack]
+    inv = [row.index(0) for row in mul_list]
+    orders = []
+    for i in range(len(mats)):
+        k, acc = 1, i
+        while acc != 0:
+            acc = mul_list[acc][i]
+            k += 1
+        orders.append(k)
+    dets = [1 if m.det() == QNum(1) else -1 for m in mats]
+    assert all(m.det() == QNum(d) for m, d in zip(mats, dets))
+    refl = tuple(
+        i for i, m in enumerate(mats)
+        if orders[i] == 2 and dets[i] == -1 and len(kernel_K(m - IDENTITY3)) == 2
+    )
+    antirefl = tuple(
+        i for i, m in enumerate(mats)
+        if orders[i] == 2 and dets[i] == 1 and len(kernel_K(m + IDENTITY3)) == 2
+    )
+    return FieldBuild(mats, words, int6s, mul_list, inv, orders, dets, refl, antirefl)
+
+
+def fixpoint_subgroup_lattice(table) -> list[SubgroupClass]:
+    """Every subgroup of H by fixpoint closure, listed as conjugacy classes.
+
+    Seed with the cyclic subgroups, then adjoin a cyclic generator to every
+    known subgroup until nothing new appears; classes come from conjugating
+    each subgroup by all of H.
+    """
+    cyclic = table.cyclic_subgroups("H")
+    gens_of: dict[frozenset[int], tuple[int, ...]] = {}
+    pending: list[frozenset[int]] = []
+    for sub, gen in cyclic:
+        gens_of[sub] = (gen,) if gen != table.identity else ()
+        pending.append(sub)
+    h_order = len(table.h_indices)
+    while pending:
+        nxt: list[frozenset[int]] = []
+        for s in pending:
+            if len(s) == h_order:
+                continue
+            base_gens = gens_of[s]
+            for _, cgen in cyclic:
+                if cgen in s:
+                    continue
+                t = table.subgroup_closure(base_gens + (cgen,))
+                if t not in gens_of:
+                    gens_of[t] = base_gens + (cgen,)
+                    nxt.append(t)
+        pending = nxt
+
+    subgroups = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    unclassified = set(subgroups)
+    raw_classes: list[list[frozenset[int]]] = []
+    for s in subgroups:
+        if s not in unclassified:
+            continue
+        orbit = {s} | {table.conjugate_subgroup(g, s) for g in table.h_indices}
+        raw_classes.append(sorted(orbit, key=lambda x: sorted(x)))
+        unclassified -= orbit
+    raw_classes.sort(key=lambda ms: (-len(ms[0]), len(ms), sorted(ms[0])))
+    all_subs = [s for ms in raw_classes for s in ms]
+    class_of = {s: nr for nr, ms in enumerate(raw_classes, start=1) for s in ms}
+
+    def between(s: frozenset[int], t: frozenset[int]) -> bool:
+        return any(s < u < t for u in all_subs)
+
+    classes = []
+    for nr, ms in enumerate(raw_classes, start=1):
+        rep = ms[0]
+        maximal = Counter(class_of[s] for s in all_subs if s < rep and not between(s, rep))
+        minover = Counter(class_of[t] for t in all_subs if rep < t and not between(rep, t))
+        classes.append(
+            SubgroupClass(
+                number=nr,
+                structure=table.structure_name(rep),
+                order=len(rep),
+                length=len(ms),
+                representative=rep,
+                members=tuple(ms),
+                maximal=tuple(sorted(maximal.items())),
+                minimal_over=tuple(sorted(minover.items())),
+            )
+        )
+    return classes
+
+
+def _linear_form_power(coeffs: list[QNum], power: int) -> dict[tuple[int, int, int], QNum]:
+    """(c0 x + c1 y + c2 z)^power as an exponent-keyed dictionary."""
+    acc = {(0, 0, 0): QNum(1)}
+    for _ in range(power):
+        nxt: dict[tuple[int, int, int], QNum] = {}
+        for (i, j, k), c in acc.items():
+            for var, cv in enumerate(coeffs):
+                if cv:
+                    key = (i + (var == 0), j + (var == 1), k + (var == 2))
+                    nxt[key] = nxt.get(key, QNum(0)) + c * cv
+        acc = nxt
+    return acc
+
+
+def qnum_act(m: Mat3, form: QuarticForm) -> QuarticForm:
+    """(m . F)(v) = F(m v), expanded monomial by monomial in QNum arithmetic."""
+    out: dict[tuple[int, int, int], QNum] = {}
+    for (i, j, k), c in form.coeffs.items():
+        term = {(0, 0, 0): c}
+        for var, power in ((0, i), (1, j), (2, k)):
+            if power == 0:
+                continue
+            factor = _linear_form_power(list(m.rows[var]), power)
+            nxt: dict[tuple[int, int, int], QNum] = {}
+            for (a, b, d), c1 in term.items():
+                for (e, f, g), c2 in factor.items():
+                    key = (a + e, b + f, d + g)
+                    nxt[key] = nxt.get(key, QNum(0)) + c1 * c2
+            term = nxt
+        for key, val in term.items():
+            out[key] = out.get(key, QNum(0)) + val
+    return QuarticForm(out)

@@ -72,6 +72,15 @@ def test_bad_element_name(capsys):
     assert main(["fixed", "--element", "nope"]) == 2
 
 
+@pytest.mark.parametrize("name", ["\u00b2", "1\u00b2", "\u0663", "\uff13", "336", "-1", "+5"])
+def test_non_ascii_or_out_of_range_element_id_is_a_usage_error(name, capsys):
+    # superscript two, Arabic-Indic three and fullwidth three pass str.isdigit
+    assert main(["fixed", "--element", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown element") and captured.err.count("\n") == 1
+
+
 def test_stabilizer_named_point(capsys):
     assert main(["stabilizer", "--point", "eta_1", "--in", "H"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import centralizer_size, reflection_matrix
+import oracles
+from oracles import centralizer_size, is_unitary, reflection_matrix
 from klein336.group import (
     R1,
     R2,
@@ -60,7 +61,7 @@ def test_reflection_formula_recovers_generators():
     assert reflection_matrix(vec3(0, QNum(0, 1), QNum(0, -1))) == R1
     # the reflection in (0, w, w) is a different group element
     other = reflection_matrix(vec3(0, QNum(0, 1), QNum(0, 1)))
-    assert other.is_unitary() and other * other == IDENTITY3 and other != R1
+    assert is_unitary(other) and other * other == IDENTITY3 and other != R1
 
 
 def test_presentation(group):
@@ -110,8 +111,50 @@ def test_every_element_unitary_and_unimodular_on_lattice(group):
     from klein336.linalg import int_det
 
     for el in group.elements:
-        assert el.mat.is_unitary()
+        assert is_unitary(el.mat)
         assert int_det(el.int6) == 1
+
+
+def test_integer_build_matches_field_oracle(group):
+    ref = oracles.field_group_build()
+    assert [el.index for el in group.elements] == list(range(336))
+    assert [el.word for el in group.elements] == ref.words
+    assert [el.mat for el in group.elements] == ref.mats
+    assert [el.int6 for el in group.elements] == ref.int6s
+    assert group.int6_stack.tolist() == [list(map(list, m)) for m in ref.int6s]
+    assert group.mul_list == ref.mul_list
+    assert group.mul.dtype == np.int32 and group.mul.tolist() == ref.mul_list
+    assert group.inv.dtype == np.int32 and group.inv.tolist() == ref.inv
+    assert [el.order for el in group.elements] == ref.orders
+    assert [el.det for el in group.elements] == ref.dets
+    assert group.reflections == ref.reflections
+    assert group.antireflections == ref.antireflections
+    assert group.elements[group.minus_one].mat == -IDENTITY3
+
+
+def test_subgroup_lattice_matches_fixpoint_oracle(group):
+    got = group.all_subgroups_of_h()
+    want = oracles.fixpoint_subgroup_lattice(group)
+    assert sum(c.length for c in got) == 179 and len(got) == 15
+    assert {s for c in got for s in c.members} == {s for c in want for s in c.members}
+    for a, b in zip(got, want, strict=True):
+        assert (a.number, a.structure, a.order, a.length) == (b.number, b.structure, b.order, b.length)
+        assert (a.representative, a.members) == (b.representative, b.members)
+        assert (a.maximal, a.minimal_over) == (b.maximal, b.minimal_over)
+
+
+def test_subgroup_lattice_uses_few_closures(group, monkeypatch):
+    from klein336.group import GroupTable
+
+    calls = []
+    closure = GroupTable.subgroup_closure
+    monkeypatch.setattr(
+        GroupTable, "subgroup_closure", lambda self, gens: calls.append(1) or closure(self, gens)
+    )
+    table = GroupTable()
+    table.all_subgroups_of_h()
+    # 168 cyclic closures plus about a thousand extensions of class representatives
+    assert len(calls) < 1500
 
 
 def test_reflections_and_antireflections(group):

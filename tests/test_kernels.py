@@ -18,6 +18,7 @@ from klein336.linalg import (
     Mat3,
     NonIntegralError,
     from_eps_coords,
+    int6_to_mat3,
     mat3_to_int6,
     to_eps_coords,
 )
@@ -168,6 +169,28 @@ def test_powers_match_repeated_products():
 def test_mat3_to_int6_matches_rational_chart_on_the_group(group):
     for el in group.elements:
         assert mat3_to_int6(el.mat) == oracles.mat3_to_int6(el.mat.rows) == el.int6
+
+
+def test_int6_to_mat3_inverts_the_chart_on_the_group(group):
+    for el in group.elements:
+        assert int6_to_mat3(el.int6) == el.mat
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 335), st.integers(-9, 9)), min_size=1, max_size=4))
+def test_int6_to_mat3_inverts_the_chart_on_lattice_endomorphisms(terms):
+    # integer combinations of group elements preserve the lattice, and both
+    # charts are additive; most of these matrices are neither unitary nor invertible
+    from klein336.group import get_group
+
+    els = get_group().elements
+    m = Mat3([[0] * 3] * 3)
+    a = [[0] * 6 for _ in range(6)]
+    for i, c in terms:
+        m = m + els[i].mat.scale(c)
+        a = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, els[i].int6)]
+    assert int6_to_mat3(a) == m
+    assert mat3_to_int6(m) == tuple(map(tuple, a))
 
 
 field_entries = st.builds(QNum, small_rationals, small_rationals)

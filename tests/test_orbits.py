@@ -11,6 +11,7 @@ from oracles import (
     projector_setwise_stabilizer,
     sampled_curve_stabilizer,
 )
+from klein336.group import R1, R2, R3, GroupTable
 from klein336.orbits import (
     ConsistencyError,
     beta_table_summary,
@@ -28,6 +29,7 @@ from klein336.orbits import (
     stabilizer_indices,
 )
 from klein336.qfield import QNum
+from klein336.quartic import verify_quartic_invariance
 from klein336.torus import (
     EllipticElementError,
     IdentityElementError,
@@ -338,9 +340,9 @@ def test_exact_curve_stabilizers_match_field_oracles(group, quotient):
         )
 
 
-def test_no_field_arithmetic_in_fixed_loci_and_curve_stabilizers(group, monkeypatch):
-    # fixed loci and curve stabilizers run on the integer lattice alone
-    counts = {}
+def _count_field_arithmetic(monkeypatch) -> dict[str, int]:
+    """Counters of QNum arithmetic, by method name, for the rest of the test."""
+    counts: dict[str, int] = {}
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                  "__neg__", "__truediv__", "inv"):
         fn = getattr(QNum, name)
@@ -350,6 +352,12 @@ def test_no_field_arithmetic_in_fixed_loci_and_curve_stabilizers(group, monkeypa
             return _fn(*args)
 
         monkeypatch.setattr(QNum, name, counted)
+    return counts
+
+
+def test_no_field_arithmetic_in_fixed_loci_and_curve_stabilizers(group, monkeypatch):
+    # fixed loci and curve stabilizers run on the integer lattice alone
+    counts = _count_field_arithmetic(monkeypatch)
     curves = _six_curves(group)  # kappa_translates, under the counters
     parabolic = 0
     for el in group.elements:
@@ -368,6 +376,22 @@ def test_no_field_arithmetic_in_fixed_loci_and_curve_stabilizers(group, monkeypa
     # the counters do see field arithmetic where it happens
     QNum(1) * QNum(0, 1) + QNum(2)
     assert counts == {"__mul__": 1, "__add__": 1}
+
+
+def test_no_field_arithmetic_in_group_build_and_quartic(group, monkeypatch):
+    # the build and the quartic run on integers; the only field arithmetic
+    # is the determinant check of the three generators
+    counts = _count_field_arithmetic(monkeypatch)
+    for m in (R1, R2, R3):
+        m.det()
+    generator_dets = dict(counts)
+    assert generator_dets["__mul__"] == 27
+    counts.clear()
+    GroupTable()
+    assert counts == generator_dets
+    counts.clear()
+    assert verify_quartic_invariance(group)
+    assert counts == {}
 
 
 def test_singular_points_lie_on_off_mirror_curves(group):
