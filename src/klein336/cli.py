@@ -45,7 +45,8 @@ def _parse_point(table: GroupTable, text: str) -> TorusPoint:
     try:
         return registry_point(table, s)
     except (KeyError, ValueError) as exc:  # unknown name, or index out of range
-        raise UsageError(str(exc)) from exc
+        # str() of a KeyError is the repr of its message, quotes and all
+        raise UsageError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
 
 
 def _parse_element(table: GroupTable, args) -> int:

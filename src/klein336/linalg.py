@@ -209,37 +209,6 @@ def qnum_nullspace(rows: Sequence[Sequence[QNum]], ncols: int) -> list[list[QNum
     return basis
 
 
-def qnum_solve(columns: Sequence[Sequence[QNum]], rhs: Sequence[QNum]) -> list[QNum]:
-    """Exact coordinates of rhs in the span of the given column vectors."""
-    m = len(rhs)
-    n = len(columns)
-    work = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for c in range(n):
-        pr = next((i for i in range(r, m) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c].inv()
-        work[r] = [inv * v for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [work[i][j] - f * work[r][j] for j in range(n + 1)]
-        pivots.append((r, c))
-        r += 1
-    if len(pivots) != n:
-        raise ValueError("columns are linearly dependent")
-    for i in range(r, m):
-        if work[i][n]:
-            raise ValueError("vector is not in the span of the columns")
-    sol = [ZERO] * n
-    for pr, pc in pivots:
-        sol[pc] = work[pr][n]
-    return sol
-
-
 def kernel_K(rows: Sequence[Sequence[QNum]] | Mat3) -> list[CVec3]:
     """Basis of the right kernel over the field, for an m x 3 matrix."""
     if isinstance(rows, Mat3):

@@ -2,9 +2,12 @@
 
 A point's image in the quotient is smooth exactly when its stabilizer is
 generated by the reflections it contains; otherwise the germ is the linear
-quotient by the stabilizer, and for cyclic stabilizers the type is read off
-the generator's eigenvalues, snapped from floats to roots of unity and
-cross-checked against the exact trace and determinant.
+quotient by the stabilizer.  For cyclic stabilizers the type is read off the
+generator's eigenvalues, snapped from floats to roots of unity and
+cross-checked against the exact trace and determinant: the package's only
+floating point.  When the reflection part W has index 2, the degrees of W's
+basic invariants and the signs of the other coset on them are read exactly
+off averaged series of 1/det(1 - t g) in Z[w].
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
@@ -16,13 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .group import GroupTable
-from .linalg import IDENTITY3, qnum_nullspace, qnum_solve
-from .qfield import ONE as FIELD_ONE, QNum
 from .torus import (
     FixedLocus,
     TorusPoint,
@@ -139,39 +141,95 @@ def _snap_weights(table: GroupTable, gen: int, d: int) -> tuple[int, int, int]:
     return tuple(sorted(weights))  # type: ignore[return-value]
 
 
-def _reflection_degrees(order: int, nrefl: int) -> tuple[int, int, int]:
-    """Degrees of basic invariants of a rank-3 reflection group.
+@lru_cache(maxsize=None)  # keys: the few (trace, det) pairs of G, and n = |W|
+def _inverse_char_poly(tr: tuple[int, int], det: int, n: int) -> tuple[tuple[int, int], ...]:
+    """1/det(1 - t g) up to t^n, each coefficient a pair (a, b) meaning a + b*w.
 
-    Determined by prod(d_i) = |W| and sum(d_i - 1) = #reflections; the
-    solution must be unique for the groups this action produces.
+    det(1 - t g) = 1 - e1 t + e2 t^2 - e3 t^3 with e1 = tr g, e3 = det g and,
+    g being unitary, e2 = det g * conj(tr g); so the series depends on the
+    trace and determinant alone.  Arithmetic in Z[w] uses w^2 = w - 2.
     """
-    hits = []
-    for d1 in range(1, order + 1):
-        if order % d1:
-            continue
-        for d2 in range(d1, order // d1 + 1):
-            if (order // d1) % d2:
-                continue
-            d3 = order // (d1 * d2)
-            if d3 < d2:
-                continue
-            if d1 + d2 + d3 - 3 == nrefl:
-                hits.append((d1, d2, d3))
-    if len(hits) != 1:
-        raise ConsistencyError(
-            f"invariant degrees for |W|={order}, {nrefl} reflections not unique: {hits}"
-        )
-    return hits[0]
+    p, q = tr
+    u, v = det * (p + q), -det * q  # e2
+    c = [(0, 0), (0, 0), (1, 0)]  # two zero terms start the recurrence
+    for _ in range(n):
+        (a1, b1), (a2, b2), (a3, b3) = c[-1], c[-2], c[-3]
+        c.append((
+            p * a1 - 2 * q * b1 - u * a2 + 2 * v * b2 + det * a3,
+            p * b1 + q * a1 + q * b1 - u * b2 - v * a2 - v * b2 + det * b3,
+        ))
+    return tuple(c[2:])
+
+
+def _averaged_series(table: GroupTable, elements: frozenset[int], order: int) -> list[int]:
+    """(1/order) * sum over the elements of 1/det(1 - t g), up to t^order."""
+    total_a, total_b = [0] * (order + 1), [0] * (order + 1)
+    for i in elements:
+        el = table.elements[i]
+        tr = el.mat.trace()
+        if tr.d != 1:
+            raise ConsistencyError(f"trace of element {i} is not in Z[w]")
+        for k, (a, b) in enumerate(_inverse_char_poly((tr.a, tr.b), el.det, order)):
+            total_a[k] += a
+            total_b[k] += b
+    if any(total_b) or any(a % order for a in total_a):
+        raise ConsistencyError("an averaged series coefficient is not a rational integer")
+    return [a // order for a in total_a]
+
+
+def _times(series: list[int], sign: int, d: int) -> None:
+    """Multiply a truncated series in place by 1 - sign * t^d."""
+    for k in range(len(series) - 1, d - 1, -1):
+        series[k] -= sign * series[k - d]
+
+
+def _coset_weights(
+    table: GroupTable, s: frozenset[int], w_part: frozenset[int]
+) -> tuple[int, ...]:
+    """Germ weights of S when its reflection part W has index 2.
+
+    (1/|W|) sum_{g in sigma W} 1/det(1 - t g) = prod 1/(1 - eps_i t^d_i), where
+    eps_i is sigma's sign on W's i-th basic invariant (Stanley 1979; Springer
+    1974); sigma = 1 gives Molien's series and the degrees d_i.
+    """
+    order = len(w_part)
+    molien = _averaged_series(table, w_part, order)
+    degrees: list[int] = []
+    for d in range(1, order + 1):
+        for _ in range(min(molien[d], 3 - len(degrees))):  # surplus fails below
+            degrees.append(d)
+            _times(molien, 1, d)
+    if (
+        any(molien[1:])
+        or len(degrees) != 3
+        or math.prod(degrees) != order
+        or sum(degrees) - 3 != len(w_part & table.reflection_set)
+    ):
+        raise ConsistencyError(f"no reflection-group degrees fit |W|={order}: {degrees}")
+    # the sign sums per degree fix the signs; the remainder check proves them
+    coset = _averaged_series(table, s - w_part, order)
+    weights = []
+    for d in degrees:
+        sign = 1 if coset[d] > 0 else -1
+        _times(coset, sign, d)
+        weights.append(int(sign < 0))
+    if any(coset[1:]) or sum(weights) < 2:
+        raise ConsistencyError(f"coset weights {weights} contradict the series or closure")
+    return tuple(sorted(weights))
 
 
 def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     """Quotient-germ type of a stabilizer: smooth, cyclic 1/d(...), or worse.
 
     For cyclic stabilizers the canonical form is the lexicographically
-    smallest sorted weight tuple over all generators.  A stabilizer of the
-    shape W x {+-1} with W its reflection part reduces in stages: the first
-    quotient is affine space on W's basic invariants, on which -1 acts by
-    degree parity, so the germ is again a cyclic type 1/2(...).
+    smallest sorted weight tuple over all generators.  A stabilizer whose
+    reflection part W has index 2 reduces in stages: the quotient by W is
+    affine space on W's basic invariants, where the other coset acts by
+    signs, so the germ is 1/2(...) with a 1 for each sign -1.  Degrees and
+    signs come from averaged series over W and over the coset, guarded
+    exactly: the averages are rational integers, the degrees multiply to |W|
+    and exceed the reflection count by 3 in sum, and at least two signs are
+    -1, or the germ would be smooth.  Any other stabilizer is non-cyclic.
     """
     if reflection_generated(table, s):
         return WeightInfo("smooth")
@@ -185,101 +243,9 @@ def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
                 best = w
         return WeightInfo("cyclic", d, best)
     w_part = table.reflection_subgroup_closure(s)
-    if (
-        table.minus_one in s
-        and len(w_part) * 2 == d
-        and table.subgroup_closure(sorted(w_part) + [table.minus_one]) == s
-    ):
-        degrees = _reflection_degrees(len(w_part), len(w_part & table.reflection_set))
-        parities = tuple(sorted(deg % 2 for deg in degrees))
-        return WeightInfo("cyclic", 2, parities)  # type: ignore[arg-type]
-    if len(w_part) * 2 == d:
-        weights = _residual_involution_weights(table, s, w_part)
-        if weights is not None:
-            return WeightInfo("cyclic", 2, weights)
-    return WeightInfo("non-cyclic")
-
-
-_SYM2_BASIS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
-def _sym2_matrix(m) -> list[list]:
-    """Substitution action on quadratic forms: columns indexed by z_a z_b."""
-    cols = []
-    for a, b in _SYM2_BASIS:
-        col = {key: QNum(0) for key in _SYM2_BASIS}
-        for c in range(3):
-            for e in range(3):
-                coeff = m.rows[a][c] * m.rows[b][e]
-                key = (c, e) if c <= e else (e, c)
-                col[key] = col[key] + coeff
-        cols.append([col[key] for key in _SYM2_BASIS])
-    return [[cols[j][i] for j in range(6)] for i in range(6)]
-
-
-def _residual_involution_weights(
-    table: GroupTable, s: frozenset[int], w_part: frozenset[int]
-) -> tuple[int, int, int] | None:
-    """Germ weights when the reflection part W has index 2 and degrees (1, 2, 2).
-
-    The quotient by W is affine space on one linear and two quadratic basic
-    invariants; the residual involution acts exactly on the W-fixed line and
-    on the W-invariant quadratics, all computed in exact field arithmetic.
-    """
-    degrees = _reflection_degrees(len(w_part), len(w_part & table.reflection_set))
-    if degrees != (1, 2, 2):
-        return None
-    # the W-fixed line carries the degree-1 invariant
-    stacked = []
-    for w in sorted(w_part):
-        shifted = table.elements[w].mat - IDENTITY3
-        stacked.extend(list(r) for r in shifted.rows)
-    fixed_line = qnum_nullspace(stacked, 3)
-    if len(fixed_line) != 1:
-        return None
-    sigma = min(i for i in s if i not in w_part)
-    b = fixed_line[0]
-    image = table.elements[sigma].mat.apply((b[0], b[1], b[2]))
-    j = next(k for k in range(3) if b[k])
-    lam = image[j] * b[j].inv()
-    if any(image[k] != lam * b[k] for k in range(3)) or lam * lam != FIELD_ONE:
-        raise ConsistencyError("residual involution does not act by a sign on the fixed line")
-    nu_linear = 0 if lam == FIELD_ONE else 1
-    # W-invariant quadratic forms and the residual action on them
-    quad_rows = []
-    ident6 = [[QNum(int(i == k)) for k in range(6)] for i in range(6)]
-    for w in sorted(w_part):
-        mw = _sym2_matrix(table.elements[w].mat)
-        quad_rows.extend(
-            [mw[i][k] - ident6[i][k] for k in range(6)] for i in range(6)
-        )
-    invariants = qnum_nullspace(quad_rows, 6)
-    if len(invariants) != 3:
-        return None
-    msig = _sym2_matrix(table.elements[sigma].mat)
-    cols = [list(v) for v in invariants]
-    action = []
-    for v in invariants:
-        img = [
-            sum((msig[i][k] * v[k] for k in range(6)), QNum(0)) for i in range(6)
-        ]
-        action.append(qnum_solve(cols, img))
-    trace = action[0][0] + action[1][1] + action[2][2]
-    if trace.y != 0 or trace.x.denominator != 1:
-        raise ConsistencyError("residual action on invariant quadratics has non-integral trace")
-    t = int(trace.x)
-    # eigenvalues are +-1 (sigma^2 lies in W); one +1 belongs to the square
-    # of the linear invariant and is not a basic degree-2 eigenvalue
-    m_plus = (3 + t) // 2
-    m_minus = 3 - m_plus
-    if (3 + t) % 2 or m_plus < 1:
-        raise ConsistencyError("inconsistent eigenvalue multiplicities on quadratics")
-    weights = [nu_linear] + [0] * (m_plus - 1) + [1] * m_minus
-    if sum(1 for w in weights if w) < 2:
-        raise ConsistencyError(
-            "residual weights describe a reflection, contradicting the closure test"
-        )
-    return tuple(sorted(weights))  # type: ignore[return-value]
+    if len(w_part) * 2 != d:
+        return WeightInfo("non-cyclic")
+    return WeightInfo("cyclic", 2, _coset_weights(table, s, w_part))
 
 
 # --- generic points of special curves ------------------------------------------

@@ -23,7 +23,11 @@
   determinants and field kernels for the reflections; unitarity of a
   ``Mat3`` and the floating-point value of a quartic form;
 * the subgroup lattice of H by fixpoint closure over all subgroups, and the
-  quartic action expanded in ``QNum`` arithmetic.
+  quartic action expanded in ``QNum`` arithmetic;
+* germ weights of index-2 reflection parts the field-valued way: degree
+  parity for W x {+-1} with degrees from a divisor search, and the residual
+  involution on the W-invariant linear and quadratic forms, solved with
+  ``qnum_solve``; the subgroups of G from those of H by Goursat's lemma.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from klein336.linalg import (
     rat_inverse,
     smith_normal_form,
 )
+from klein336.orbits import ConsistencyError, WeightInfo, _snap_weights, reflection_generated
 from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
 from klein336.torus import TorusPoint, apply_element
@@ -430,17 +435,6 @@ def rat_solve(a: RatMat, b: Sequence[Fraction]) -> list[Fraction] | None:
     return sol
 
 
-def _qnum_solve(gram: list[list[QNum]], rhs: list[QNum]) -> list[QNum]:
-    """Solve a 1x1 or 2x2 field-valued linear system (positive-definite Gram)."""
-    if len(gram) == 1:
-        return [rhs[0] * gram[0][0].inv()]
-    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
-    inv = det.inv()
-    c0 = (rhs[0] * gram[1][1] - gram[0][1] * rhs[1]) * inv
-    c1 = (gram[0][0] * rhs[1] - rhs[0] * gram[1][0]) * inv
-    return [c0, c1]
-
-
 _EPS_CVECS = [from_eps_coords([int(i == j) for i in range(6)]) for j in range(6)]
 
 
@@ -456,7 +450,7 @@ class AxisProjector:
 
     def project_eps(self, v: CVec3) -> tuple[Fraction, ...]:
         rhs = [hermitian(b, v) for b in self.basis]
-        coeffs = _qnum_solve(self.gram, rhs)
+        coeffs = qnum_solve(list(zip(*self.gram)), rhs)
         res = list(v)
         for c, b in zip(coeffs, self.basis):
             res = [res[i] - c * b[i] for i in range(3)]
@@ -778,3 +772,192 @@ def qnum_act(m: Mat3, form: QuarticForm) -> QuarticForm:
         for key, val in term.items():
             out[key] = out.get(key, QNum(0)) + val
     return QuarticForm(out)
+
+
+# --- germ weights the field-valued way ----------------------------------------
+
+
+def qnum_solve(columns: Sequence[Sequence[QNum]], rhs: Sequence[QNum]) -> list[QNum]:
+    """Exact coordinates of rhs in the span of the given column vectors."""
+    m = len(rhs)
+    n = len(columns)
+    work = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
+    r = 0
+    pivots: list[tuple[int, int]] = []
+    for c in range(n):
+        pr = next((i for i in range(r, m) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = work[r][c].inv()
+        work[r] = [inv * v for v in work[r]]
+        for i in range(m):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [work[i][j] - f * work[r][j] for j in range(n + 1)]
+        pivots.append((r, c))
+        r += 1
+    if len(pivots) != n:
+        raise ValueError("columns are linearly dependent")
+    for i in range(r, m):
+        if work[i][n]:
+            raise ValueError("vector is not in the span of the columns")
+    sol = [QNum(0)] * n
+    for pr, pc in pivots:
+        sol[pc] = work[pr][n]
+    return sol
+
+
+def reflection_degrees(order: int, nrefl: int) -> tuple[int, int, int]:
+    """Degrees of basic invariants of a rank-3 reflection group.
+
+    Determined by prod(d_i) = |W| and sum(d_i - 1) = #reflections; the
+    solution must be unique for the groups this action produces.
+    """
+    hits = []
+    for d1 in range(1, order + 1):
+        if order % d1:
+            continue
+        for d2 in range(d1, order // d1 + 1):
+            if (order // d1) % d2:
+                continue
+            d3 = order // (d1 * d2)
+            if d3 < d2:
+                continue
+            if d1 + d2 + d3 - 3 == nrefl:
+                hits.append((d1, d2, d3))
+    if len(hits) != 1:
+        raise ConsistencyError(
+            f"invariant degrees for |W|={order}, {nrefl} reflections not unique: {hits}"
+        )
+    return hits[0]
+
+
+_SYM2_BASIS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def sym2_matrix(m: Mat3) -> list[list[QNum]]:
+    """Substitution action on quadratic forms: columns indexed by z_a z_b."""
+    cols = []
+    for a, b in _SYM2_BASIS:
+        col = {key: QNum(0) for key in _SYM2_BASIS}
+        for c in range(3):
+            for e in range(3):
+                coeff = m.rows[a][c] * m.rows[b][e]
+                key = (c, e) if c <= e else (e, c)
+                col[key] = col[key] + coeff
+        cols.append([col[key] for key in _SYM2_BASIS])
+    return [[cols[j][i] for j in range(6)] for i in range(6)]
+
+
+def residual_involution_weights(
+    table, s: frozenset[int], w_part: frozenset[int]
+) -> tuple[int, int, int] | None:
+    """Germ weights when the reflection part W has index 2 and degrees (1, 2, 2).
+
+    The quotient by W is affine space on one linear and two quadratic basic
+    invariants; the residual involution acts exactly on the W-fixed line and
+    on the W-invariant quadratics, all computed in exact field arithmetic.
+    """
+    degrees = reflection_degrees(len(w_part), len(w_part & table.reflection_set))
+    if degrees != (1, 2, 2):
+        return None
+    # the W-fixed line carries the degree-1 invariant
+    stacked = []
+    for w in sorted(w_part):
+        shifted = table.elements[w].mat - IDENTITY3
+        stacked.extend(list(r) for r in shifted.rows)
+    fixed_line = linalg.qnum_nullspace(stacked, 3)
+    if len(fixed_line) != 1:
+        return None
+    sigma = min(i for i in s if i not in w_part)
+    b = fixed_line[0]
+    image = table.elements[sigma].mat.apply((b[0], b[1], b[2]))
+    j = next(k for k in range(3) if b[k])
+    lam = image[j] * b[j].inv()
+    if any(image[k] != lam * b[k] for k in range(3)) or lam * lam != QNum(1):
+        raise ConsistencyError("residual involution does not act by a sign on the fixed line")
+    nu_linear = 0 if lam == QNum(1) else 1
+    # W-invariant quadratic forms and the residual action on them
+    quad_rows = []
+    ident6 = [[QNum(int(i == k)) for k in range(6)] for i in range(6)]
+    for w in sorted(w_part):
+        mw = sym2_matrix(table.elements[w].mat)
+        quad_rows.extend(
+            [mw[i][k] - ident6[i][k] for k in range(6)] for i in range(6)
+        )
+    invariants = linalg.qnum_nullspace(quad_rows, 6)
+    if len(invariants) != 3:
+        return None
+    msig = sym2_matrix(table.elements[sigma].mat)
+    cols = [list(v) for v in invariants]
+    action = []
+    for v in invariants:
+        img = [
+            sum((msig[i][k] * v[k] for k in range(6)), QNum(0)) for i in range(6)
+        ]
+        action.append(qnum_solve(cols, img))
+    trace = action[0][0] + action[1][1] + action[2][2]
+    if trace.y != 0 or trace.x.denominator != 1:
+        raise ConsistencyError("residual action on invariant quadratics has non-integral trace")
+    t = int(trace.x)
+    # eigenvalues are +-1 (sigma^2 lies in W); one +1 belongs to the square
+    # of the linear invariant and is not a basic degree-2 eigenvalue
+    m_plus = (3 + t) // 2
+    m_minus = 3 - m_plus
+    if (3 + t) % 2 or m_plus < 1:
+        raise ConsistencyError("inconsistent eigenvalue multiplicities on quadratics")
+    weights = [nu_linear] + [0] * (m_plus - 1) + [1] * m_minus
+    if sum(1 for w in weights if w) < 2:
+        raise ConsistencyError(
+            "residual weights describe a reflection, contradicting the closure test"
+        )
+    return tuple(sorted(weights))  # type: ignore[return-value]
+
+
+def field_singularity_weights(table, s: frozenset[int]) -> WeightInfo:
+    """Quotient-germ type with the two special index-2 paths.
+
+    W x {+-1}, with W the reflection part, reduces by degree parity: -1 acts
+    on W's basic invariants by (-1)^degree.  Any other index-2 reflection
+    part with degrees (1, 2, 2) goes through the residual involution on the
+    W-fixed line and the W-invariant quadratic forms.
+    """
+    if reflection_generated(table, s):
+        return WeightInfo("smooth")
+    d = len(s)
+    generators = [i for i in s if table.elements[i].order == d]
+    if generators:
+        return WeightInfo("cyclic", d, min(_snap_weights(table, g, d) for g in generators))
+    w_part = table.reflection_subgroup_closure(s)
+    if (
+        table.minus_one in s
+        and len(w_part) * 2 == d
+        and table.subgroup_closure(sorted(w_part) + [table.minus_one]) == s
+    ):
+        degrees = reflection_degrees(len(w_part), len(w_part & table.reflection_set))
+        parities = tuple(sorted(deg % 2 for deg in degrees))
+        return WeightInfo("cyclic", 2, parities)  # type: ignore[arg-type]
+    if len(w_part) * 2 == d:
+        weights = residual_involution_weights(table, s, w_part)
+        if weights is not None:
+            return WeightInfo("cyclic", 2, weights)
+    return WeightInfo("non-cyclic")
+
+
+def goursat_subgroups_of_g(table) -> list[frozenset[int]]:
+    """Every subgroup of G = H x {+-1} from the subgroups of H (Goursat's lemma).
+
+    For each subgroup K of H: K itself, K u -K, and K0 u -(K - K0) for each
+    subgroup K0 of index 2 in K.
+    """
+    subs_h = [k for c in table.all_subgroups_of_h() for k in c.members]
+    minus = table.mul_list[table.minus_one]
+    out = []
+    for k in subs_h:
+        neg = frozenset(minus[x] for x in k)
+        out += [k, k | neg]
+        for k0 in subs_h:
+            if 2 * len(k0) == len(k) and k0 < k:
+                out.append(k0 | frozenset(minus[x] for x in k - k0))
+    return out

@@ -221,6 +221,21 @@ def test_out_of_range_registry_name_is_a_usage_error(name, capsys):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("omega_1", "omega index must be two bits, got '1'"),
+        ("kappa_7", "kappa index must be in 0..3"),
+        ("nosuch", "unknown point name 'nosuch'"),
+    ],
+)
+def test_bad_registry_name_message_is_unquoted(name, message, capsys):
+    assert main(["stabilizer", "--point", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_point_literal_beyond_int64(capsys):
     point = "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"
     assert main(["stabilizer", "--point", point]) == 0

@@ -2,18 +2,22 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from oracles import (
     complement_fixed_locus,
     exact_orbit,
     exact_stabilizer,
+    field_singularity_weights,
+    goursat_subgroups_of_g,
     projector_setwise_stabilizer,
     sampled_curve_stabilizer,
 )
 from klein336.group import R1, R2, R3, GroupTable
 from klein336.orbits import (
     ConsistencyError,
+    _inverse_char_poly,
     beta_table_summary,
     classify_locus,
     curve_setwise_stabilizer,
@@ -140,6 +144,57 @@ def test_staged_weights_for_non_reflection_generated_stabilizers(group):
     assert not reflection_generated(group, s)
     w = singularity_weights(group, s)
     assert (w.status, w.order, w.weights) == ("cyclic", 2, (0, 1, 1))
+
+
+def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g(group):
+    # the coset series against degree parity and the residual involution
+    subgroups = goursat_subgroups_of_g(group)
+    assert len(set(subgroups)) == 547
+    index2_shapes = set()
+    for s in subgroups:
+        assert singularity_weights(group, s) == field_singularity_weights(group, s)
+        if reflection_generated(group, s) or any(group.elements[i].order == len(s) for i in s):
+            continue
+        if 2 * len(group.reflection_subgroup_closure(s)) == len(s):
+            index2_shapes.add(group.recognize(s))
+    assert index2_shapes == {"C2xC2'", "±S3", "D8'"}
+
+
+def test_inverse_char_poly_inverts_det_one_minus_tg(group):
+    # e2 as the sum of principal 2x2 minors in field arithmetic; the order-7
+    # elements have non-real traces, so conj(tr) and tr are told apart
+    n = 9
+    assert any(el.mat.trace().b for el in group.elements)
+    for el in group.elements:
+        m = el.mat.rows
+        e2 = sum(
+            (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
+            QNum(0),
+        )
+        tr = el.mat.trace()
+        poly = [QNum(1), -tr, e2, QNum(-el.det)]
+        series = [QNum(a, b) for a, b in _inverse_char_poly((tr.a, tr.b), el.det, n)]
+        for k in range(n + 1):
+            product = sum((poly[j] * series[k - j] for j in range(min(k, 3) + 1)), QNum(0))
+            assert product == int(k == 0)
+
+
+def test_index2_germs_use_no_floating_point(group, monkeypatch):
+    # eigenvalue snapping is the one place floats appear; staged germs are exact
+    def no_floats(*args):
+        raise AssertionError("numpy.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_floats)
+    staged = {
+        "±S3": stabilizer_indices(group, omega_point(1, 0), "G"),
+        "D8'": stabilizer_indices(group, beta_point("1010"), "G"),
+        "C2xC2'": group.subgroup_closure([group.named["r1"], group.minus_one]),
+    }
+    for label, s in staged.items():
+        assert group.recognize(s) == label
+        assert singularity_weights(group, s).image_status() == "1/2(0,1,1)"
+    with pytest.raises(AssertionError, match="eigvals"):
+        singularity_weights(group, group.subgroup_closure([group.named["rho1"]]))
 
 
 def test_t2_classification(group):
