@@ -13,6 +13,7 @@ from .linalg import (
     to_eps_coords,
 )
 from .orbits import (
+    Orbit,
     OrbitRecord,
     SingularityReport,
     classify_locus,
@@ -43,6 +44,7 @@ __all__ = [
     "FixedLocus",
     "GroupTable",
     "Mat3",
+    "Orbit",
     "OrbitRecord",
     "QNum",
     "QuarticForm",

@@ -3,8 +3,9 @@
 Subcommands mirror the library layers: group construction and tables,
 fixed loci, stabilizers and orbits, locus classification, the singularity
 report, and the full verification suite.  Machine output is JSON or TSV
-(tab separated, header row, no quoting); exit code 2 flags usage errors
-and 1 a verification failure.
+(tab separated, header row, no quoting).  Exit codes: 0 success, 1 a
+verification failure, 2 a usage error, 3 an internal error (a computed
+result contradicts an exact check); errors print one line to stderr.
 """
 
 from __future__ import annotations
@@ -14,9 +15,16 @@ import json
 import sys
 from pathlib import Path
 
-from .group import GroupTable, get_group
+from .group import (
+    GroupConstructionError,
+    GroupTable,
+    UnrecognizedSubgroupError,
+    get_group,
+)
 from .linalg import Mat3
 from .orbits import (
+    ConsistencyError,
+    SnappingError,
     classify_locus,
     orbit_points,
     singularity_report,
@@ -33,6 +41,15 @@ from .torus import (
 
 class UsageError(ValueError):
     pass
+
+
+# arithmetic or consistency failures inside the package: exit 3, not a traceback
+INTERNAL_ERRORS = (
+    ConsistencyError,
+    SnappingError,
+    GroupConstructionError,
+    UnrecognizedSubgroupError,
+)
 
 
 def _parse_point(table: GroupTable, text: str) -> TorusPoint:
@@ -366,6 +383,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -226,8 +226,12 @@ class GroupTable:
 
         self.minus_one = key_to_idx[(-ident6).tobytes()]
         self.h_indices = tuple(i for i in range(n) if dets[i] == 1)
-        self.h_mask = np.zeros(n, dtype=bool)
-        self.h_mask[list(self.h_indices)] = True
+        # the integer matrices of H, in h_indices order, beside int6_stack
+        self.h_stack = self.int6_stack[list(self.h_indices)]
+        self._selections = {
+            "G": (tuple(range(n)), self.int6_stack),
+            "H": (self.h_indices, self.h_stack),
+        }
         # a reflection fixes a complex plane and an antireflection negates
         # one, so the integer matrix minus or plus the identity has rank 2
         refl = []
@@ -336,12 +340,15 @@ class GroupTable:
                 )
         return named
 
+    def select(self, quotient: str) -> tuple[tuple[int, ...], np.ndarray]:
+        """The element ids of G or of H, and their integer matrices in that order."""
+        try:
+            return self._selections[quotient]
+        except (KeyError, TypeError):  # TypeError: an unhashable selector
+            raise ValueError(f"unknown group selector {quotient!r}; use 'G' or 'H'") from None
+
     def subset_indices(self, quotient: str) -> tuple[int, ...]:
-        if quotient == "G":
-            return tuple(range(self.size))
-        if quotient == "H":
-            return self.h_indices
-        raise ValueError(f"unknown group selector {quotient!r}; use 'G' or 'H'")
+        return self.select(quotient)[0]
 
     # --- subgroup machinery ------------------------------------------------
 

@@ -9,6 +9,11 @@ floating point.  When the reflection part W has index 2, the degrees of W's
 basic invariants and the signs of the other coset on them are read exactly
 off averaged series of 1/det(1 - t g) in Z[w].
 
+Stabilizers and orbits of a torsion point apply the integer matrices of G
+or H to its numerators at once, in int64 or, for large denominators, in
+Python integers.  An orbit is an ``Orbit``: its distinct image rows, sorted
+into coordinate order and read-only, whose points are built only when read.
+
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
 sampled.
@@ -18,9 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +60,8 @@ def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
     """The products stack @ n on p's numerators n over den, computed exactly.
 
     int64 serves while no entry of stack @ n - n can reach 2^63; larger
-    denominators use Python integers.
+    denominators use Python integers in object arrays, through the same
+    numpy operations.
     """
     nums, den = p.as_int_vec()
     if (6 * table.int6_max_abs + 1) * den < 2**63:
@@ -66,13 +72,11 @@ def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
 
 
 def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
-    moved, n, den = _moved_numerators(table, table.int6_stack, p)
-    mask = np.all((moved - n) % den == 0, axis=1)
-    if quotient == "H":
-        mask &= table.h_mask
-    elif quotient != "G":
-        raise ValueError(f"unknown group selector {quotient!r}")
-    return frozenset(int(i) for i in np.nonzero(mask)[0])
+    """Ids of the elements of G or H that fix p: only the selected matrices are applied."""
+    ids, stack = table.select(quotient)
+    moved, n, den = _moved_numerators(table, stack, p)
+    fixed = np.flatnonzero(np.all((moved - n) % den == 0, axis=1))
+    return frozenset(ids[i] for i in fixed.tolist())
 
 
 def stabilizer(table: GroupTable, p: TorusPoint, quotient: str = "G"):
@@ -82,17 +86,69 @@ def stabilizer(table: GroupTable, p: TorusPoint, quotient: str = "G"):
     return Subgroup(table, stabilizer_indices(table, p, quotient))
 
 
-def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> list[TorusPoint]:
-    stack = table.int6_stack
-    if quotient == "H":
-        stack = stack[table.h_mask]
-    elif quotient != "G":
-        raise ValueError(f"unknown group selector {quotient!r}")
+class Orbit(Sequence):
+    """An orbit of torsion points: sorted, read-only, points built when read.
+
+    ``rows`` holds the distinct images as integer numerator rows over the
+    common order ``den`` (int64, or Python integers in an object array for
+    large denominators), in coordinate order.  Length and membership work on
+    the rows; a ``TorusPoint`` is built only when an item is indexed or the
+    orbit is iterated.  An orbit equals another orbit with the same rows and
+    order, and a list or tuple of the same points in the same order.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: np.ndarray, den: int) -> None:
+        rows.setflags(write=False)
+        self.rows = rows
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [TorusPoint(row, self.den) for row in self.rows[i].tolist()]
+        return TorusPoint(self.rows[i].tolist(), self.den)
+
+    def __iter__(self):
+        den = self.den
+        return (TorusPoint(row, den) for row in self.rows.tolist())
+
+    def __contains__(self, q: object) -> bool:
+        if not isinstance(q, TorusPoint) or q.den != self.den:
+            return False
+        return bool(np.any(np.all(self.rows == q.nums, axis=1)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Orbit):
+            return self.den == other.den and np.array_equal(self.rows, other.rows)
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Orbit({len(self)} points of order {self.den})"
+
+
+def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit:
+    """The orbit of p under G or H, as an ``Orbit`` in coordinate order.
+
+    One lexsort orders the image rows and a neighbour comparison drops the
+    repeats; no ``TorusPoint`` is built until the orbit is read.
+    """
+    _, stack = table.select(quotient)
     moved, _, den = _moved_numerators(table, stack, p)
+    rows = moved % den
     # numerator order over the common denominator is coordinate order
-    uniq = sorted(set(map(tuple, (moved % den).tolist())))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     # every int6 has det +-1, so each image has the exact order den of p
-    return [TorusPoint(row, den) for row in uniq]
+    return Orbit(rows[distinct], den)
 
 
 def reflection_generated(table: GroupTable, s: frozenset[int]) -> bool:
@@ -277,13 +333,14 @@ def curve_setwise_stabilizer(
     Lambda_1 row, and then maps the curve onto itself when g t - t lies in
     V_1 + Lambda.
     """
+    ids, stack = table.select(quotient)
     rows = np.array(locus.lambda1_rows, dtype=np.int64).T
     transverse = np.array(locus.transverse_rows, dtype=np.int64)
-    keeps_v1 = ~np.any(transverse @ table.int6_stack @ rows, axis=(1, 2))
+    keeps_v1 = ~np.any(transverse @ stack @ rows, axis=(1, 2))
     return frozenset(
         g
-        for g in table.subset_indices(quotient)
-        if keeps_v1[g]
+        for g, keeps in zip(ids, keeps_v1.tolist())
+        if keeps
         and locus.in_v1_plus_lattice(
             apply_element(table.elements[g].int6, translate) - translate
         )

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from klein336.cli import main
+from klein336.group import GroupConstructionError, UnrecognizedSubgroupError
+from klein336.orbits import ConsistencyError, SnappingError
 from klein336.report import VerifyOutcome, emit_report, has_failures, run_verify
 
 
@@ -194,6 +196,36 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "1 failed" in out
+
+
+INTERNAL_ERRORS = [
+    ConsistencyError("strata disagree"),
+    SnappingError("eigenvalue off the unit circle"),
+    GroupConstructionError("closure has 335 elements"),
+    UnrecognizedSubgroupError({"order": 5}),
+]
+
+
+@pytest.mark.parametrize("error", INTERNAL_ERRORS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("singularity_report", ["singularities", "--quotient", "G"]),
+        ("stabilizer", ["stabilizer", "--point", "beta_0011"]),
+    ],
+)
+def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv):
+    import klein336.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, target, fail)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exit_code():

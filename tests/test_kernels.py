@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -331,8 +331,15 @@ def test_apply_element_matches_fraction_tuples(group, pt, g):
 denominators = st.integers(2, 400) | st.integers(2, 10**25) | st.sampled_from(SPECIAL_DENOMINATORS)
 
 
+def _same_order_points(den):
+    """Points of exact order den, (k/den, 1/den, 0, 0, 0, 0) for a few k."""
+    return (TorusPoint([Fraction(k, den), Fraction(1, den), 0, 0, 0, 0]) for k in range(min(den, 400)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(denominators, st.lists(st.integers(0, 10**30), min_size=6, max_size=6))
+@example(den=20011, nums=[1, 5, 77, 0, 3, 19999])  # the int64 path
+@example(den=10**20, nums=[1, 3, 0, 0, 0, 7])  # the Python-integer path
 def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
     p = TorusPoint([Fraction(n, den) for n in nums])
     int6s = [el.int6 for el in group.elements]
@@ -344,3 +351,15 @@ def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
         orbit = orbit_points(group, p, quotient)
         assert [q.coords for q in orbit] == sorted(oracles.exact_orbit(elements, p.coords))
         assert all(q.order() == p.order() == oracles.FracTorusPoint(q.coords).order() for q in orbit)
+        # the Orbit sequence contract: indexing, slicing, order, membership, equality
+        exact = oracles.exact_orbit(elements, p.coords)
+        members = [TorusPoint(c) for c in sorted(exact)]
+        assert orbit[0] == members[0] and orbit[-1] == members[-1]
+        assert orbit[1:3] == members[1:3]
+        assert list(orbit) == members and len(orbit) == len(members)
+        assert all(q in orbit for q in members)
+        assert orbit == sorted(members) and orbit == tuple(members)
+        outside = next((q for q in _same_order_points(p.den) if q.coords not in exact), None)
+        if outside is not None:
+            assert outside not in orbit
+        assert TorusPoint([Fraction(1, p.den + 1), 0, 0, 0, 0, 0]) not in orbit

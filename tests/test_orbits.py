@@ -70,6 +70,38 @@ def test_stabilizer_matches_exact_application(group):
             assert fixes == (i in stab)
 
 
+def test_orbit_builds_no_point_until_read(group, monkeypatch):
+    p = TorusPoint([F(1, 20011), F(5, 20011), F(77, 20011), 0, F(3, 20011), F(19999, 20011)])
+    doubled = 2 * p
+    built = []
+    init = TorusPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TorusPoint, "__init__", counting_init)
+    orbit = orbit_points(group, p, "G")
+    assert len(orbit) == 336 and p in orbit and doubled not in orbit
+    assert not built
+    assert orbit[0] < orbit[1] and len(built) == 2
+    assert len(list(orbit)) == 336 and len(built) == 2 + 336
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: stabilizer_indices(g, eta_point(1), "K"),
+        lambda g: orbit_points(g, eta_point(1), "K"),
+        lambda g: g.subset_indices("K"),
+    ],
+    ids=["stabilizer_indices", "orbit_points", "subset_indices"],
+)
+def test_unknown_group_selector(group, call):
+    with pytest.raises(ValueError, match=r"^unknown group selector 'K'; use 'G' or 'H'$"):
+        call(group)
+
+
 def test_orbit_sizes(group):
     assert len(orbit_points(group, omega_point(0, 1), "G")) == 7
     assert len(orbit_points(group, omega_point(1, 1), "G")) == 7
