@@ -57,7 +57,9 @@ def _parse_point(table: GroupTable, text: str) -> TorusPoint:
     if s.startswith("["):
         try:
             return TorusPoint.parse(s)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:  # its message is only "Fraction(1, 0)"
+            raise UsageError("bad point literal: a denominator is zero") from exc
+        except ValueError as exc:
             raise UsageError(f"bad point literal: {exc}") from exc
     try:
         return registry_point(table, s)
@@ -81,7 +83,9 @@ def _parse_element(table: GroupTable, args) -> int:
     try:
         entries = json.loads(args.matrix)
         mat = Mat3.from_strings(entries)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise UsageError("bad matrix literal: a denominator is zero") from exc
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"bad matrix literal: {exc}") from exc
     try:
         return table.index_of_mat(mat)

@@ -383,7 +383,7 @@ class GroupTable:
             if x in seen:
                 continue
             conj = self.mul[arr, self.mul[x, self.inv[arr]]]
-            members = sorted(set(int(v) for v in conj))
+            members = sorted(set(conj.tolist()))
             seen.update(members)
             el = self.elements[x]
             classes.append(

@@ -252,7 +252,8 @@ def _rat_identity(n: int) -> RatMat:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def _int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
+def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    """The product a b of two integer matrices, in Python integers."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
@@ -328,7 +329,7 @@ def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:
             cm[2 * i][2 * j + 1] = -2 * b
             cm[2 * i + 1][2 * j] = b
             cm[2 * i + 1][2 * j + 1] = a + b
-    res = _int_mat_mul(_INVERSE_NUM, _int_mat_mul(cm, _FORWARD))
+    res = int_mat_mul(_INVERSE_NUM, int_mat_mul(cm, _FORWARD))
     den *= _INVERSE_DEN
     out: list[tuple[int, ...]] = []
     for i, row in enumerate(res):

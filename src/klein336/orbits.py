@@ -16,7 +16,12 @@ into coordinate order and read-only, whose points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
-sampled.
+sampled.  The generic stabilizer is one stacked product of the selected
+matrices with the Lambda_1 rows, then the translate test on the survivors.
+
+The special loci T6, T7 and T4p take one fixed-point enumeration (one Smith
+normal form) per conjugacy class of the wanted order and determinant, then
+the G-orbits of those fixed points: Fix(h g h^-1) = h Fix(g).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .torus import (
     enumerate_fixed_points,
     eta_point,
     fixed_locus_structure,
-    fixes_curve,
     half_periods,
     kappa_translates,
     omega_point,
@@ -313,12 +317,24 @@ def generic_curve_stabilizer(
     direction_rows: Sequence[Sequence[int]],
     quotient: str = "G",
 ) -> frozenset[int]:
-    """Stabilizer of a generic point of translate + span(directions)."""
-    return frozenset(
-        g
-        for g in table.subset_indices(quotient)
-        if fixes_curve(table.elements[g].int6, direction_rows, translate)
-    )
+    """Stabilizer of a generic point of translate + span(directions).
+
+    g fixes a generic point exactly when it fixes every direction row and the
+    translate: (g - id)(t + s) lies in Z^6 for s in an open set only if
+    g - id vanishes on the span.  One stacked product tests the directions
+    of all selected matrices; the translate is tested on the survivors.
+    """
+    ids, stack = table.select(quotient)
+    rows = np.array(direction_rows, dtype=object).reshape(-1, 6).T
+    if 6 * table.int6_max_abs * max(map(abs, rows.flat), default=0) < 2**63:
+        rows = rows.astype(np.int64)
+    else:  # Python integers, as in _moved_numerators
+        stack = stack.astype(object)
+    keeps = np.all(stack @ rows == rows, axis=(1, 2))
+    kept = np.flatnonzero(keeps)
+    moved, n, den = _moved_numerators(table, stack[kept], translate)
+    fixed = kept[np.all((moved - n) % den == 0, axis=1)]
+    return frozenset(ids[i] for i in fixed.tolist())
 
 
 def curve_setwise_stabilizer(
@@ -412,24 +428,27 @@ def _record_for_point(
 
 
 def locus_points(table: GroupTable, name: str) -> list[TorusPoint]:
-    """The nonzero points of a named special locus."""
+    """The nonzero points of a named special locus.
+
+    T6, T7 and T4p are the fixed points of all elements of order 6, of order
+    7, and of order 4 with determinant -1.  Since Fix(h g h^-1) = h Fix(g),
+    each is the union of the G-orbits of the fixed points of one
+    representative per conjugacy class: one Smith normal form a class.
+    """
     key = _normalize_locus(name)
     if key == "T2":
         return sorted(p for p in half_periods() if not p.is_zero())
-    order_of = {"T6": 6, "T7": 7}
-    if key in order_of:
-        want = order_of[key]
+    wanted = {"T6": (6, None), "T7": (7, None), "T4p": (4, -1)}
+    if key in wanted:
+        order, det = wanted[key]
         pts: set[TorusPoint] = set()
-        for el in table.elements:
-            if el.order == want:
-                pts.update(enumerate_fixed_points(table, el.index))
-        return sorted(p for p in pts if not p.is_zero())
-    if key == "T4p":
-        pts = set()
-        for el in table.elements:
-            if el.order == 4 and el.det == -1:
-                pts.update(enumerate_fixed_points(table, el.index))
-        return sorted(p for p in pts if not p.is_zero())
+        for c in table.conjugacy_classes("G"):
+            if c.element_order != order or det not in (None, c.det):
+                continue
+            for p in enumerate_fixed_points(table, c.representative):
+                if not p.is_zero() and p not in pts:
+                    pts.update(orbit_points(table, p, "G"))
+        return sorted(pts)
     if key == "beta":
         return [beta_point(i) for i in range(1, 16)]
     if key == "omega":

@@ -5,14 +5,21 @@ In the unitary coordinates used throughout, the invariant quartic is
     x^4 + y^4 + z^4 - 3*conj(w)*(x^2 y^2 + x^2 z^2 + y^2 z^2),
 
 and invariance is checked coefficient by coefficient after exact
-substitution of the linear action.  The substitution expands on integer
-pairs a + b*w of Z[w], with one common denominator divided out at the end.
+substitution of the linear action.  The substitution is one batched
+expansion for all the matrices at once, on integer pairs a + b*w of Z[w]
+in numpy arrays (int64 while a magnitude bound allows, Python integers
+beyond it), with one common denominator divided out at the end; ``act``
+is its one-matrix case.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import cache
 from math import lcm
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .group import GroupTable
 from .linalg import Mat3
@@ -92,60 +99,113 @@ def klein_quartic() -> QuarticForm:
     )
 
 
-Pair = tuple[int, int]  # a + b*w in Z[w]
-Poly = dict[Monomial, Pair]
+@cache
+def _index_maps() -> tuple[list[Monomial], dict[Monomial, int], np.ndarray]:
+    """The degree-4 monomials, and how they sit in a 3x3x3x3 tensor T.
+
+    A form F(v) = sum T[i,j,k,l] v_i v_j v_k v_l puts each coefficient at the
+    sorted index tuple of its monomial, ``place``; the 0/1 matrix
+    ``collapse`` adds the 81 entries of any T onto the 15 monomials.  Built
+    on first use, so that importing the package builds nothing.
+    """
+    monos = degree4_monomials()
+    column = {m: c for c, m in enumerate(monos)}
+    place = {
+        m: int(np.ravel_multi_index((0,) * m[0] + (1,) * m[1] + (2,) * m[2], (3,) * 4))
+        for m in monos
+    }
+    collapse = np.zeros((81, 15), dtype=np.int64)
+    for flat, idx in enumerate(itertools.product(range(3), repeat=4)):
+        collapse[flat, column[(idx.count(0), idx.count(1), idx.count(2))]] = 1
+    collapse.setflags(write=False)
+    return monos, place, collapse
 
 
-def _poly_mul(f: Poly, g: Poly, out: Poly | None = None) -> Poly:
-    """f * g, added into out when given."""
-    out = {} if out is None else out
-    for (i, j, k), (a1, b1) in f.items():
-        for (e, f2, h), (a2, b2) in g.items():
-            key = (i + e, j + f2, k + h)
-            # (a1 + b1 w)(a2 + b2 w) with w^2 = w - 2
-            bb = b1 * b2
-            a, b = a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb
-            prev = out.get(key)
-            out[key] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
-    return out
+def _pairs(values: Sequence[QNum], den: int) -> list[tuple[int, int]]:
+    """The integer pairs (a, b) of den * values, den a multiple of their denominators."""
+    return [(q.a * (den // q.d), q.b * (den // q.d)) for q in values]
 
 
-def _scaled_pairs(values: list[QNum]) -> tuple[list[Pair], int]:
-    """Integer pairs of values times D, the lcm of their denominators."""
-    den = lcm(*(q.d for q in values))
-    return [(q.a * (den // q.d), q.b * (den // q.d)) for q in values], den
+# matrices a block: each temporary array holds about 20 KB, well below
+# glibc's 128 KB mmap threshold, so a batch adds nothing to the peak RSS
+_BLOCK = 32
+
+
+def substitute(mats: Sequence[Mat3], form: QuarticForm) -> tuple[np.ndarray, int]:
+    """The forms F(m v), for all the matrices m at once, over one common scale.
+
+    Returns an integer array of shape (len(mats), 15, 2) and a scale s: the
+    pair (a, b) at [k, c] means that the c-th monomial of
+    ``degree4_monomials()`` has the coefficient (a + b*w)/s in F(m_k v).
+    The matrices are scaled by the lcm D of all their entry denominators,
+    the form by the lcm E of its coefficient denominators, and s = E * D^4.
+    With F as a tensor T (see ``_index_maps``), F(m v) is T with m applied
+    to each of its four indices: four stacked products on Z[w] pairs
+    (w^2 = w - 2), then one sum onto the monomials.  The entries stay in
+    int64 while a bound on every intermediate allows, and are Python
+    integers in object arrays beyond it.
+    """
+    _, place, collapse = _index_maps()
+    entries = [q for m in mats for row in m.rows for q in row]
+    den = lcm(*(q.d for q in entries))
+    cden = lcm(*(q.d for q in form.coeffs.values()))
+    coeffs = _pairs(form.coeffs.values(), cden)
+    size = max(((abs(q.a) + abs(q.b)) * (den // q.d) for q in entries), default=0)
+    csize = max((abs(a) + abs(b) for a, b in coeffs), default=0)
+    # a product step multiplies the largest |a| + |b| by at most 9 * size,
+    # and a monomial sums at most 12 of the 81 tensor entries
+    fits = max(12 * (9 * size) ** 4, den**4) * csize < 2**63
+    dtype = np.int64 if fits else object
+    t = np.zeros((2, 81), dtype=dtype)
+    for mono, pair in zip(form.coeffs, coeffs):
+        t[:, place[mono]] = pair
+    out = np.zeros((len(mats), 15, 2), dtype=dtype)
+    for k in range(0, len(mats), _BLOCK):
+        block = np.array(_pairs(entries[9 * k : 9 * (k + _BLOCK)], den), dtype=dtype)
+        out[k : k + _BLOCK] = _contract(t, block.reshape(-1, 3, 3, 2), collapse)
+    return out, cden * den**4
+
+
+def _contract(t: np.ndarray, m: np.ndarray, collapse: np.ndarray) -> np.ndarray:
+    """The pairs (k, 15, 2) of F(m v) for a block m (k, 3, 3, 2) and F's tensor t (2, 81)."""
+    ma, mb = m[..., 0], m[..., 1]
+    msum = ma + mb
+    xa, xb = t[0].reshape(1, 27, 3), t[1].reshape(1, 27, 3)
+    for _ in range(4):
+        # (xa + xb w)(ma + mb w) on the last index, three products
+        aa, bb = xa @ ma, xb @ mb
+        xa, xb = aa - 2 * bb, (xa + xb) @ msum - aa
+        # the new index moves first and the next one to contract comes last
+        xa = xa.transpose(0, 2, 1).reshape(-1, 27, 3)
+        xb = xb.transpose(0, 2, 1).reshape(-1, 27, 3)
+    return np.stack([xa.reshape(-1, 81) @ collapse, xb.reshape(-1, 81) @ collapse], axis=-1)
 
 
 def act(m: Mat3, form: QuarticForm) -> QuarticForm:
-    """Right action (m . F)(v) = F(m v), expanded exactly.
+    """Right action (m . F)(v) = F(m v), expanded exactly: ``substitute`` on m alone."""
+    pairs, scale = substitute([m], form)
+    return QuarticForm({
+        mono: QNum.from_ints(a, b, scale)
+        for mono, (a, b) in zip(_index_maps()[0], pairs[0].tolist())
+    })
 
-    The expansion runs on Z[w] integer pairs: m is scaled by the lcm D of its
-    entry denominators and the form by the lcm E of its coefficient
-    denominators, and the result is divided by E * D^4 at the end.
-    """
-    entries, den = _scaled_pairs([q for row in m.rows for q in row])
-    coeffs, cden = _scaled_pairs(list(form.coeffs.values()))
-    # powers of the three scaled linear forms (D m v)_r, built on demand
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    powers = [
-        [{(0, 0, 0): (1, 0)}, {u: c for u, c in zip(units, entries[3 * r : 3 * r + 3]) if any(c)}]
-        for r in range(3)
+
+def fixes_form(mats: Sequence[Mat3], form: QuarticForm) -> bool:
+    """Is F(m v) = F(v) for every matrix m?  One ``substitute``, compared
+    coefficient by coefficient with F times the common scale."""
+    pairs, scale = substitute(mats, form)
+    zero = QNum(0)
+    target = [
+        (q.a * (scale // q.d), q.b * (scale // q.d))
+        for q in (form.coeffs.get(mono, zero) for mono in _index_maps()[0])
     ]
-    out: Poly = {}
-    for exps, c in zip(form.coeffs, coeffs):
-        for pw, e in zip(powers, exps):
-            while len(pw) <= e:
-                pw.append(_poly_mul(pw[-1], pw[1]))
-        x, y, z = (pw[e] for pw, e in zip(powers, exps))
-        _poly_mul(_poly_mul({(0, 0, 0): c}, x), _poly_mul(y, z), out)
-    scale = cden * den**4
-    return QuarticForm({key: QNum.from_ints(a, b, scale) for key, (a, b) in out.items()})
+    return bool(np.all(pairs == np.array(target, dtype=pairs.dtype)))
 
 
 def verify_quartic_invariance(table: GroupTable, generators_only: bool = False) -> bool:
-    form = klein_quartic()
+    """Does every element (or each of the three generators) fix Klein's quartic?"""
     if generators_only:
         indices = [table.named["r1"], table.named["r2"], table.named["r3"]]
     else:
         indices = range(table.size)
-    return all(act(table.elements[i].mat, form) == form for i in indices)
+    return fixes_form([table.elements[i].mat for i in indices], klein_quartic())

@@ -22,6 +22,7 @@ from .linalg import (
     hnf_contains,
     hnf_rows,
     int_det,
+    int_mat_mul,
     smith_normal_form,
 )
 from .orbits import (
@@ -559,13 +560,7 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
         n = rng.randint(1, 5)
         a = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)]
         u, d, v = smith_normal_form(a)
-        uav = [
-            [
-                sum(u[i][s] * a[s][t] * v[t][j] for s in range(m) for t in range(n))
-                for j in range(n)
-            ]
-            for i in range(m)
-        ]
+        uav = int_mat_mul(int_mat_mul(u, a), v)
         diag = [d[i][i] for i in range(min(m, n))]
         chain = all(
             (x and y % x == 0) or (not x and not y) for x, y in zip(diag, diag[1:])

@@ -15,7 +15,10 @@
   elliptic action on the complement lattice, and the coset translates;
 * curve stabilizers the field-valued way: generic ones by intersecting
   the stabilizers of seeded torsion samples with prime denominators larger
-  than the group order, setwise ones through the projector;
+  than the group order, setwise ones through the projector; and generic
+  ones element by element with ``fixes_curve``;
+* the special loci T6, T7 and T4p by one fixed-point enumeration per
+  element of the wanted order;
 * test-only membership and group helpers: the lattice congruences, the
   reflection formula and centralizer sizes; the saturated integer kernel and
   lattice index that the complement-torus path uses;
@@ -61,7 +64,7 @@ from klein336.linalg import (
 from klein336.orbits import ConsistencyError, WeightInfo, _snap_weights, reflection_generated
 from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
-from klein336.torus import TorusPoint, apply_element
+from klein336.torus import TorusPoint, apply_element, enumerate_fixed_points, fixes_curve
 
 _W_COMPLEX = complex(0.5, 7 ** 0.5 / 2)
 
@@ -583,6 +586,21 @@ def sampled_curve_stabilizer(
     return result
 
 
+def looped_curve_stabilizer(
+    table, translate: TorusPoint, direction_rows, quotient: str = "G"
+) -> frozenset[int]:
+    """Stabilizer of a generic point of translate + span(directions), element by element.
+
+    The loop ``orbits.generic_curve_stabilizer`` ran before it became one
+    stacked product: ``torus.fixes_curve`` on each selected element.
+    """
+    return frozenset(
+        g
+        for g in table.subset_indices(quotient)
+        if fixes_curve(table.elements[g].int6, direction_rows, translate)
+    )
+
+
 def projector_setwise_stabilizer(
     table, v1_basis: list[CVec3], translate: TorusPoint, quotient: str = "H"
 ) -> frozenset[int]:
@@ -597,6 +615,22 @@ def projector_setwise_stabilizer(
         if projector.in_v1_plus_lattice((moved - translate).coords):
             members.append(g)
     return frozenset(members)
+
+
+# --- special loci element by element --------------------------------------------
+
+
+def swept_locus_points(table, order: int, det: int | None = None) -> list[TorusPoint]:
+    """The nonzero points fixed by some element of the given order (and determinant).
+
+    The sweep ``orbits.locus_points`` ran before it took one representative
+    per conjugacy class: ``torus.enumerate_fixed_points`` on every element.
+    """
+    pts: set[TorusPoint] = set()
+    for el in table.elements:
+        if el.order == order and det in (None, el.det):
+            pts.update(enumerate_fixed_points(table, el.index))
+    return sorted(p for p in pts if not p.is_zero())
 
 
 # --- the field-valued group build, subgroup lattice and quartic action -------

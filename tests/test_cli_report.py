@@ -268,6 +268,21 @@ def test_bad_registry_name_message_is_unquoted(name, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stabilizer", "--point", "[1/0,0,0,0,0,0]"], "bad point literal: a denominator is zero"),
+        (["orbit", "--point", "[0,0,0,0,0,-3/0]"], "bad point literal: a denominator is zero"),
+        (["fixed", "--matrix", '["1/0",0,0,0,1,0,0,0,1]'], "bad matrix literal: a denominator is zero"),
+    ],
+)
+def test_zero_denominator_is_named(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_point_literal_beyond_int64(capsys):
     point = "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"
     assert main(["stabilizer", "--point", point]) == 0

@@ -11,9 +11,12 @@ from oracles import (
     exact_stabilizer,
     field_singularity_weights,
     goursat_subgroups_of_g,
+    looped_curve_stabilizer,
     projector_setwise_stabilizer,
     sampled_curve_stabilizer,
+    swept_locus_points,
 )
+from klein336 import orbits
 from klein336.group import R1, R2, R3, GroupTable
 from klein336.orbits import (
     ConsistencyError,
@@ -286,6 +289,28 @@ def test_t4p_locus(group):
     assert sorted(r.orbit_size for r in records) == [7, 7, 14, 14, 21, 42, 42, 84]
 
 
+@pytest.mark.parametrize(
+    "name, order, det, size, classes",
+    [("T6", 6, None, 42, 1), ("T7", 7, None, 48, 2), ("T4p", 4, -1, 231, 1)],
+)
+def test_class_loci_match_element_sweep(group, monkeypatch, name, order, det, size, classes):
+    calls = []
+    enumerate_fixed_points = orbits.enumerate_fixed_points
+
+    def counted(table, gi):
+        calls.append(gi)
+        return enumerate_fixed_points(table, gi)
+
+    monkeypatch.setattr(orbits, "enumerate_fixed_points", counted)
+    pts = locus_points(group, name)
+    assert pts == swept_locus_points(group, order, det)
+    assert len(pts) == size and len(set(pts)) == size
+    # one enumeration per conjugacy class of the wanted order and determinant
+    assert len(calls) == classes
+    assert all(group.elements[gi].order == order for gi in calls)
+    assert det is None or all(group.elements[gi].det == det for gi in calls)
+
+
 def test_beta_table(group):
     summary = beta_table_summary(group)
     assert set(summary) == {"±S4", "S4'", "±D8", "D8'", "C4"}
@@ -424,6 +449,35 @@ def test_exact_curve_stabilizers_match_field_oracles(group, quotient):
         v1_basis = complement_fixed_locus(group, gi).v1_basis
         assert curve_setwise_stabilizer(group, locus, t, quotient) == projector_setwise_stabilizer(
             group, v1_basis, t, quotient
+        )
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_stacked_curve_stabilizer_matches_element_loop(group, quotient):
+    for carrier, t in _six_curves(group):
+        rows = fixed_locus_structure(group, group.named[carrier]).lambda1_rows
+        stacked = generic_curve_stabilizer(group, t, rows, quotient)
+        assert stacked == looped_curve_stabilizer(group, t, rows, quotient)
+        assert group.identity in stacked
+        # rows too large for int64 span the same curve: the object path
+        huge = [[x * 2**62 for x in row] for row in rows]
+        assert generic_curve_stabilizer(group, t, huge, quotient) == stacked
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_stacked_curve_stabilizer_on_translates_beyond_int64(group, quotient):
+    den = 10**20
+    for carrier in ("r2", "rho1", "c3", "h4"):
+        rows = fixed_locus_structure(group, group.named[carrier]).lambda1_rows
+        on_curve = TorusPoint([F(3 * x, den) for x in rows[0]])
+        generic = TorusPoint([F(k, den) for k in (1, 3, 0, 0, 0, 7)])
+        for t in (on_curve, generic):
+            assert t.den == den
+            stacked = generic_curve_stabilizer(group, t, rows, quotient)
+            assert stacked == looped_curve_stabilizer(group, t, rows, quotient)
+        # a translate on the curve through zero leaves its stabilizer unchanged
+        assert generic_curve_stabilizer(group, on_curve, rows, quotient) == (
+            generic_curve_stabilizer(group, ZERO_POINT, rows, quotient)
         )
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,9 @@ from klein336.quartic import (
     QuarticForm,
     act,
     degree4_monomials,
+    fixes_form,
     klein_quartic,
+    substitute,
     verify_quartic_invariance,
 )
 
@@ -76,6 +80,59 @@ def test_act_matches_qnum_oracle_on_the_group(group):
     f = klein_quartic()
     for el in group.elements:
         assert act(el.mat, f) == qnum_act(el.mat, f) == f
+
+
+def _forms_of(pairs, scale) -> list[QuarticForm]:
+    """The forms that the rows of a ``substitute`` result stand for."""
+    return [
+        QuarticForm({
+            mono: QNum.from_ints(a, b, scale)
+            for mono, (a, b) in zip(degree4_monomials(), row)
+        })
+        for row in pairs.tolist()
+    ]
+
+
+def test_batched_substitution_matches_qnum_oracle_on_the_group(group):
+    f = klein_quartic()
+    mats = [el.mat for el in group.elements]
+    pairs, scale = substitute(mats, f)
+    assert pairs.shape == (336, 15, 2) and pairs.dtype == np.int64
+    assert _forms_of(pairs, scale) == [qnum_act(m, f) for m in mats] == [f] * 336
+
+
+def test_invariance_check_rejects_forms_and_matrices(group):
+    mats = [el.mat for el in group.elements]
+    f = klein_quartic()
+    assert fixes_form(mats, f)
+    # a form the group does not fix: one coefficient changed
+    bent = QuarticForm({**f.coeffs, (4, 0, 0): QNum(2)})
+    assert not fixes_form(mats, bent)
+    assert not fixes_form(mats, QuarticForm({(1, 1, 2): QNum(1)}))
+    # one matrix outside the group among the 336
+    shear = Mat3([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert not fixes_form(mats + [shear], f)
+    assert not fixes_form([shear], f)
+    assert not fixes_form(mats[:100] + [Mat3([[2, 0, 0], [0, 2, 0], [0, 0, 2]])] + mats[100:], f)
+
+
+def test_large_entries_take_the_object_path(group):
+    f = klein_quartic()
+    big = Mat3([
+        [QNum(2**40 + 3, 5), 1, QNum(0, 2**40)],
+        [0, QNum(7, 2**39 + 1), 1],
+        [QNum(-(2**40), 2**40 - 1), 1, QNum(3, 2)],
+    ])
+    pairs, scale = substitute([big], f)
+    assert pairs.dtype == object
+    assert _forms_of(pairs, scale) == [act(big, f)] == [qnum_act(big, f)]
+    # one such matrix moves the whole batch to Python integers
+    mats = [el.mat for el in group.elements[:20]] + [big]
+    pairs, scale = substitute(mats, f)
+    assert pairs.dtype == object
+    assert _forms_of(pairs, scale) == [qnum_act(m, f) for m in mats]
+    assert not fixes_form(mats, f)
+    assert fixes_form(mats[:-1], f)
 
 
 entries = st.builds(
