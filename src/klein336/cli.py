@@ -24,7 +24,6 @@ from .group import (
 from .linalg import Mat3
 from .orbits import (
     ConsistencyError,
-    SnappingError,
     classify_locus,
     orbit_points,
     singularity_report,
@@ -46,7 +45,6 @@ class UsageError(ValueError):
 # arithmetic or consistency failures inside the package: exit 3, not a traceback
 INTERNAL_ERRORS = (
     ConsistencyError,
-    SnappingError,
     GroupConstructionError,
     UnrecognizedSubgroupError,
 )

@@ -124,9 +124,6 @@ class Mat3:
     def trace(self) -> QNum:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
-    def to_complex(self) -> list[list[complex]]:
-        return [[v.to_complex() for v in row] for row in self.rows]
-
     def to_strings(self) -> list[str]:
         """Row-major wire encoding (9 field-element strings)."""
         return [str(v) for row in self.rows for v in row]

@@ -2,12 +2,12 @@
 
 A point's image in the quotient is smooth exactly when its stabilizer is
 generated by the reflections it contains; otherwise the germ is the linear
-quotient by the stabilizer.  For cyclic stabilizers the type is read off the
-generator's eigenvalues, snapped from floats to roots of unity and
-cross-checked against the exact trace and determinant: the package's only
-floating point.  When the reflection part W has index 2, the degrees of W's
-basic invariants and the signs of the other coset on them are read exactly
-off averaged series of 1/det(1 - t g) in Z[w].
+quotient by the stabilizer.  For cyclic stabilizers the generator's
+eigenvalue exponents are read off the averaged integer traces of the
+subgroups, which count the eigenvalues of each order.  When the reflection
+part W has index 2, the degrees of W's basic invariants and the signs of the
+other coset on them are read off averaged series of 1/det(1 - t g) in Z[w].
+No floating point enters any germ.
 
 Stabilizers and orbits of a torsion point apply the integer matrices of G
 or H to its numerators at once, in int64 or, for large denominators, in
@@ -26,7 +26,6 @@ the G-orbits of those fixed points: Fix(h g h^-1) = h Fix(g).
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -48,10 +47,6 @@ from .torus import (
     kappa_translates,
     omega_point,
 )
-
-class SnappingError(RuntimeError):
-    """Float eigenvalues failed to land on roots of unity; signals an arithmetic bug."""
-
 
 class ConsistencyError(RuntimeError):
     """The computed strata contradict the expected shape of the singular locus."""
@@ -178,27 +173,40 @@ class WeightInfo:
         return "non-cyclic-singular"
 
 
-def _snap_weights(table: GroupTable, gen: int, d: int) -> tuple[int, int, int]:
-    mat = np.array(table.elements[gen].mat.to_complex(), dtype=complex)
-    eigs = np.linalg.eigvals(mat)
-    weights = []
-    for ev in eigs:
-        nu = round(cmath.phase(ev) / (2 * math.pi) * d) % d
-        target = cmath.exp(2j * math.pi * nu / d)
-        if abs(ev - target) > 1e-6:
-            raise SnappingError(
-                f"eigenvalue {ev} of element {gen} is not a {d}-th root of unity"
-            )
-        weights.append(int(nu))
-    snapped_sum = sum(cmath.exp(2j * math.pi * nu / d) for nu in weights)
-    exact_trace = table.elements[gen].mat.trace().to_complex()
-    if abs(snapped_sum - exact_trace) > 1e-9:
-        raise SnappingError(f"snapped eigenvalues of element {gen} contradict the trace")
-    snapped_prod = cmath.exp(2j * math.pi * sum(weights) / d)
-    exact_det = complex(table.elements[gen].det)
-    if abs(snapped_prod - exact_det) > 1e-9:
-        raise SnappingError(f"snapped eigenvalues of element {gen} contradict the determinant")
-    return tuple(sorted(weights))  # type: ignore[return-value]
+def _cyclic_weights(table: GroupTable, s: frozenset[int], d: int) -> tuple[int, ...]:
+    """Germ weights of a cyclic S of order d, from element orders and int6 traces.
+
+    The subgroup of order d/m fixes exactly the eigenvalues whose order
+    divides m; on Z^6 = V + conj(V) its average int6 trace is twice their
+    number, and subtracting the divisors' counts leaves n_m, the number of
+    exact order m.  These fill whole Q(w)-conjugacy blocks: all j*d/m with
+    gcd(j, m) = 1 when 7 does not divide m, else the j = 1, 2, 4 mod 7,
+    since zeta + zeta^2 + zeta^4 = w - 1 (the conjugate block is a unit
+    multiple, which the minimum over units absorbs).  The canonical form is
+    the smallest sorted u * a mod d over the units u: the minimum over the
+    generators g^u.
+    """
+    els = table.elements
+    traces = [(els[i].order, sum(els[i].int6[k][k] for k in range(6))) for i in s]
+    counts: dict[int, int] = {}
+    exponents: list[int] = []
+    for m in (m for m in range(1, d + 1) if d % m == 0):
+        fixed, rem = divmod(sum(t for order, t in traces if d // m % order == 0), 2 * d // m)
+        if rem:
+            raise ConsistencyError(f"an averaged trace of S of order {d} is not whole")
+        counts[m] = fixed - sum(n for k, n in counts.items() if m % k == 0)
+        block = [
+            j * d // m for j in range(m) if math.gcd(j, m) == 1 and (m % 7 or j % 7 in (1, 2, 4))
+        ]
+        copies, extra = divmod(counts[m], len(block))
+        if extra or copies < 0:
+            raise ConsistencyError(f"{counts[m]} eigenvalues of order {m} fill no whole block")
+        exponents += block * copies
+    if len(exponents) != 3:
+        raise ConsistencyError(f"cyclic S of order {d} has eigenvalue exponents {exponents}")
+    return min(
+        tuple(sorted(u * a % d for a in exponents)) for u in range(d) if math.gcd(u, d) == 1
+    )
 
 
 @lru_cache(maxsize=None)  # keys: the few (trace, det) pairs of G, and n = |W|
@@ -282,7 +290,8 @@ def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     """Quotient-germ type of a stabilizer: smooth, cyclic 1/d(...), or worse.
 
     For cyclic stabilizers the canonical form is the lexicographically
-    smallest sorted weight tuple over all generators.  A stabilizer whose
+    smallest sorted weight tuple over all generators, found exactly from
+    element orders and int6 traces (``_cyclic_weights``).  A stabilizer whose
     reflection part W has index 2 reduces in stages: the quotient by W is
     affine space on W's basic invariants, where the other coset acts by
     signs, so the germ is 1/2(...) with a 1 for each sign -1.  Degrees and
@@ -294,14 +303,8 @@ def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     if reflection_generated(table, s):
         return WeightInfo("smooth")
     d = len(s)
-    generators = [i for i in s if table.elements[i].order == d]
-    if generators:
-        best: tuple[int, int, int] | None = None
-        for gen in sorted(generators):
-            w = _snap_weights(table, gen, d)
-            if best is None or w < best:
-                best = w
-        return WeightInfo("cyclic", d, best)
+    if any(table.elements[i].order == d for i in s):
+        return WeightInfo("cyclic", d, _cyclic_weights(table, s, d))
     w_part = table.reflection_subgroup_closure(s)
     if len(w_part) * 2 != d:
         return WeightInfo("non-cyclic")
@@ -401,9 +404,9 @@ class OrbitRecord:
 def _record_for_point(
     table: GroupTable, locus: str, quotient: str, p: TorusPoint, rep_name: str | None = None
 ) -> OrbitRecord:
-    stab = stabilizer_indices(table, p, quotient)
     stab_g = stabilizer_indices(table, p, "G")
     stab_h = stab_g & frozenset(table.h_indices)
+    stab = stab_g if quotient == "G" else stab_h
     orb = orbit_points(table, p, quotient)
     group_order = len(table.subset_indices(quotient))
     if len(orb) * len(stab) != group_order:

@@ -3,7 +3,7 @@
 The generator w satisfies w**2 = w - 2, its conjugate is 1 - w, and
 w * (1 - w) = 2.  Every value is a reduced integer triple (a, b, d)
 representing (a + b*w)/d with d > 0 and gcd(a, b, d) = 1, so equal values
-have equal triples; no floating point enters any structural decision.
+have equal triples; no floating point enters at all.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from math import gcd
 from typing import Union
 
 Rational = Union[int, Fraction]
-
-_SQRT7 = 7 ** 0.5
-_W_COMPLEX = complex(0.5, _SQRT7 / 2)
 
 
 def _frac_str(f: Fraction) -> str:
@@ -191,10 +188,6 @@ class QNum:
     def is_integral(self) -> bool:
         """True iff the value lies in Z[w]."""
         return self.d == 1
-
-    def to_complex(self) -> complex:
-        """Float embedding w -> (1 + i*sqrt(7))/2; for eigenvalue snapping only."""
-        return self.a / self.d + self.b / self.d * _W_COMPLEX
 
     @classmethod
     def parse(cls, text: str) -> QNum:

@@ -3,6 +3,8 @@
 * ``FracQNum``: Q(w) arithmetic on a pair of ``Fraction`` coordinates
   (x, y) meaning x + y*w, the representation ``klein336.qfield.QNum`` used
   before it became a reduced integer triple;
+* the float embedding w -> (1 + i*sqrt(7))/2 of field elements and
+  matrices, which the package itself never uses;
 * the rational eps chart: the basis change between C^3 and the lattice
   basis eps_1..eps_6 as ``Fraction`` matrices;
 * ``FracTorusPoint``: a torsion point as six ``Fraction`` coordinates in
@@ -27,6 +29,9 @@
   ``Mat3`` and the floating-point value of a quartic form;
 * the subgroup lattice of H by fixpoint closure over all subgroups, and the
   quartic action expanded in ``QNum`` arithmetic;
+* germ weights the floating-point way for cyclic stabilizers: a
+  generator's eigenvalues snapped to roots of unity and cross-checked
+  against the exact trace and determinant;
 * germ weights of index-2 reflection parts the field-valued way: degree
   parity for W x {+-1} with degrees from a divisor search, and the residual
   involution on the W-invariant linear and quadratic forms, solved with
@@ -35,6 +40,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 import re
@@ -61,7 +67,7 @@ from klein336.linalg import (
     rat_inverse,
     smith_normal_form,
 )
-from klein336.orbits import ConsistencyError, WeightInfo, _snap_weights, reflection_generated
+from klein336.orbits import ConsistencyError, WeightInfo, reflection_generated
 from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
 from klein336.torus import TorusPoint, apply_element, enumerate_fixed_points, fixes_curve
@@ -73,6 +79,15 @@ def _frac_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def complex_value(q: QNum) -> complex:
+    """The float embedding w -> (1 + i*sqrt(7))/2 of a field element."""
+    return q.a / q.d + q.b / q.d * _W_COMPLEX
+
+
+def complex_matrix(m: Mat3) -> list[list[complex]]:
+    return [[complex_value(v) for v in row] for row in m.rows]
 
 
 class FracQNum:
@@ -645,7 +660,7 @@ def evaluate(form: QuarticForm, x: complex, y: complex, z: complex) -> complex:
     """A quartic form at a complex point, in floating point."""
     total = 0j
     for (i, j, k), c in form.coeffs.items():
-        total += c.to_complex() * x**i * y**j * z**k
+        total += complex_value(c) * x**i * y**j * z**k
     return total
 
 
@@ -811,6 +826,28 @@ def qnum_act(m: Mat3, form: QuarticForm) -> QuarticForm:
 # --- germ weights the field-valued way ----------------------------------------
 
 
+def snap_weights(table, gen: int, d: int) -> tuple[int, int, int]:
+    """A generator's eigenvalue exponents mod d, snapped from floats.
+
+    Each eigenvalue must lie within 1e-6 of a d-th root of unity, and the
+    snapped values must reproduce the exact trace and determinant.
+    """
+    mat = np.array(complex_matrix(table.elements[gen].mat), dtype=complex)
+    weights = []
+    for ev in np.linalg.eigvals(mat):
+        nu = round(cmath.phase(ev) / (2 * cmath.pi) * d) % d
+        if abs(ev - cmath.exp(2j * cmath.pi * nu / d)) > 1e-6:
+            raise AssertionError(f"eigenvalue {ev} of element {gen} is not a {d}-th root of unity")
+        weights.append(int(nu))
+    snapped_sum = sum(cmath.exp(2j * cmath.pi * nu / d) for nu in weights)
+    if abs(snapped_sum - complex_value(table.elements[gen].mat.trace())) > 1e-9:
+        raise AssertionError(f"snapped eigenvalues of element {gen} contradict the trace")
+    snapped_prod = cmath.exp(2j * cmath.pi * sum(weights) / d)
+    if abs(snapped_prod - table.elements[gen].det) > 1e-9:
+        raise AssertionError(f"snapped eigenvalues of element {gen} contradict the determinant")
+    return tuple(sorted(weights))  # type: ignore[return-value]
+
+
 def qnum_solve(columns: Sequence[Sequence[QNum]], rhs: Sequence[QNum]) -> list[QNum]:
     """Exact coordinates of rhs in the span of the given column vectors."""
     m = len(rhs)
@@ -950,8 +987,9 @@ def residual_involution_weights(
 
 
 def field_singularity_weights(table, s: frozenset[int]) -> WeightInfo:
-    """Quotient-germ type with the two special index-2 paths.
+    """Quotient-germ type with snapped float eigenvalues and the two index-2 paths.
 
+    A cyclic S takes the smallest snapped weight tuple over its generators.
     W x {+-1}, with W the reflection part, reduces by degree parity: -1 acts
     on W's basic invariants by (-1)^degree.  Any other index-2 reflection
     part with degrees (1, 2, 2) goes through the residual involution on the
@@ -962,7 +1000,7 @@ def field_singularity_weights(table, s: frozenset[int]) -> WeightInfo:
     d = len(s)
     generators = [i for i in s if table.elements[i].order == d]
     if generators:
-        return WeightInfo("cyclic", d, min(_snap_weights(table, g, d) for g in generators))
+        return WeightInfo("cyclic", d, min(snap_weights(table, g, d) for g in generators))
     w_part = table.reflection_subgroup_closure(s)
     if (
         table.minus_one in s

@@ -4,7 +4,7 @@ import pytest
 
 from klein336.cli import main
 from klein336.group import GroupConstructionError, UnrecognizedSubgroupError
-from klein336.orbits import ConsistencyError, SnappingError
+from klein336.orbits import ConsistencyError
 from klein336.report import VerifyOutcome, emit_report, has_failures, run_verify
 
 
@@ -200,7 +200,6 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
 
 INTERNAL_ERRORS = [
     ConsistencyError("strata disagree"),
-    SnappingError("eigenvalue off the unit circle"),
     GroupConstructionError("closure has 335 elements"),
     UnrecognizedSubgroupError({"order": 5}),
 ]

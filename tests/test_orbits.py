@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import types
 from collections import Counter
 from fractions import Fraction as F
 
@@ -182,17 +184,57 @@ def test_staged_weights_for_non_reflection_generated_stabilizers(group):
 
 
 def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g(group):
-    # the coset series against degree parity and the residual involution
+    # the averaged-trace rule against snapped float eigenvalues, the coset
+    # series against degree parity and the residual involution
     subgroups = goursat_subgroups_of_g(group)
     assert len(set(subgroups)) == 547
     index2_shapes = set()
+    cyclic = 0
     for s in subgroups:
         assert singularity_weights(group, s) == field_singularity_weights(group, s)
-        if reflection_generated(group, s) or any(group.elements[i].order == len(s) for i in s):
+        if reflection_generated(group, s):
             continue
-        if 2 * len(group.reflection_subgroup_closure(s)) == len(s):
+        if any(group.elements[i].order == len(s) for i in s):
+            cyclic += 1
+        elif 2 * len(group.reflection_subgroup_closure(s)) == len(s):
             index2_shapes.add(group.recognize(s))
+    assert cyclic == 136
     assert index2_shapes == {"C2xC2'", "±S3", "D8'"}
+
+
+def test_germ_rule_uses_no_floating_point_on_any_subgroup(group, monkeypatch):
+    subgroups = goursat_subgroups_of_g(group)
+    expected = [field_singularity_weights(group, s) for s in subgroups]
+
+    def no_floats(*args):
+        raise AssertionError("numpy.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_floats)
+    assert [singularity_weights(group, s) for s in subgroups] == expected
+
+
+@pytest.mark.parametrize(
+    "gen, trace, drop_identity",
+    [
+        ("g7", 0, False),  # the average over <g7> is 6/14
+        ("g7", 13, False),  # -3 eigenvalues of order 7
+        ("c3", 3, False),  # one eigenvalue of order 3 without its conjugate
+        ("g7", -1, True),  # no identity: no eigenvalues at all
+    ],
+)
+def test_cyclic_weights_reject_traces_that_fit_no_eigenvalues(group, gen, trace, drop_identity):
+    # every non-identity element of <gen> gets the int6 trace `trace`
+    s = group.subgroup_closure([group.named[gen]])
+    d = len(s)
+    diag = tuple(tuple(trace * (i == j == 0) for j in range(6)) for i in range(6))
+    elements = [
+        dataclasses.replace(el, int6=diag) if el.index in s and el.index else el
+        for el in group.elements
+    ]
+    if drop_identity:
+        s -= {group.identity}
+    with pytest.raises(ConsistencyError):
+        orbits._cyclic_weights(types.SimpleNamespace(elements=elements), s, d)
 
 
 def test_inverse_char_poly_inverts_det_one_minus_tg(group):
@@ -215,7 +257,7 @@ def test_inverse_char_poly_inverts_det_one_minus_tg(group):
 
 
 def test_index2_germs_use_no_floating_point(group, monkeypatch):
-    # eigenvalue snapping is the one place floats appear; staged germs are exact
+    # staged and cyclic germs alike are exact
     def no_floats(*args):
         raise AssertionError("numpy.linalg.eigvals called")
 
@@ -228,8 +270,8 @@ def test_index2_germs_use_no_floating_point(group, monkeypatch):
     for label, s in staged.items():
         assert group.recognize(s) == label
         assert singularity_weights(group, s).image_status() == "1/2(0,1,1)"
-    with pytest.raises(AssertionError, match="eigvals"):
-        singularity_weights(group, group.subgroup_closure([group.named["rho1"]]))
+    cyclic = singularity_weights(group, group.subgroup_closure([group.named["rho1"]]))
+    assert cyclic.image_status() == "1/2(0,1,1)"
 
 
 def test_t2_classification(group):
@@ -280,6 +322,26 @@ def test_t7_classification(group):
     rec_h = classify_locus(group, "T7", "H")
     assert [r.orbit_size for r in rec_h] == [24, 24]
     assert all(r.image_status == "1/7(1,2,4)" for r in rec_h)
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_one_stabilizer_product_per_record(group, monkeypatch, quotient):
+    calls = []
+
+    def counted(table, p, sel="G"):
+        calls.append(sel)
+        return stabilizer_indices(table, p, sel)
+
+    monkeypatch.setattr(orbits, "stabilizer_indices", counted)
+    records = classify_locus(group, "T7", quotient)
+    assert calls == ["G"] * len(records)
+    # the records equal those read off a separate stabilizer in the quotient
+    for rec in records:
+        stab = stabilizer_indices(group, rec.representative, quotient)
+        stab_g = stabilizer_indices(group, rec.representative, "G")
+        assert rec.stabilizer_order == len(stab) and rec.label == group.recognize(stab)
+        assert rec.label_g == group.recognize(stab_g)
+        assert rec.image_status == singularity_weights(group, stab).image_status()
 
 
 def test_t4p_locus(group):

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate, qnum_act
+from oracles import complex_matrix, evaluate, qnum_act
 from klein336.group import R1, R2, R3
 from klein336.linalg import IDENTITY3, Mat3
 from klein336.qfield import QNum
@@ -43,7 +43,7 @@ def test_act_r2_fixes_quartic_with_float_oracle():
     rng = random.Random(40)
     for _ in range(20):
         v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-        m = R2.to_complex()
+        m = complex_matrix(R2)
         mv = [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
         assert abs(evaluate(f, *mv) - evaluate(f, *v)) < 1e-9
 
