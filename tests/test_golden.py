@@ -9,6 +9,9 @@ Regenerate with:
     klein336 group subgroups --json tests/golden/group_subgroups.json > tests/golden/group_subgroups.tsv
     klein336 group classes --in G > tests/golden/group_classes_G.tsv
     klein336 group classes --in H > tests/golden/group_classes_H.tsv
+    for n in r1 r2 r3 rho1 rho2 rho3 g7 h3 h4 h4p c c3 m1; do
+        klein336 fixed --element $n --json tests/golden/fixed_$n.json > tests/golden/fixed_$n.txt
+    done
 """
 
 import json
@@ -64,6 +67,17 @@ def test_verify_outputs_match_golden(tmp_path, capsys, verify_outcomes):
 
     assert emit_report(verify_outcomes, "json") == (GOLDEN / "verify.json").read_bytes()
     assert emit_report(verify_outcomes, "tsv") == (GOLDEN / "verify.tsv").read_bytes()
+
+
+FIXED_ELEMENTS = ["r1", "r2", "r3", "rho1", "rho2", "rho3", "g7", "h3", "h4", "h4p", "c", "c3", "m1"]
+
+
+@pytest.mark.parametrize("name", FIXED_ELEMENTS)
+def test_fixed_outputs_match_golden(tmp_path, capsys, name):
+    out = tmp_path / f"fixed_{name}.json"
+    assert main(["fixed", "--element", name, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"fixed_{name}.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / f"fixed_{name}.json").read_bytes()
 
 
 def test_golden_verify_schema():
