@@ -172,10 +172,10 @@ def cmd_fixed(args) -> int:
     print(f"element {idx} (order {el.order}, det {el.det}): {locus.kind}")
     payload: dict = {"element": idx, "kind": locus.kind}
     if locus.kind == "elliptic":
-        print(f"fixed points: {len(locus.points)}")
-        for p in locus.points:
+        print(f"fixed points: {len(locus.translates)}")
+        for p in locus.translates:
             print(f"  {p}")
-        payload["points"] = [str(p) for p in locus.points]
+        payload["points"] = [str(p) for p in locus.translates]
     else:
         dim = locus.dim
         print(f"eigenspace dimension {dim} ({'mirror' if dim == 2 else 'axis'})")

@@ -16,8 +16,13 @@ into coordinate order and read-only, whose points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
-sampled.  The generic stabilizer is one stacked product of the selected
-matrices with the Lambda_1 rows, then the translate test on the survivors.
+sampled.  The generic stabilizer (``torus.generic_curve_stabilizer``,
+re-exported here) is one stacked product of the selected matrices with the
+Lambda_1 rows, then the translate test on the survivors.  Whether g p lies
+on a curve is one stacked product too, of the curve's transverse rows with
+g p - t for every g at once: it gives the setwise stabilizer of a curve and
+decides whether a point lies on the singular curve, the G-orbit of the
+kappa_3 curve.
 
 The special loci T6, T7 and T4p take one fixed-point enumeration (one Smith
 normal form) per conjugacy class of the wanted order and determinant, then
@@ -38,36 +43,24 @@ from .torus import (
     FixedLocus,
     TorusPoint,
     ZERO_POINT,
+    _moved_numerators,
     apply_element,
     beta_point,
     enumerate_fixed_points,
     eta_point,
     fixed_locus_structure,
+    generic_curve_stabilizer,
     half_periods,
     kappa_translates,
     omega_point,
 )
+
 
 class ConsistencyError(RuntimeError):
     """The computed strata contradict the expected shape of the singular locus."""
 
 
 # --- stabilizers and orbits ---------------------------------------------------
-
-
-def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
-    """The products stack @ n on p's numerators n over den, computed exactly.
-
-    int64 serves while no entry of stack @ n - n can reach 2^63; larger
-    denominators use Python integers in object arrays, through the same
-    numpy operations.
-    """
-    nums, den = p.as_int_vec()
-    if (6 * table.int6_max_abs + 1) * den < 2**63:
-        n = np.array(nums, dtype=np.int64)
-        return stack @ n, n, den
-    n = np.array(nums, dtype=object)
-    return stack.astype(object) @ n, n, den
 
 
 def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
@@ -314,30 +307,23 @@ def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
 # --- generic points of special curves ------------------------------------------
 
 
-def generic_curve_stabilizer(
-    table: GroupTable,
-    translate: TorusPoint,
-    direction_rows: Sequence[Sequence[int]],
-    quotient: str = "G",
-) -> frozenset[int]:
-    """Stabilizer of a generic point of translate + span(directions).
+def _images_on_curve(
+    table: GroupTable, stack: np.ndarray, p: TorusPoint, locus: FixedLocus, translate: TorusPoint
+) -> np.ndarray:
+    """For each matrix g of stack: does g p lie on the curve translate + V_1 of locus?
 
-    g fixes a generic point exactly when it fixes every direction row and the
-    translate: (g - id)(t + s) lies in Z^6 for s in an open set only if
-    g - id vanishes on the span.  One stacked product tests the directions
-    of all selected matrices; the translate is tested on the survivors.
+    Exactly when the transverse rows take integer values on g p - translate:
+    one stacked product over the common order m of the two points, in int64
+    while no entry can reach 2^63 and in Python integers beyond.
     """
-    ids, stack = table.select(quotient)
-    rows = np.array(direction_rows, dtype=object).reshape(-1, 6).T
-    if 6 * table.int6_max_abs * max(map(abs, rows.flat), default=0) < 2**63:
-        rows = rows.astype(np.int64)
-    else:  # Python integers, as in _moved_numerators
-        stack = stack.astype(object)
-    keeps = np.all(stack @ rows == rows, axis=(1, 2))
-    kept = np.flatnonzero(keeps)
-    moved, n, den = _moved_numerators(table, stack[kept], translate)
-    fixed = kept[np.all((moved - n) % den == 0, axis=1)]
-    return frozenset(ids[i] for i in fixed.tolist())
+    moved, _, den = _moved_numerators(table, stack, p)
+    m = math.lcm(den, translate.den)
+    rows = locus.transverse_rows
+    if 6 * max(abs(x) for row in rows for x in row) * m >= 2**63:
+        moved = moved.astype(object)
+    t = np.array(translate.nums, dtype=moved.dtype) * (m // translate.den)
+    diff = moved % den * (m // den) - t
+    return np.all(diff @ np.array(rows, dtype=moved.dtype).T % m == 0, axis=1)
 
 
 def curve_setwise_stabilizer(
@@ -349,21 +335,15 @@ def curve_setwise_stabilizer(
     """Elements mapping the curve translate + V_1 onto itself (mod the lattice).
 
     g maps V_1 onto itself when the transverse rows vanish on g of every
-    Lambda_1 row, and then maps the curve onto itself when g t - t lies in
-    V_1 + Lambda.
+    Lambda_1 row, and then maps the curve onto itself when g t lies on it.
+    Both tests are stacked products over the selected matrices.
     """
     ids, stack = table.select(quotient)
     rows = np.array(locus.lambda1_rows, dtype=np.int64).T
     transverse = np.array(locus.transverse_rows, dtype=np.int64)
-    keeps_v1 = ~np.any(transverse @ stack @ rows, axis=(1, 2))
-    return frozenset(
-        g
-        for g, keeps in zip(ids, keeps_v1.tolist())
-        if keeps
-        and locus.in_v1_plus_lattice(
-            apply_element(table.elements[g].int6, translate) - translate
-        )
-    )
+    kept = np.flatnonzero(~np.any(transverse @ stack @ rows, axis=(1, 2)))
+    on_curve = _images_on_curve(table, stack[kept], translate, locus, translate)
+    return frozenset(ids[i] for i in kept[on_curve].tolist())
 
 
 # --- locus classification -------------------------------------------------------
@@ -613,7 +593,7 @@ def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
                 carrier=carrier,
                 translate=translate,
                 generic_stabilizer_order=len(stab),
-                label=table.recognize(stab) if stab else "1",
+                label=table.recognize(stab),
                 reflection_generated=reflection_generated(table, stab),
                 image_status=winfo.image_status(),
                 invariance_label_h=table.recognize(inv),
@@ -633,43 +613,32 @@ def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     return out
 
 
-def point_on_off_mirror_curve(table: GroupTable, p: TorusPoint) -> bool:
-    """Does p lie on the off-mirror translate curve of a stabilizing antireflection?"""
-    stab = stabilizer_indices(table, p, "G")
-    for rho in sorted(stab & set(table.antireflections)):
-        ks = kappa_translates(table, rho)
-        if fixed_locus_structure(table, rho).in_v1_plus_lattice(p - ks[3]):
-            return True
-    return False
+def on_curve_orbit(
+    table: GroupTable, p: TorusPoint, locus: FixedLocus, translate: TorusPoint
+) -> bool:
+    """Does some g in G put g p on the curve translate + V_1 of locus?
+
+    One stacked product over all of G; for rho1's kappa_3 curve this is
+    membership in the singular curve.
+    """
+    return bool(_images_on_curve(table, table.int6_stack, p, locus, translate).any())
 
 
-def _beta_0011_on_kappa3_curve(table: GroupTable) -> bool:
-    """The dissident point lies on the off-mirror curve of its square antireflection."""
-    q_point = beta_point("0011")
-    h4p = table.named["h4p"]
-    if apply_element(table.elements[h4p].int6, q_point) != q_point:
-        raise ConsistencyError("the marked dissident point is not fixed by the order-4 element")
-    rho = table.power(h4p, 2)
-    if rho not in set(table.antireflections):
-        raise ConsistencyError("the square of the order-4 element is not an antireflection")
-    ks = kappa_translates(table, rho)
-    locus = fixed_locus_structure(table, rho)
-    if not locus.in_v1_plus_lattice(q_point - ks[3]):
-        return False
-    # the off-mirror curve of rho is in the same orbit as the reference curve:
-    # conjugating rho1 to rho maps translate classes to translate classes
+def kappa3_curve(table: GroupTable) -> tuple[FixedLocus, TorusPoint]:
+    """rho1's fixed locus and kappa_3 translate: the curve whose G-orbit is singular."""
     rho1 = table.named["rho1"]
-    carrier = next(
-        g
-        for g in range(table.size)
-        if table.conjugate(g, rho1) == rho
-    )
-    ref = kappa_translates(table, rho1)[3]
-    moved = apply_element(table.elements[carrier].int6, ref)
-    for i, t in enumerate(ks):
-        if locus.in_v1_plus_lattice(moved - t):
-            return i == 3
-    raise ConsistencyError("conjugated reference translate matches no translate class")
+    return fixed_locus_structure(table, rho1), kappa_translates(table, rho1)[3]
+
+
+def point_on_off_mirror_curve(table: GroupTable, p: TorusPoint) -> bool:
+    """Does p lie on the off-mirror translate curve of some antireflection?
+
+    These curves are the G-images of rho1's kappa_3 curve, since the
+    antireflections are conjugate and conjugation keeps a curve off the
+    mirrors; so p lies on one exactly when some g in G puts g p on the
+    kappa_3 curve.
+    """
+    return on_curve_orbit(table, p, *kappa3_curve(table))
 
 
 def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) -> SingularityReport:
@@ -724,10 +693,9 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
                 "the singular point strata do not match the expected inventory: "
                 f"isolated={len(isolated)} dissident={len(dissident)} stray={len(stray)}"
             )
-        if not _beta_0011_on_kappa3_curve(table):
-            raise ConsistencyError("the dissident orbit does not lie on the singular curve")
+        axis = fixed_locus_structure(table, table.named[ell.carrier])
         for rec in dissident + ordinary:
-            if not point_on_off_mirror_curve(table, rec.representative):
+            if not on_curve_orbit(table, rec.representative, axis, ell.translate):
                 raise ConsistencyError(
                     f"singular orbit at {rec.representative} does not lie on the singular curve"
                 )

@@ -30,7 +30,9 @@ from .orbits import (
     classify_locus,
     doubling_check,
     generic_curve_stabilizer,
+    kappa3_curve,
     locus_points,
+    on_curve_orbit,
     orbit_points,
     point_on_off_mirror_curve,
     singularity_report,
@@ -302,8 +304,9 @@ def _ac8(table: GroupTable) -> list[VerifyOutcome]:
             "beta stabilizer table",
         )
     ]
+    curve = kappa3_curve(table)
     d8p_on_curve = all(
-        point_on_off_mirror_curve(table, beta_point(name.split("_")[1]))
+        on_curve_orbit(table, beta_point(name.split("_")[1]), *curve)
         for name in expected_labels["D8'"]
     )
     out.append(

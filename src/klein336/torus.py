@@ -1,25 +1,35 @@
-"""Torsion points of the quotient torus and fixed loci of group elements.
+"""Torsion points of the quotient torus and the fixed loci of group elements.
 
 A torsion point is stored in integer form: six numerators in [0, den) over
 its exact order den, meaning the eps-basis coordinates nums/den modulo Z^6;
-its Fraction coordinates in [0, 1) are built only when read.  Every fixed
-locus comes from the Smith normal form of the integer matrix of
-(gamma - id) on the lattice.  Elements without eigenvalue 1 (elliptic)
-have finitely many fixed points, enumerated from it.  Elements with
-eigenvalue 1 (parabolic) fix a finite union of translates of a subtorus;
-the same normal form gives the components, the subtorus lattice, and the
-integer rows that test whether a point lies on the component through zero.
+its Fraction coordinates in [0, 1) are built only when read.
+
+Every fixed locus, of one element or of a set of elements, comes from one
+path, ``fixed_locus``: the stacked integer matrices of (gamma - id) on the
+lattice, reduced to their Hermite basis, and one Smith normal form.  The
+locus is a finite union of translates of a subtorus V_1/Lambda_1; when V_1
+is zero (elliptic elements, or sets fixing finitely many points) the
+translates are the fixed points.  The same normal form gives Lambda_1 and
+the integer rows that test whether a point lies on the component through
+zero.  ``enumerate_fixed_points``, ``fixed_locus_structure`` and
+``subgroup_fixed_points`` are views of it.
+
+The stabilizer of a generic point of a special curve is one stacked integer
+product of the group's matrices with the curve's Lambda_1 rows; it also
+picks out the off-mirror translate class that defines kappa_3.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+
+import numpy as np
 
 from .group import GroupTable
 from .linalg import hnf_rows, int_det, smith_normal_form, to_eps_coords
@@ -34,8 +44,8 @@ class EllipticElementError(ValueError):
     """Raised when a parabolic-only operation receives an elliptic element."""
 
 
-class IdentityElementError(ValueError):
-    pass
+class IdentityElementError(ParabolicElementError):
+    """Raised for the identity alone, whose fixed locus is the whole torus."""
 
 
 class TorusPoint:
@@ -176,7 +186,7 @@ def lattice_contains(v: CVec3) -> bool:
     return all(c.denominator == 1 for c in to_eps_coords(v))
 
 
-# --- elliptic fixed points ----------------------------------------------------
+# --- fixed loci -----------------------------------------------------------------
 
 
 def _shifted_int6(table: GroupTable, gi: int) -> list[list[int]]:
@@ -193,60 +203,30 @@ def fixed_point_count(table: GroupTable, gi: int) -> int:
     return abs(det)
 
 
-def enumerate_fixed_points(table: GroupTable, gi: int) -> list[TorusPoint]:
-    """All torus points fixed by the element, via the Smith normal form.
-
-    Solves (gamma - id) x in Z^6 over x in Q^6/Z^6: with U A V = D the
-    solutions are x = V y, y_i in (1/d_i) Z.
-    """
-    a = _shifted_int6(table, gi)
-    if int_det(a) == 0:
-        raise ParabolicElementError(f"element {gi} is parabolic")
-    _, d, v = smith_normal_form(a)
-    unique = _snf_solutions(v, [d[i][i] for i in range(6)])
-    if len(unique) != abs(int_det(a)):
-        raise RuntimeError("fixed point enumeration does not match the determinant")
-    return unique
-
-
-def _snf_solutions(v: Sequence[Sequence[int]], diag: Sequence[int]) -> list[TorusPoint]:
-    """The distinct points V y mod Z^6 with y_j in (1/d_j) Z, in sorted order.
-
-    With m = lcm(d_j) = max(d_j), every point is an integer numerator vector
-    mod m over m; one TorusPoint is made per distinct vector, and numerator
-    order is coordinate order.
-    """
-    m = lcm(*diag)
-    scaled = [[v[i][j] * (m // diag[j]) for j in range(6)] for i in range(6)]
-    nums = {
-        tuple(sum(map(mul, row, combo)) % m for row in scaled)
-        for combo in itertools.product(*(range(dj) for dj in diag))
-    }
-    return [_point(n, m) for n in sorted(nums)]
-
-
-# --- parabolic fixed loci ----------------------------------------------------
-
-
 @dataclass
 class FixedLocus:
-    """The fixed locus of a non-identity element.
+    """The joint fixed locus of one or more non-identity elements.
 
-    Elliptic: the finitely many fixed ``points``.  Parabolic: the union of
-    ``component_count`` translates of the subtorus V_1/Lambda_1, with
-    V_1 = ker(gamma - id) of complex dimension ``dim`` and Lambda_1 spanned
-    by ``lambda1_rows``.  The integer ``transverse_rows`` vanish exactly on
-    V_1 and take integer values exactly on V_1 + Lambda.
+    The union of the translates t + V_1/Lambda_1 for t in ``translates``,
+    where V_1, the joint kernel of the (gamma - id), has complex dimension
+    ``dim`` and Lambda_1 = V_1 n Lambda is spanned by ``lambda1_rows``.  A
+    locus of dimension 0 is elliptic: its translates are its points.  The
+    integer ``transverse_rows`` vanish exactly on V_1 and take integer values
+    exactly on V_1 + Lambda.
     """
 
-    element: int
-    kind: str  # "elliptic" | "parabolic"
-    points: list[TorusPoint] | None = None
-    dim: int = 0
-    lambda1_rows: list[list[int]] | None = None
-    transverse_rows: list[list[int]] | None = None
-    translates: list[TorusPoint] | None = None
-    component_count: int | None = None
+    dim: int
+    translates: list[TorusPoint]
+    lambda1_rows: list[list[int]]
+    transverse_rows: list[list[int]]
+
+    @property
+    def kind(self) -> str:
+        return "parabolic" if self.dim else "elliptic"
+
+    @property
+    def component_count(self) -> int:
+        return len(self.translates)
 
     def in_v1_plus_lattice(self, p: TorusPoint) -> bool:
         """Does p lie on the component through zero, V_1 + Lambda mod Lambda?"""
@@ -254,31 +234,31 @@ class FixedLocus:
         return all(sum(map(mul, row, n)) % den == 0 for row in self.transverse_rows)
 
 
-def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
-    """Components of the fixed locus of a parabolic element, by Smith normal form.
+def fixed_locus(table: GroupTable, elements: int | Iterable[int]) -> FixedLocus:
+    """The joint fixed locus of one element or of a set of elements.
 
-    With U (gamma - id) V = D of rank r and x = V y, x is fixed exactly when
+    x in Q^6/Z^6 is fixed when (gamma - id) x lies in Z^6 for every listed
+    gamma, which depends only on the row lattice of the stacked matrices; so
+    the stack is reduced to its Hermite basis A, of rank r, and one Smith
+    normal form U A V = D follows.  With x = V y, x is fixed exactly when
     d_i y_i is an integer for i < r: the classes of (d_i y_i) mod d_i index
     the prod(d_i) components, translates of V_1, the span of the last 6 - r
-    columns of V.  Rows i < r of V^-1, the rows of U (gamma - id) over d_i,
-    are the transverse rows.  Each component is represented by its
-    lexicographically smallest point of order dividing m = max(d_i).
+    columns of V.  Rows i < r of V^-1, the rows of U A over d_i, are the
+    transverse rows.  Each component is represented by its lexicographically
+    smallest point of order dividing m = max(d_i); when r = 6 the components
+    are the fixed points.
     """
-    if gi == table.identity:
+    ids = elements if isinstance(elements, Iterable) else [elements]
+    stack = hnf_rows(row for gi in ids for row in _shifted_int6(table, gi))
+    if not stack:
         raise IdentityElementError("the identity fixes the whole torus")
-    shifted = _shifted_int6(table, gi)
-    u, d, v = smith_normal_form(shifted)
-    diag = [d[i][i] for i in range(6) if d[i][i]]
-    r = len(diag)
-    if r == 6:
-        raise EllipticElementError(f"element {gi} is elliptic; use enumerate_fixed_points")
+    u, d, v = smith_normal_form(stack)
+    r = len(stack)
     if r % 2:
         raise RuntimeError("the fixed space is not a complex subspace")
-    cols = list(zip(*shifted))
-    transverse = [
-        [sum(map(mul, u[i], col)) // diag[i] for col in cols] for i in range(r)
-    ]
-    m = max(diag)
+    diag = [d[i][i] for i in range(r)]
+    cols = list(zip(*stack))
+    m = diag[-1]
     scale = [m // di for di in diag]
     translates = []
     for k in itertools.product(*(range(di) for di in diag)):
@@ -290,58 +270,83 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
         )
         translates.append(_point(best, m))
     return FixedLocus(
-        element=gi,
-        kind="parabolic",
         dim=(6 - r) // 2,
-        lambda1_rows=hnf_rows([[row[j] for row in v] for j in range(r, 6)]),
-        transverse_rows=transverse,
         translates=sorted(translates),
-        component_count=len(translates),
+        lambda1_rows=hnf_rows([[row[j] for row in v] for j in range(r, 6)]),
+        transverse_rows=[
+            [sum(map(mul, u[i], col)) // diag[i] for col in cols] for i in range(r)
+        ],
     )
 
 
-def fixed_locus(table: GroupTable, gi: int) -> FixedLocus:
-    """Uniform entry point: elliptic points or parabolic structure."""
-    if gi == table.identity:
-        raise IdentityElementError("the identity fixes the whole torus")
-    if int_det(_shifted_int6(table, gi)) != 0:
-        return FixedLocus(
-            element=gi, kind="elliptic", points=enumerate_fixed_points(table, gi)
-        )
-    return fixed_locus_structure(table, gi)
+def enumerate_fixed_points(table: GroupTable, gi: int) -> list[TorusPoint]:
+    """All torus points fixed by an elliptic element, in coordinate order."""
+    locus = fixed_locus(table, gi)
+    if locus.dim:
+        raise ParabolicElementError(f"element {gi} is parabolic")
+    if len(locus.translates) != fixed_point_count(table, gi):
+        raise RuntimeError("fixed point enumeration does not match the determinant")
+    return locus.translates
 
 
-def fixes_curve(int6: Sequence[Sequence[int]], rows, t: TorusPoint) -> bool:
-    """Does the element fix a generic point of the curve t + span(rows)?
-
-    Exactly when it fixes every row and t: (gamma - id)(t + s) lies in Z^6
-    for s in an open set only if gamma - id vanishes on the span.
-    """
-    return all(
-        [sum(map(mul, r, lam)) for r in int6] == list(lam) for lam in rows
-    ) and apply_element(int6, t) == t
+def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
+    """The fixed locus of a parabolic element: components, Lambda_1, transverse rows."""
+    locus = fixed_locus(table, gi)
+    if not locus.dim:
+        raise EllipticElementError(f"element {gi} is elliptic; use enumerate_fixed_points")
+    return locus
 
 
 def subgroup_fixed_points(table: GroupTable, elements) -> list[TorusPoint]:
-    """All torus points fixed by every listed element simultaneously.
+    """All torus points fixed by every listed element; the joint locus must be finite."""
+    locus = fixed_locus(table, elements)
+    if locus.dim:
+        raise ParabolicElementError("the joint fixed locus is positive-dimensional")
+    return locus.translates
 
-    Solves the stacked congruence system (gamma - id) x in Z^6 through one
-    Smith normal form; requires the joint fixed locus to be finite.
+
+# --- stabilizers of special curves ----------------------------------------------
+
+
+def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
+    """The products stack @ n on p's numerators n over den, computed exactly.
+
+    int64 serves while no entry of stack @ n - n can reach 2^63; larger
+    denominators use Python integers in object arrays, through the same
+    numpy operations.
     """
-    rows: list[list[int]] = []
-    for gi in sorted(set(elements)):
-        if gi == table.identity:
-            continue
-        rows.extend(_shifted_int6(table, gi))
-    if not rows:
-        raise IdentityElementError("the trivial subgroup fixes the whole torus")
-    u, d, v = smith_normal_form(rows)
-    diag = [d[i][i] if i < len(rows) else 0 for i in range(6)]
-    if any(x == 0 for x in diag):
-        raise ParabolicElementError(
-            "the joint fixed locus is positive-dimensional"
-        )
-    return _snf_solutions(v, diag)
+    nums, den = p.as_int_vec()
+    if (6 * table.int6_max_abs + 1) * den < 2**63:
+        n = np.array(nums, dtype=np.int64)
+        return stack @ n, n, den
+    n = np.array(nums, dtype=object)
+    return stack.astype(object) @ n, n, den
+
+
+def generic_curve_stabilizer(
+    table: GroupTable,
+    translate: TorusPoint,
+    direction_rows: Sequence[Sequence[int]],
+    quotient: str = "G",
+) -> frozenset[int]:
+    """Stabilizer of a generic point of translate + span(directions).
+
+    g fixes a generic point exactly when it fixes every direction row and the
+    translate: (g - id)(t + s) lies in Z^6 for s in an open set only if
+    g - id vanishes on the span.  One stacked product tests the directions
+    of all selected matrices; the translate is tested on the survivors.
+    """
+    ids, stack = table.select(quotient)
+    rows = np.array(direction_rows, dtype=object).reshape(-1, 6).T
+    if 6 * table.int6_max_abs * max(map(abs, rows.flat), default=0) < 2**63:
+        rows = rows.astype(np.int64)
+    else:  # Python integers, as in _moved_numerators
+        stack = stack.astype(object)
+    keeps = np.all(stack @ rows == rows, axis=(1, 2))
+    kept = np.flatnonzero(keeps)
+    moved, n, den = _moved_numerators(table, stack[kept], translate)
+    fixed = kept[np.all((moved - n) % den == 0, axis=1)]
+    return frozenset(ids[i] for i in fixed.tolist())
 
 
 # --- the named point registry --------------------------------------------------
@@ -414,15 +419,12 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
     if gi not in set(table.antireflections):
         raise ValueError("kappa translates are defined for antireflections")
     locus = fixed_locus_structure(table, gi)
-    assert locus.component_count == 4 and locus.translates is not None
+    assert locus.component_count == 4
     nonzero = [t for t in locus.translates if not t.is_zero()]
     off_mirror = [
         t
         for t in nonzero
-        if not any(
-            fixes_curve(table.elements[r].int6, locus.lambda1_rows, t)
-            for r in table.reflections
-        )
+        if not generic_curve_stabilizer(table, t, locus.lambda1_rows) & table.reflection_set
     ]
     if len(off_mirror) != 1:
         raise RuntimeError(

@@ -19,6 +19,9 @@
   the stabilizers of seeded torsion samples with prime denominators larger
   than the group order, setwise ones through the projector; and generic
   ones element by element with ``fixes_curve``;
+* membership in the singular curve antireflection by antireflection: the
+  off-mirror translate class of each antireflection fixing the point, found
+  with ``fixes_curve`` on every reflection;
 * the special loci T6, T7 and T4p by one fixed-point enumeration per
   element of the wanted order;
 * test-only membership and group helpers: the lattice congruences, the
@@ -70,7 +73,12 @@ from klein336.linalg import (
 from klein336.orbits import ConsistencyError, WeightInfo, reflection_generated
 from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
-from klein336.torus import TorusPoint, apply_element, enumerate_fixed_points, fixes_curve
+from klein336.torus import (
+    TorusPoint,
+    apply_element,
+    enumerate_fixed_points,
+    fixed_locus_structure,
+)
 
 _W_COMPLEX = complex(0.5, 7 ** 0.5 / 2)
 
@@ -601,19 +609,67 @@ def sampled_curve_stabilizer(
     return result
 
 
+def fixes_curve(int6: Sequence[Sequence[int]], rows, t: TorusPoint) -> bool:
+    """Does the element fix a generic point of the curve t + span(rows)?
+
+    Exactly when it fixes every row and t: (gamma - id)(t + s) lies in Z^6
+    for s in an open set only if gamma - id vanishes on the span.
+    """
+    return all(
+        [sum(map(mul, r, lam)) for r in int6] == list(lam) for lam in rows
+    ) and apply_element(int6, t) == t
+
+
 def looped_curve_stabilizer(
     table, translate: TorusPoint, direction_rows, quotient: str = "G"
 ) -> frozenset[int]:
     """Stabilizer of a generic point of translate + span(directions), element by element.
 
     The loop ``orbits.generic_curve_stabilizer`` ran before it became one
-    stacked product: ``torus.fixes_curve`` on each selected element.
+    stacked product: ``fixes_curve`` on each selected element.
     """
     return frozenset(
         g
         for g in table.subset_indices(quotient)
         if fixes_curve(table.elements[g].int6, direction_rows, translate)
     )
+
+
+class AntireflectionCurves:
+    """Membership in the singular curve, antireflection by antireflection.
+
+    The rule ``orbits.point_on_off_mirror_curve`` applied before it became
+    one stacked product over G: p lies on the singular curve when some
+    antireflection fixing p has p on its off-mirror component, the one
+    translate class whose curve no reflection fixes (``fixes_curve`` on all
+    21 reflections).  Each antireflection's locus is computed once.
+    """
+
+    def __init__(self, table) -> None:
+        self.table = table
+        self.curves = {}
+        for rho in table.antireflections:
+            locus = fixed_locus_structure(table, rho)
+            off = [
+                t
+                for t in locus.translates
+                if not t.is_zero()
+                and not any(
+                    fixes_curve(table.elements[r].int6, locus.lambda1_rows, t)
+                    for r in table.reflections
+                )
+            ]
+            assert len(off) == 1
+            self.curves[rho] = (locus, off[0])
+
+    def contains(self, p: TorusPoint) -> bool:
+        int6s = [el.int6 for el in self.table.elements]
+        stab = exact_stabilizer(int6s, p.coords)
+        return any(
+            locus.in_v1_plus_lattice(p - t)
+            for rho, (locus, t) in self.curves.items()
+            if rho in stab
+        )
 
 
 def projector_setwise_stabilizer(

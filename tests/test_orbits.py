@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    AntireflectionCurves,
     complement_fixed_locus,
     exact_orbit,
     exact_stabilizer,
     field_singularity_weights,
+    fixes_curve,
     goursat_subgroups_of_g,
     looped_curve_stabilizer,
     projector_setwise_stabilizer,
@@ -29,7 +31,9 @@ from klein336.orbits import (
     curve_strata,
     doubling_check,
     generic_curve_stabilizer,
+    kappa3_curve,
     locus_points,
+    on_curve_orbit,
     orbit_points,
     point_on_off_mirror_curve,
     reflection_generated,
@@ -490,6 +494,26 @@ def test_curve_invariance_groups(group):
         assert len(inv) == 8 and group.recognize(inv) == "D8"
 
 
+def test_setwise_stabilizers_of_parallel_curves(group):
+    # curves t + V_1 through points off the locus: of the elements keeping
+    # V_1 (the setwise stabilizer of the curve through zero), only those
+    # moving t along the curve keep the curve
+    rng = random.Random(44)
+    shrunk = 0
+    for carrier in ("rho1", "c3"):
+        gi = group.named[carrier]
+        locus = fixed_locus_structure(group, gi)
+        v1_basis = complement_fixed_locus(group, gi).v1_basis
+        keeps_v1 = curve_setwise_stabilizer(group, locus, ZERO_POINT, "G")
+        for q in (2, 3, 5):
+            t = TorusPoint([F(rng.randrange(q), q) for _ in range(6)])
+            got = curve_setwise_stabilizer(group, locus, t, "G")
+            assert got == projector_setwise_stabilizer(group, v1_basis, t, "G")
+            assert got <= keeps_v1
+            shrunk += got < keeps_v1
+    assert shrunk >= 4
+
+
 def _six_curves(group):
     """(carrier, translate) of the mirror, the three kappa curves and the two axes."""
     ks = kappa_translates(group)
@@ -603,6 +627,64 @@ def test_singular_points_lie_on_off_mirror_curves(group):
         assert point_on_off_mirror_curve(group, p)
     # a smooth special point does not
     assert not point_on_off_mirror_curve(group, omega_point(0, 1))
+
+
+def _seeded_kappa_curve_points(group, rng, per_curve, den_choices):
+    """Points k + Lambda_1 / q on the four kappa curves of rho1, each moved by a random element."""
+    rows = fixed_locus_structure(group, group.named["rho1"]).lambda1_rows
+    points = []
+    for k in kappa_translates(group):
+        for _ in range(per_curve):
+            q = rng.choice(den_choices)
+            coeffs = [F(rng.randrange(q), q) for _ in rows]
+            p = k + TorusPoint([sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(6)])
+            points.append(apply_element(group.elements[rng.randrange(group.size)].int6, p))
+    return points
+
+
+def test_singular_curve_membership_matches_antireflection_rule(group):
+    # the stacked test over G against the per-antireflection reference, on
+    # every special point and on seeded points of the four kappa curves
+    reference = AntireflectionCurves(group)
+    special = [
+        p for name in ("T2", "T6", "T4p", "T7", "beta", "omega") for p in locus_points(group, name)
+    ]
+    seeded = _seeded_kappa_curve_points(group, random.Random(42), 60, (2, 3, 4, 5, 6, 8, 12))
+    assert len(special) == 63 + 42 + 231 + 48 + 15 + 3 and len(seeded) == 240
+    for points in (special, seeded):
+        answers = [point_on_off_mirror_curve(group, p) for p in points]
+        assert answers == [reference.contains(p) for p in points]
+        assert True in answers and False in answers
+
+
+def test_singular_curve_membership_beyond_int64(group):
+    # denominators whose products overflow int64 take the Python-integer path
+    reference = AntireflectionCurves(group)
+    curve = kappa3_curve(group)
+    points = _seeded_kappa_curve_points(group, random.Random(43), 3, (BIG_PRIME, 10**20))
+    points.append(TorusPoint([F(k, 10**20) for k in (1, 3, 0, 0, 0, 7)]))
+    answers = [on_curve_orbit(group, p, *curve) for p in points]
+    assert answers == [reference.contains(p) for p in points]
+    assert True in answers and False in answers
+    assert all(p.den > 2**61 for p in points)
+
+
+def test_stacked_mirror_test_matches_fixes_curve_loop(group):
+    # kappa_translates tells the off-mirror class by the reflections in the
+    # generic stabilizer; the loop tested fixes_curve on every reflection
+    translates = 0
+    for rho in group.antireflections:
+        locus = fixed_locus_structure(group, rho)
+        for t in locus.translates:
+            stacked = generic_curve_stabilizer(group, t, locus.lambda1_rows) & group.reflection_set
+            looped = {
+                r
+                for r in group.reflections
+                if fixes_curve(group.elements[r].int6, locus.lambda1_rows, t)
+            }
+            assert stacked == looped
+            translates += 1
+    assert translates == 84
 
 
 def test_singularity_report_g(group):

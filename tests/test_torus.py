@@ -1,10 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import complement_fixed_locus, lattice_contains_congruence
-from klein336.linalg import from_eps_coords, int_det, to_eps_coords
+from oracles import (
+    complement_fixed_locus,
+    goursat_subgroups_of_g,
+    lattice_contains_congruence,
+    lattice_index,
+)
+from klein336.linalg import IDENTITY3, from_eps_coords, int_det, kernel_K, to_eps_coords
+from klein336.orbits import stabilizer_indices
 from klein336.qfield import ALPHA, ALPHA_BAR, QNum, vec3
 from klein336.torus import (
     EllipticElementError,
@@ -24,6 +31,7 @@ from klein336.torus import (
     lattice_contains,
     omega_point,
     registry_point,
+    subgroup_fixed_points,
     xi_point,
 )
 
@@ -346,9 +354,60 @@ def test_subgroup_fixed_points_rejects_positive_dimensional(group):
 def test_fixed_locus_uniform_entry(group):
     n = group.named
     ell = fixed_locus(group, n["g7"])
-    assert ell.kind == "elliptic" and len(ell.points) == 7
+    assert ell.kind == "elliptic" and len(ell.translates) == 7
     par = fixed_locus(group, n["r2"])
     assert par.kind == "parabolic" and par.component_count == 1
+
+
+def test_joint_loci_of_every_subgroup_of_g(group):
+    # the one fixed-locus path on all 547 subgroups of G, against the field
+    # kernel of the stacked (g - I), the lattice index and the stabilizers
+    rng = random.Random(24)
+    subgroups = goursat_subgroups_of_g(group)
+    assert len(subgroups) == 547
+    dims = Counter()
+    for s in subgroups:
+        if s == {group.identity}:
+            with pytest.raises(IdentityElementError):
+                fixed_locus(group, s)
+            continue
+        locus = fixed_locus(group, s)
+        field_rows = [row for g in s for row in (group.elements[g].mat - IDENTITY3).rows]
+        assert locus.dim == len(kernel_K(field_rows))
+        assert len(locus.lambda1_rows) == 2 * locus.dim
+        assert len(locus.transverse_rows) == 6 - 2 * locus.dim
+        assert locus.translates == sorted(set(locus.translates))
+        dims[locus.dim] += 1
+        if locus.dim == 0:
+            # every point found is fixed by S, and no other point is: the
+            # fixed group of S has order [Z^6 : row lattice of the (g - I)],
+            # and an elliptic element of S fixes a superset
+            shifted = {
+                g: [[group.elements[g].int6[i][j] - int(i == j) for j in range(6)] for i in range(6)]
+                for g in sorted(s)
+            }
+            int_rows = [row for rows in shifted.values() for row in rows]
+            assert len(locus.translates) == lattice_index(int_rows)
+            assert all(s <= stabilizer_indices(group, p, "G") for p in locus.translates)
+            elliptic = next((g for g, rows in shifted.items() if int_det(rows)), None)
+            if elliptic is not None:
+                candidates = enumerate_fixed_points(group, elliptic)
+                assert locus.translates == [
+                    p for p in candidates if s <= stabilizer_indices(group, p, "G")
+                ]
+            assert subgroup_fixed_points(group, s) == locus.translates
+            continue
+        with pytest.raises(ParabolicElementError):
+            subgroup_fixed_points(group, s)
+        # seeded points t + Lambda_1 / q on every component are fixed by S
+        for t in locus.translates:
+            for q in (5, 13):
+                coeffs = [F(rng.randrange(1, q), q) for _ in locus.lambda1_rows]
+                step = [sum(c * row[i] for c, row in zip(coeffs, locus.lambda1_rows)) for i in range(6)]
+                p = t + TorusPoint(step)
+                assert s <= stabilizer_indices(group, p, "G")
+    # finite sets, curves, and the 21 mirrors of C2-refl
+    assert dims == {0: 364, 1: 161, 2: 21}
 
 
 def test_eps_roundtrip_on_registry_points(group):
