@@ -12,6 +12,13 @@ Regenerate with:
     for n in r1 r2 r3 rho1 rho2 rho3 g7 h3 h4 h4p c c3 m1; do
         klein336 fixed --element $n --json tests/golden/fixed_$n.json > tests/golden/fixed_$n.txt
     done
+    klein336 orbit --point eta_1 --in H --json tests/golden/orbit_eta_1_H.json > tests/golden/orbit_eta_1_H.txt
+    klein336 orbit --point beta_0011 --json tests/golden/orbit_beta_0011.json > tests/golden/orbit_beta_0011.txt
+    for d in 1009 20011 2097169 1000000000039 100000000000000000000; do
+        p="[1/$d,5/$d,77/$d,0,3/$d,-1/$d]"
+        klein336 orbit --point "$p" --json tests/golden/orbit_den$d.json > tests/golden/orbit_den$d.txt
+    done
+    klein336 stabilizer --point beta_0011 --json tests/golden/stabilizer_beta_0011.json > tests/golden/stabilizer_beta_0011.txt
 """
 
 import json
@@ -78,6 +85,30 @@ def test_fixed_outputs_match_golden(tmp_path, capsys, name):
     assert main(["fixed", "--element", name, "--json", str(out)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"fixed_{name}.txt").read_text()
     assert out.read_bytes() == (GOLDEN / f"fixed_{name}.json").read_bytes()
+
+
+# one orbit literal per sort-key width: den^6, den^3, den^2 and den itself
+# below 2^63, then Python integers
+ORBIT_DENOMINATORS = [1009, 20011, 2097169, 10**12 + 39, 10**20]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["orbit", "--point", "eta_1", "--in", "H"], "orbit_eta_1_H"),
+        (["orbit", "--point", "beta_0011"], "orbit_beta_0011"),
+        (["stabilizer", "--point", "beta_0011"], "stabilizer_beta_0011"),
+    ]
+    + [
+        (["orbit", "--point", f"[1/{d},5/{d},77/{d},0,3/{d},-1/{d}]"], f"orbit_den{d}")
+        for d in ORBIT_DENOMINATORS
+    ],
+)
+def test_point_outputs_match_golden(tmp_path, capsys, argv, name):
+    out = tmp_path / f"{name}.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_golden_verify_schema():
