@@ -232,6 +232,14 @@ class GroupTable:
             "G": (tuple(range(n)), self.int6_stack),
             "H": (self.h_indices, self.h_stack),
         }
+        # g - I over each selection, and its first rows as one contiguous
+        # matrix: a point's stabilizer is filtered on the first row alone
+        g_minus_i = self.int6_stack - ident6
+        h_minus_i = self.h_stack - ident6
+        self.minus_identity = {
+            "G": (g_minus_i, np.ascontiguousarray(g_minus_i[:, 0])),
+            "H": (h_minus_i, np.ascontiguousarray(h_minus_i[:, 0])),
+        }
         # a reflection fixes a complex plane and an antireflection negates
         # one, so the integer matrix minus or plus the identity has rank 2
         refl = []

@@ -9,10 +9,15 @@ part W has index 2, the degrees of W's basic invariants and the signs of the
 other coset on them are read off averaged series of 1/det(1 - t g) in Z[w].
 No floating point enters any germ.
 
-Stabilizers and orbits of a torsion point apply the integer matrices of G
-or H to its numerators at once, in int64 or, for large denominators, in
-Python integers.  An orbit is an ``Orbit``: its distinct image rows, sorted
-into coordinate order and read-only, whose points are built only when read.
+Stabilizers and orbits of a torsion point n / den apply integer matrices of
+G or H to its numerators at once, in int64 or, for large denominators, in
+Python integers.  The stabilizer tests g - I, built once per group table:
+the first rows of all selected elements filter with one matrix-vector
+product, and only the survivors are tested on all six rows.  The orbit
+applies every selected matrix, packs each image row into base-den sort keys
+as wide as int64 allows, and sorts and deduplicates on the keys.  An orbit
+is an ``Orbit``: its distinct image rows, sorted into coordinate order and
+read-only, whose points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
@@ -64,10 +69,19 @@ class ConsistencyError(RuntimeError):
 
 
 def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
-    """Ids of the elements of G or H that fix p: only the selected matrices are applied."""
-    ids, stack = table.select(quotient)
-    moved, n, den = _moved_numerators(table, stack, p)
-    fixed = np.flatnonzero(np.all((moved - n) % den == 0, axis=1))
+    """Ids of the elements of G or H that fix p, tested on g - I.
+
+    g fixes p = n / den exactly when (g - I) n is 0 mod den.  The first rows
+    of the precomputed g - I of the selection filter every element with one
+    matrix-vector product; only the survivors, about one element for a
+    generic point, are tested on all six rows.
+    """
+    ids, _ = table.select(quotient)
+    minus_i, first_rows = table.minus_identity[quotient]
+    moved, _, den = _moved_numerators(table, first_rows, p)
+    kept = np.flatnonzero(moved % den == 0)
+    moved, _, _ = _moved_numerators(table, minus_i[kept], p)
+    fixed = kept[(moved % den == 0).all(axis=1)]
     return frozenset(ids[i] for i in fixed.tolist())
 
 
@@ -129,18 +143,26 @@ class Orbit(Sequence):
 def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit:
     """The orbit of p under G or H, as an ``Orbit`` in coordinate order.
 
-    One lexsort orders the image rows and a neighbour comparison drops the
-    repeats; no ``TorusPoint`` is built until the orbit is read.
+    The image rows, reduced to [0, den), are packed into sort keys of
+    ``width`` base-den digits each: the widest of 6, 3, 2 and 1 whose keys
+    stay below 2^63 in int64, and one Python-integer key for object rows.
+    Key order is coordinate order, so one lexsort of the 6 / width keys
+    orders the rows and a comparison of neighbouring keys drops the repeats;
+    no ``TorusPoint`` is built until the orbit is read.
     """
     _, stack = table.select(quotient)
     moved, _, den = _moved_numerators(table, stack, p)
     rows = moved % den
-    # numerator order over the common denominator is coordinate order
-    rows = rows[np.lexsort(rows.T[::-1])]
-    distinct = np.ones(len(rows), dtype=bool)
-    distinct[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+    keys = rows[:, ::width]
+    for t in range(1, width):
+        keys = keys * den + rows[:, t::width]
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     # every int6 has det +-1, so each image has the exact order den of p
-    return Orbit(rows[distinct], den)
+    return Orbit(rows[order[distinct]], den)
 
 
 def reflection_generated(table: GroupTable, s: frozenset[int]) -> bool:

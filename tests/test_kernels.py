@@ -340,6 +340,17 @@ def _same_order_points(den):
 @given(denominators, st.lists(st.integers(0, 10**30), min_size=6, max_size=6))
 @example(den=20011, nums=[1, 5, 77, 0, 3, 19999])  # the int64 path
 @example(den=10**20, nums=[1, 3, 0, 0, 0, 7])  # the Python-integer path
+# each side of every orbit key width, den^c <= 2^63 for c = 6, 3, 2, and of
+# the int64 path, 13 den < 2^63; -1 and -2 put digits den - 1 and den - 2
+# in the point's own key
+@example(den=1448, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=1449, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=2097152, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=2097153, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=3037000499, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=3037000500, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=709490156681136600, nums=[-1, 1, 5, 77, 3, -2])
+@example(den=709490156681136601, nums=[-1, 1, 5, 77, 3, -2])
 def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
     p = TorusPoint([Fraction(n, den) for n in nums])
     int6s = [el.int6 for el in group.elements]
@@ -350,6 +361,8 @@ def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
     for quotient, elements in (("G", int6s), ("H", h_int6s)):
         orbit = orbit_points(group, p, quotient)
         assert [q.coords for q in orbit] == sorted(oracles.exact_orbit(elements, p.coords))
+        # int64 rows while no entry of g n - n can reach 2^63, else Python integers
+        assert (orbit.rows.dtype == object) == ((6 * group.int6_max_abs + 1) * p.den >= 2**63)
         assert all(q.order() == p.order() == oracles.FracTorusPoint(q.coords).order() for q in orbit)
         # the Orbit sequence contract: indexing, slicing, order, membership, equality
         exact = oracles.exact_orbit(elements, p.coords)
