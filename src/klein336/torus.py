@@ -311,9 +311,10 @@ def subgroup_fixed_points(table: GroupTable, elements) -> list[TorusPoint]:
 def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
     """The products stack @ n on p's numerators n over den, computed exactly.
 
-    int64 serves while no entry of stack @ n - n can reach 2^63; larger
-    denominators use Python integers in object arrays, through the same
-    numpy operations.
+    stack holds group matrices g or their g - I.  int64 serves while no
+    entry of g n - n, and so none of g n or (g - I) n, can reach 2^63;
+    larger denominators use Python integers in object arrays, through the
+    same numpy operations.
     """
     nums, den = p.as_int_vec()
     if (6 * table.int6_max_abs + 1) * den < 2**63:
