@@ -8,7 +8,7 @@ are reproducible).  The multiplication table is filled column by column
 from the right-regular permutations of the generators, determinants are the
 parity of the witness word, reflections and antireflections come from
 integer ranks, and each element's 3x3 matrix over Q(w) is read back from
-its integer matrix.
+its integer matrix when first read.
 
 On top of the table live conjugacy classes, the full subgroup lattice of
 the determinant-1 subgroup (168 elements, 179 subgroups in 15 conjugacy
@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import Mat3, hnf_rows, int6_to_mat3, mat3_to_int6
+from .linalg import Mat3, NonIntegralError, hnf_rows, int6_to_mat3, mat3_to_int6
 from .qfield import CVec3, MINUS_ONE, QNum, vec3
 
 R1 = Mat3([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -56,11 +56,14 @@ class UnrecognizedSubgroupError(ValueError):
 @dataclass(frozen=True)
 class GroupElement:
     index: int
-    mat: Mat3
     int6: tuple[tuple[int, ...], ...]
     det: int  # +1 or -1, exact
     order: int
     word: tuple[int, ...]  # generator indices, BFS-shortest witness
+
+    @cached_property
+    def mat(self) -> Mat3:  # the matrix over Q(w), built on first read
+        return int6_to_mat3(self.int6)
 
     def __str__(self) -> str:
         w = ".".join(f"r{i}" for i in self.word) if self.word else "e"
@@ -137,11 +140,6 @@ def _vec_key(v: Sequence[QNum]) -> tuple:
     return tuple((q.x, q.y) for q in v)
 
 
-def _mat_key(mat: Mat3) -> tuple:
-    """Interning key: the reduced integer triples of the nine entries."""
-    return tuple((q.a, q.b, q.d) for row in mat.rows for q in row)
-
-
 def positive_roots() -> list[CVec3]:
     """One root from each +/- pair: the lexicographically larger one."""
     chosen = []
@@ -166,7 +164,7 @@ class GroupTable:
         stack = [ident6]
         words: list[tuple[int, ...]] = [()]
         parent = [0]
-        key_to_idx = {ident6.tobytes(): 0}
+        self._index_of = key_to_idx = {ident6.tobytes(): 0}
         rperm: list[list[int]] = [[], [], []]
         i = 0
         while i < len(stack):
@@ -218,14 +216,13 @@ class GroupTable:
                 k += 1
             orders.append(k)
 
-        mats = [int6_to_mat3(a) for a in int6s]
-        self._index_of = {_mat_key(m): i for i, m in enumerate(mats)}
         self.elements: list[GroupElement] = [
-            GroupElement(i, mats[i], int6s[i], dets[i], orders[i], words[i]) for i in range(n)
+            GroupElement(i, int6s[i], dets[i], orders[i], words[i]) for i in range(n)
         ]
 
         self.minus_one = key_to_idx[(-ident6).tobytes()]
         self.h_indices = tuple(i for i in range(n) if dets[i] == 1)
+        self.g_set, self.h_set = frozenset(range(n)), frozenset(self.h_indices)
         # the integer matrices of H, in h_indices order, beside int6_stack
         self.h_stack = self.int6_stack[list(self.h_indices)]
         self._selections = {
@@ -260,15 +257,15 @@ class GroupTable:
             )
 
         self.named = self._build_named_registry()
-        self._subgroup_lattice: list[SubgroupClass] | None = None
+        self.derived: dict = {}  # results computed once per table: the lattice, loci
 
     # --- elementary queries ---------------------------------------------
 
     def index_of_mat(self, mat: Mat3) -> int:
-        idx = self._index_of.get(_mat_key(mat))
-        if idx is None:
-            raise KeyError("matrix is not an element of the group")
-        return idx
+        try:
+            return self._index_of[np.array(mat3_to_int6(mat), np.int64).tobytes()]
+        except (KeyError, NonIntegralError, OverflowError):  # off the lattice, or beyond int64
+            raise KeyError("matrix is not an element of the group") from None
 
     def element(self, i: int) -> GroupElement:
         return self.elements[i]
@@ -362,10 +359,14 @@ class GroupTable:
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
         gens = [g for g in gens]
+        # the closure lies in H if the generators do, else in G; over half of it is all (Lagrange)
+        ambient = self.h_set if self.h_set.issuperset(gens) else self.g_set
         seen = {self.identity}
         frontier = [self.identity]
         rows = self.mul_list
         while frontier:
+            if 2 * len(seen) > len(ambient):
+                return ambient
             nxt = []
             for x in frontier:
                 row = rows[x]
@@ -430,16 +431,23 @@ class GroupTable:
         subgroup T is reached: T = <S, x> for a maximal subgroup S of T, and
         if S = hRh^-1 for a representative R, then h^-1 T h = <R, h^-1 x h>.
         """
-        if self._subgroup_lattice is not None:
-            return self._subgroup_lattice
+        if "lattice" in self.derived:
+            return self.derived["lattice"]
 
         cyclic = self.cyclic_subgroups("H")
         known: set[frozenset[int]] = set()
         raw_classes: list[list[frozenset[int]]] = []
         pending: list[tuple[frozenset[int], tuple[int, ...]]] = []
+        # r1 r2 and r1 r3 generate the words of even length in r1, r2, r3: all of H
+        h_gens = [self.multiply(self.named["r1"], self.named[r]) for r in ("r2", "r3")]
+        if self.subgroup_closure(h_gens) != self.h_set:
+            raise GroupConstructionError("r1 r2 and r1 r3 do not generate H")
 
         def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
-            orbit = {self.conjugate_subgroup(g, rep) for g in self.h_indices}
+            orbit, new = {rep}, {rep}  # rep's class in H: BFS under conjugation by h_gens
+            while new:
+                new = {self.conjugate_subgroup(g, s) for s in new for g in h_gens} - orbit
+                orbit |= new
             known.update(orbit)
             raw_classes.append(sorted(orbit, key=lambda x: sorted(x)))
             pending.append((rep, gens))
@@ -506,7 +514,7 @@ class GroupTable:
                     minimal_over=tuple(sorted(minover.items())),
                 )
             )
-        self._subgroup_lattice = classes
+        self.derived["lattice"] = classes
         return classes
 
     # --- recognition ---------------------------------------------------------

@@ -44,6 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .group import GroupTable
+from .linalg import IDENTITY3, mat3_to_int6
+from .qfield import QNum
 from .torus import (
     FixedLocus,
     TorusPoint,
@@ -244,15 +246,21 @@ def _inverse_char_poly(tr: tuple[int, int], det: int, n: int) -> tuple[tuple[int
     return tuple(c[2:])
 
 
+# the eps-basis matrix of w * I: tr g = a + b*w gives tr(int6) = 2a + b, tr(W6 int6) = a - 3b
+_W6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
+
+
 def _averaged_series(table: GroupTable, elements: frozenset[int], order: int) -> list[int]:
     """(1/order) * sum over the elements of 1/det(1 - t g), up to t^order."""
     total_a, total_b = [0] * (order + 1), [0] * (order + 1)
-    for i in elements:
-        el = table.elements[i]
-        tr = el.mat.trace()
-        if tr.d != 1:
+    stack = table.int6_stack[list(elements)]
+    traces = np.trace(stack, axis1=1, axis2=2).tolist()
+    w_traces = np.einsum("ij,kji->k", _W6, stack).tolist()
+    for i, s, t in zip(elements, traces, w_traces):
+        (tr_a, ra), (tr_b, rb) = divmod(3 * s + t, 7), divmod(s - 2 * t, 7)
+        if ra or rb:
             raise ConsistencyError(f"trace of element {i} is not in Z[w]")
-        for k, (a, b) in enumerate(_inverse_char_poly((tr.a, tr.b), el.det, order)):
+        for k, (a, b) in enumerate(_inverse_char_poly((tr_a, tr_b), table.elements[i].det, order)):
             total_a[k] += a
             total_b[k] += b
     if any(total_b) or any(a % order for a in total_a):
@@ -445,15 +453,17 @@ def locus_points(table: GroupTable, name: str) -> list[TorusPoint]:
         return sorted(p for p in half_periods() if not p.is_zero())
     wanted = {"T6": (6, None), "T7": (7, None), "T4p": (4, -1)}
     if key in wanted:
-        order, det = wanted[key]
-        pts: set[TorusPoint] = set()
-        for c in table.conjugacy_classes("G"):
-            if c.element_order != order or det not in (None, c.det):
-                continue
-            for p in enumerate_fixed_points(table, c.representative):
-                if not p.is_zero() and p not in pts:
-                    pts.update(orbit_points(table, p, "G"))
-        return sorted(pts)
+        if key not in table.derived:  # computed once per table
+            order, det = wanted[key]
+            pts: set[TorusPoint] = set()
+            for c in table.conjugacy_classes("G"):
+                if c.element_order != order or det not in (None, c.det):
+                    continue
+                for p in enumerate_fixed_points(table, c.representative):
+                    if not p.is_zero() and p not in pts:
+                        pts.update(orbit_points(table, p, "G"))
+            table.derived[key] = tuple(sorted(pts))
+        return list(table.derived[key])
     if key == "beta":
         return [beta_point(i) for i in range(1, 16)]
     if key == "omega":
@@ -601,10 +611,17 @@ class SingularityReport:
 
 def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     """Generic-stabilizer records for every special-curve class through the action."""
-    named = table.named
+    if "curves" not in table.derived:  # the carriers' loci do not depend on the quotient
+        loci = {c: fixed_locus_structure(table, table.named[c]) for c in ("r2", "rho1", "c3", "h4")}
+        kappas = kappa_translates(table, table.named["rho1"])
+        table.derived["curves"] = (
+            ("mirror", "r2", ZERO_POINT, loci["r2"]),
+            *((f"kappa_{i}", "rho1", kappas[i], loci["rho1"]) for i in (1, 2, 3)),
+            ("c3_axis", "c3", ZERO_POINT, loci["c3"]),
+            ("h4_axis", "h4", ZERO_POINT, loci["h4"]),
+        )
     out: list[CurveStratum] = []
-
-    def add(name: str, carrier: str, translate: TorusPoint, locus: FixedLocus):
+    for name, carrier, translate, locus in table.derived["curves"]:
         stab = generic_curve_stabilizer(table, translate, locus.lambda1_rows, quotient)
         winfo = singularity_weights(table, stab)
         inv = curve_setwise_stabilizer(table, locus, translate, "H")
@@ -622,16 +639,6 @@ def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
                 invariance_order_h=len(inv),
             )
         )
-
-    add("mirror", "r2", ZERO_POINT, fixed_locus_structure(table, named["r2"]))
-    rho1 = named["rho1"]
-    axis = fixed_locus_structure(table, rho1)
-    for i, t in enumerate(kappa_translates(table, rho1)):
-        if i == 0:
-            continue
-        add(f"kappa_{i}", "rho1", t, axis)
-    add("c3_axis", "c3", ZERO_POINT, fixed_locus_structure(table, named["c3"]))
-    add("h4_axis", "h4", ZERO_POINT, fixed_locus_structure(table, named["h4"]))
     return out
 
 
@@ -715,7 +722,7 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
                 "the singular point strata do not match the expected inventory: "
                 f"isolated={len(isolated)} dissident={len(dissident)} stray={len(stray)}"
             )
-        axis = fixed_locus_structure(table, table.named[ell.carrier])
+        axis = next(locus for name, *_, locus in table.derived["curves"] if name == ell.name)
         for rec in dissident + ordinary:
             if not on_curve_orbit(table, rec.representative, axis, ell.translate):
                 raise ConsistencyError(

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .group import GroupTable
-from .linalg import Mat3
+from .linalg import _FORWARD, _INVERSE_EVEN_COLS, IDENTITY3, Mat3
 from .qfield import QNum
 
 Monomial = tuple[int, int, int]
@@ -139,6 +139,15 @@ def substitute(mats: Sequence[Mat3], form: QuarticForm) -> tuple[np.ndarray, int
     ``degree4_monomials()`` has the coefficient (a + b*w)/s in F(m_k v).
     The matrices are scaled by the lcm D of all their entry denominators,
     the form by the lcm E of its coefficient denominators, and s = E * D^4.
+    """
+    entries = [q for m in mats for row in m.rows for q in row]
+    den = lcm(*(q.d for q in entries))
+    return _substitute(np.array(_pairs(entries, den), dtype=object).reshape(-1, 3, 3, 2), den, form)
+
+
+def _substitute(m: np.ndarray, den: int, form: QuarticForm) -> tuple[np.ndarray, int]:
+    """``substitute`` on the matrices' Z[w] pairs (k, 3, 3, 2) over den.
+
     With F as a tensor T (see ``_index_maps``), F(m v) is T with m applied
     to each of its four indices: four stacked products on Z[w] pairs
     (w^2 = w - 2), then one sum onto the monomials.  The entries stay in
@@ -146,23 +155,21 @@ def substitute(mats: Sequence[Mat3], form: QuarticForm) -> tuple[np.ndarray, int
     integers in object arrays beyond it.
     """
     _, place, collapse = _index_maps()
-    entries = [q for m in mats for row in m.rows for q in row]
-    den = lcm(*(q.d for q in entries))
     cden = lcm(*(q.d for q in form.coeffs.values()))
     coeffs = _pairs(form.coeffs.values(), cden)
-    size = max(((abs(q.a) + abs(q.b)) * (den // q.d) for q in entries), default=0)
+    size = int(abs(m).sum(axis=-1).max(initial=0))
     csize = max((abs(a) + abs(b) for a, b in coeffs), default=0)
     # a product step multiplies the largest |a| + |b| by at most 9 * size,
     # and a monomial sums at most 12 of the 81 tensor entries
     fits = max(12 * (9 * size) ** 4, den**4) * csize < 2**63
     dtype = np.int64 if fits else object
+    m = m.astype(dtype)
     t = np.zeros((2, 81), dtype=dtype)
     for mono, pair in zip(form.coeffs, coeffs):
         t[:, place[mono]] = pair
-    out = np.zeros((len(mats), 15, 2), dtype=dtype)
-    for k in range(0, len(mats), _BLOCK):
-        block = np.array(_pairs(entries[9 * k : 9 * (k + _BLOCK)], den), dtype=dtype)
-        out[k : k + _BLOCK] = _contract(t, block.reshape(-1, 3, 3, 2), collapse)
+    out = np.zeros((len(m), 15, 2), dtype=dtype)
+    for k in range(0, len(m), _BLOCK):
+        out[k : k + _BLOCK] = _contract(t, m[k : k + _BLOCK], collapse)
     return out, cden * den**4
 
 
@@ -191,21 +198,20 @@ def act(m: Mat3, form: QuarticForm) -> QuarticForm:
 
 
 def fixes_form(mats: Sequence[Mat3], form: QuarticForm) -> bool:
-    """Is F(m v) = F(v) for every matrix m?  One ``substitute``, compared
-    coefficient by coefficient with F times the common scale."""
-    pairs, scale = substitute(mats, form)
-    zero = QNum(0)
-    target = [
-        (q.a * (scale // q.d), q.b * (scale // q.d))
-        for q in (form.coeffs.get(mono, zero) for mono in _index_maps()[0])
-    ]
-    return bool(np.all(pairs == np.array(target, dtype=pairs.dtype)))
+    """Is F(m v) = F(v) for every matrix m?  One ``substitute``, with the identity first."""
+    pairs, _ = substitute([IDENTITY3, *mats], form)
+    return bool((pairs == pairs[0]).all())
+
+
+def int6_fixes_form(stack: np.ndarray, form: QuarticForm) -> bool:
+    """``fixes_form`` on eps-basis matrices, with Z[w] pairs over 2 from one integer product."""
+    stack = np.concatenate([np.eye(6, dtype=stack.dtype)[None], stack])
+    cm = np.array(_FORWARD) @ stack @ np.array(_INVERSE_EVEN_COLS).T  # [k, 2i + r, j]: m_ij, part r
+    pairs, _ = _substitute(cm.reshape(-1, 3, 2, 3).transpose(0, 1, 3, 2), 2, form)
+    return bool((pairs == pairs[0]).all())
 
 
 def verify_quartic_invariance(table: GroupTable, generators_only: bool = False) -> bool:
     """Does every element (or each of the three generators) fix Klein's quartic?"""
-    if generators_only:
-        indices = [table.named["r1"], table.named["r2"], table.named["r3"]]
-    else:
-        indices = range(table.size)
-    return fixes_form([table.elements[i].mat for i in indices], klein_quartic())
+    ids = [table.named[r] for r in ("r1", "r2", "r3")] if generators_only else slice(None)
+    return int6_fixes_form(table.int6_stack[ids], klein_quartic())

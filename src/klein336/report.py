@@ -531,6 +531,12 @@ def _ac13(table: GroupTable) -> list[VerifyOutcome]:
     ]
 
 
+def _random_qnum(rng: random.Random) -> QNum:
+    """x + y*w with x = a/b, y = c/d, drawn in the order a, b, c, d."""
+    a, b, c, d = (rng.randint(lo, hi) for lo, hi in ((-50, 50), (1, 10), (-50, 50), (1, 10)))
+    return QNum.from_ints(a * d, c * b, b * d)
+
+
 def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
     rng = random.Random(seed)
     # orbit-stabilizer on all registry points
@@ -581,14 +587,7 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
     # field axioms on 1000 random triples
     axioms = True
     for _ in range(1000):
-        vals = [
-            QNum(
-                Fraction(rng.randint(-50, 50), rng.randint(1, 10)),
-                Fraction(rng.randint(-50, 50), rng.randint(1, 10)),
-            )
-            for _ in range(3)
-        ]
-        a, b, c = vals
+        a, b, c = (_random_qnum(rng) for _ in range(3))
         axioms = axioms and (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
         if a:
             axioms = axioms and a * a.inv() == ONE

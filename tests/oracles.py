@@ -30,8 +30,9 @@
 * the group built the field-valued way: BFS over ``Mat3`` products, field
   determinants and field kernels for the reflections; unitarity of a
   ``Mat3`` and the floating-point value of a quartic form;
-* the subgroup lattice of H by fixpoint closure over all subgroups, and the
-  quartic action expanded in ``QNum`` arithmetic;
+* subgroup closures by plain BFS, with no Lagrange cut-off; the subgroup
+  lattice of H by fixpoint closure over all subgroups, with those closures;
+  and the quartic action expanded in ``QNum`` arithmetic;
 * germ weights the floating-point way for cyclic stabilizers: a
   generator's eigenvalues snapped to roots of unity and cross-checked
   against the exact trace and determinant;
@@ -780,6 +781,23 @@ def field_group_build() -> FieldBuild:
     return FieldBuild(mats, words, int6s, mul_list, inv, orders, dets, refl, antirefl)
 
 
+def plain_subgroup_closure(table, gens: Sequence[int]) -> frozenset[int]:
+    """The subgroup generated by gens: BFS from the identity until nothing is new."""
+    seen = {table.identity}
+    frontier = [table.identity]
+    rows = table.mul_list
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = rows[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
 def fixpoint_subgroup_lattice(table) -> list[SubgroupClass]:
     """Every subgroup of H by fixpoint closure, listed as conjugacy classes.
 
@@ -803,7 +821,7 @@ def fixpoint_subgroup_lattice(table) -> list[SubgroupClass]:
             for _, cgen in cyclic:
                 if cgen in s:
                     continue
-                t = table.subgroup_closure(base_gens + (cgen,))
+                t = plain_subgroup_closure(table, base_gens + (cgen,))
                 if t not in gens_of:
                     gens_of[t] = base_gens + (cgen,)
                     nxt.append(t)

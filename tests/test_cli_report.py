@@ -1,10 +1,16 @@
 import json
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from klein336 import report
 from klein336.cli import main
 from klein336.group import GroupConstructionError, UnrecognizedSubgroupError
+from klein336.linalg import Mat3, NonIntegralError, mat3_to_int6
 from klein336.orbits import ConsistencyError
+from klein336.qfield import QNum
 from klein336.report import VerifyOutcome, emit_report, has_failures, run_verify
 
 
@@ -64,6 +70,24 @@ def test_fixed_matrix_rejects_non_group(capsys):
     m = json.dumps(["1", "1", "0", "0", "1", "0", "0", "0", "1"])
     assert main(["fixed", "--matrix", m]) == 2
     assert "not an element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entries, cause",
+    [
+        (["1/3", 0, 0, 0, 1, 0, 0, 0, 1], NonIntegralError),
+        ([1, 10**30, 0, 0, 1, 0, 0, 0, 1], OverflowError),
+    ],
+    ids=["off-the-lattice", "beyond-int64"],
+)
+def test_fixed_matrix_off_the_lattice_or_beyond_int64(capsys, entries, cause):
+    # the matrix's integer key cannot be formed, for the given cause
+    with pytest.raises(cause):
+        np.array(mat3_to_int6(Mat3.from_strings(entries)), np.int64)
+    assert main(["fixed", "--matrix", json.dumps(entries)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not an element of the reflection group\n"
 
 
 def test_fixed_identity_rejected(capsys):
@@ -196,6 +220,30 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "1 failed" in out
+
+
+def test_ac14_field_draws_equal_the_fraction_stream(group, monkeypatch):
+    drawn = []
+    draw = report._random_qnum
+    monkeypatch.setattr(report, "_random_qnum", lambda rng: drawn.append(draw(rng)) or drawn[-1])
+    [outcome] = report._ac14(group, 0)
+    assert "field axioms(1000): True" in outcome.actual
+    # the same seed-0 stream drawn as Fraction pairs, after AC14's earlier draws:
+    # covariance over the 95 registry points, then the 1000 random matrices
+    rng = random.Random(0)
+    for _ in range(100):
+        rng.randrange(95), rng.randrange(group.size)
+    for _ in range(1000):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        [rng.randint(-10, 10) for _ in range(m * n)]
+    want = [
+        QNum(
+            Fraction(rng.randint(-50, 50), rng.randint(1, 10)),
+            Fraction(rng.randint(-50, 50), rng.randint(1, 10)),
+        )
+        for _ in range(3 * 1000)
+    ]
+    assert [(q.a, q.b, q.d) for q in drawn] == [(q.a, q.b, q.d) for q in want]
 
 
 INTERNAL_ERRORS = [

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import centralizer_size, is_unitary, reflection_matrix
@@ -12,11 +14,13 @@ from klein336.group import (
     R1,
     R2,
     R3,
+    GroupConstructionError,
+    GroupTable,
     UnrecognizedSubgroupError,
     positive_roots,
     roots,
 )
-from klein336.linalg import IDENTITY3, Mat3, kernel_K
+from klein336.linalg import IDENTITY3, Mat3, int6_to_mat3, kernel_K
 from klein336.qfield import ONE, QNum, hermitian, vec3
 
 
@@ -155,6 +159,49 @@ def test_subgroup_lattice_uses_few_closures(group, monkeypatch):
     table.all_subgroups_of_h()
     # 168 cyclic closures plus about a thousand extensions of class representatives
     assert len(calls) < 1500
+
+
+def test_bounded_closure_matches_plain_bfs_in_the_lattice_build(monkeypatch):
+    calls = []
+    closure = GroupTable.subgroup_closure
+
+    def recorded(self, gens):
+        gens = list(gens)
+        calls.append((gens, closure(self, gens)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(GroupTable, "subgroup_closure", recorded)
+    table = GroupTable()
+    table.all_subgroups_of_h()
+    assert len(calls) > 1000
+    # most extensions end at H, where the Lagrange cut-off returns early
+    assert sum(got == table.h_set for _, got in calls) > 500
+    for gens, got in calls:
+        assert got == oracles.plain_subgroup_closure(table, gens)
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(picks=st.lists(st.integers(0, 335), max_size=3))
+def test_bounded_closure_matches_plain_bfs(group, quotient, picks):
+    ids = group.subset_indices(quotient)
+    gens = [ids[k % len(ids)] for k in picks]
+    assert group.subgroup_closure(gens) == oracles.plain_subgroup_closure(group, gens)
+
+
+def test_lattice_build_checks_its_generators_of_h():
+    table = GroupTable()
+    table.named = {**table.named, "r3": table.named["r2"]}  # r1 r2 twice: a cyclic group
+    with pytest.raises(GroupConstructionError, match="do not generate H"):
+        table.all_subgroups_of_h()
+
+
+def test_field_matrices_are_built_on_first_read():
+    table = GroupTable()
+    assert not any("mat" in vars(el) for el in table.elements)
+    for el in table.elements:
+        assert el.mat == int6_to_mat3(el.int6) and el.mat is el.mat
+    assert all("mat" in vars(el) for el in table.elements)
 
 
 def test_reflections_and_antireflections(group):

@@ -22,6 +22,7 @@ from oracles import (
 )
 from klein336 import orbits
 from klein336.group import R1, R2, R3, GroupTable
+from klein336.linalg import IDENTITY3, mat3_to_int6
 from klein336.orbits import (
     ConsistencyError,
     _inverse_char_poly,
@@ -241,6 +242,33 @@ def test_cyclic_weights_reject_traces_that_fit_no_eigenvalues(group, gen, trace,
         orbits._cyclic_weights(types.SimpleNamespace(elements=elements), s, d)
 
 
+def test_traces_read_off_the_integer_matrices(group):
+    # with tr g = a + b*w: tr(int6) = 2a + b, and tr(W6 int6) = a - 3b for W6 = int6(w I)
+    w6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
+    assert (orbits._W6 == w6).all()
+    for el in group.elements:
+        tr = el.mat.trace()
+        a6 = np.array(el.int6)
+        assert tr.d == 1
+        assert np.trace(a6) == 2 * tr.a + tr.b and np.trace(w6 @ a6) == tr.a - 3 * tr.b
+
+
+def test_curve_loci_are_computed_once_per_table(group, monkeypatch):
+    calls = Counter()
+    for name in ("fixed_locus_structure", "kappa_translates"):
+        fn = getattr(orbits, name)
+        monkeypatch.setattr(orbits, name, lambda *a, _fn=fn, _n=name: calls.update([_n]) or _fn(*a))
+    table = GroupTable()
+    strata_g = [c.to_dict() for c in curve_strata(table, "G")]
+    assert calls == {"fixed_locus_structure": 4, "kappa_translates": 1}
+    strata_h = [c.to_dict() for c in curve_strata(table, "H")]
+    report_g = singularity_report(table, "G")
+    assert calls == {"fixed_locus_structure": 4, "kappa_translates": 1}
+    assert [c.to_dict() for c in curve_strata(table, "G")] == strata_g
+    assert [c.to_dict() for c in curve_strata(table, "H")] == strata_h
+    assert report_g.to_dict() == singularity_report(group, "G").to_dict()
+
+
 def test_inverse_char_poly_inverts_det_one_minus_tg(group):
     # e2 as the sum of principal 2x2 minors in field arithmetic; the order-7
     # elements have non-real traces, so conj(tr) and tr are told apart
@@ -368,13 +396,18 @@ def test_class_loci_match_element_sweep(group, monkeypatch, name, order, det, si
         return enumerate_fixed_points(table, gi)
 
     monkeypatch.setattr(orbits, "enumerate_fixed_points", counted)
-    pts = locus_points(group, name)
+    table = GroupTable()  # the loci are computed once per table
+    pts = locus_points(table, name)
     assert pts == swept_locus_points(group, order, det)
     assert len(pts) == size and len(set(pts)) == size
     # one enumeration per conjugacy class of the wanted order and determinant
     assert len(calls) == classes
     assert all(group.elements[gi].order == order for gi in calls)
     assert det is None or all(group.elements[gi].det == det for gi in calls)
+    # a second call enumerates nothing, and no caller can change the cached points
+    pts.clear()
+    assert locus_points(table, name) == swept_locus_points(group, order, det)
+    assert len(calls) == classes
 
 
 def test_beta_table(group):

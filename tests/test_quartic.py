@@ -15,6 +15,7 @@ from klein336.quartic import (
     act,
     degree4_monomials,
     fixes_form,
+    int6_fixes_form,
     klein_quartic,
     substitute,
     verify_quartic_invariance,
@@ -114,6 +115,24 @@ def test_invariance_check_rejects_forms_and_matrices(group):
     assert not fixes_form(mats + [shear], f)
     assert not fixes_form([shear], f)
     assert not fixes_form(mats[:100] + [Mat3([[2, 0, 0], [0, 2, 0], [0, 0, 2]])] + mats[100:], f)
+
+
+def test_int6_check_matches_fixes_form(group):
+    stack = group.int6_stack
+    mats = [el.mat for el in group.elements]
+    f = klein_quartic()
+    assert int6_fixes_form(stack, f) and fixes_form(mats, f)
+    for form in (QuarticForm({(4, 0, 0): QNum(1)}), QuarticForm({**f.coeffs, (0, 2, 2): QNum(1)})):
+        assert not int6_fixes_form(stack, form) and not fixes_form(mats, form)
+        # element by element, the answers differ and agree
+        each = [int6_fixes_form(stack[i : i + 1], form) for i in range(group.size)]
+        assert each == [fixes_form([m], form) for m in mats]
+        assert 0 < sum(each) < group.size
+    # one integer matrix changed among the 336
+    bent = stack.copy()
+    bent[5, 0, 1] += 1
+    assert not int6_fixes_form(bent, f)
+    assert verify_quartic_invariance(group) and verify_quartic_invariance(group, True)
 
 
 def test_large_entries_take_the_object_path(group):
