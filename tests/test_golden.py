@@ -4,7 +4,12 @@ Regenerate with:
     klein336 verify --json tests/golden/verify.json --tsv tests/golden/verify.tsv
     klein336 singularities --quotient G --json tests/golden/singularities_G.json
     klein336 singularities --quotient H --json tests/golden/singularities_H.json
-    klein336 classify --locus beta --json tests/golden/classify_beta_G.json
+    for q in G H; do
+        klein336 singularities --quotient $q > tests/golden/singularities_$q.txt
+        for l in T2 T6 T7 T4p beta omega; do
+            klein336 classify --locus $l --in $q --json tests/golden/classify_${l}_$q.json > tests/golden/classify_${l}_$q.txt
+        done
+    done
     klein336 group build --json tests/golden/group_build.json
     klein336 group subgroups --json tests/golden/group_subgroups.json > tests/golden/group_subgroups.tsv
     klein336 group classes --in G > tests/golden/group_classes_G.tsv
@@ -45,6 +50,25 @@ def test_json_outputs_match_golden(tmp_path, capsys, argv, filename):
     assert main(argv + [str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / filename).read_bytes()
+
+
+CLASSIFY_LOCI = ["T2", "T6", "T7", "T4p", "beta", "omega"]
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+@pytest.mark.parametrize("locus", CLASSIFY_LOCI)
+def test_classify_outputs_match_golden(tmp_path, capsys, locus, quotient):
+    name = f"classify_{locus}_{quotient}"
+    out = tmp_path / f"{name}.json"
+    assert main(["classify", "--locus", locus, "--in", quotient, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_singularities_stdout_matches_golden(capsys, quotient):
+    assert main(["singularities", "--quotient", quotient]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"singularities_{quotient}.txt").read_text()
 
 
 def test_group_build_summary(capsys):
