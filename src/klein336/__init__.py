@@ -2,12 +2,10 @@
 rank-6 lattice, torsion points of the quotient torus, and the classification
 of the quotient-variety singularities."""
 
-from .group import GroupTable, Subgroup, get_group, positive_roots, roots
+from .group import GroupTable, Subgroup, get_group, roots
 from .linalg import (
     Mat3,
-    from_eps_coords,
     hnf_rows,
-    kernel_K,
     mat3_to_int6,
     smith_normal_form,
     to_eps_coords,
@@ -31,9 +29,7 @@ from .torus import (
     enumerate_fixed_points,
     fixed_locus_structure,
     fixed_point_count,
-    lattice_contains,
     registry_point,
-    subgroup_fixed_points,
 )
 
 __version__ = "0.1.0"
@@ -58,16 +54,12 @@ __all__ = [
     "enumerate_fixed_points",
     "fixed_locus_structure",
     "fixed_point_count",
-    "from_eps_coords",
     "get_group",
     "hermitian",
     "hnf_rows",
-    "kernel_K",
     "klein_quartic",
-    "lattice_contains",
     "mat3_to_int6",
     "orbit_points",
-    "positive_roots",
     "registry_point",
     "roots",
     "run_verify",
@@ -75,7 +67,6 @@ __all__ = [
     "singularity_weights",
     "smith_normal_form",
     "stabilizer_indices",
-    "subgroup_fixed_points",
     "to_eps_coords",
     "vec3",
     "verify_quartic_invariance",

@@ -20,6 +20,7 @@ produce.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -138,15 +139,6 @@ def roots() -> list[CVec3]:
 
 def _vec_key(v: Sequence[QNum]) -> tuple:
     return tuple((q.x, q.y) for q in v)
-
-
-def positive_roots() -> list[CVec3]:
-    """One root from each +/- pair: the lexicographically larger one."""
-    chosen = []
-    for e in roots():
-        if _vec_key(e) > _vec_key(tuple(-q for q in e)):
-            chosen.append(e)
-    return chosen
 
 
 class GroupTable:
@@ -477,31 +469,14 @@ class GroupTable:
             for s in ms:
                 class_of[s] = nr
 
-        def maximal_subgroups(t: frozenset[int]) -> list[frozenset[int]]:
-            proper = [s for s in all_subs if len(s) < len(t) and s < t]
-            out = []
-            for s in proper:
-                if not any(s < u and u < t for u in proper):
-                    out.append(s)
-            return out
-
-        def minimal_overgroups(s: frozenset[int]) -> list[frozenset[int]]:
-            above = [t for t in all_subs if len(t) > len(s) and s < t]
-            out = []
-            for t in above:
-                if not any(s < u and u < t for u in above):
-                    out.append(t)
-            return out
-
         classes: list[SubgroupClass] = []
         for nr, ms in enumerate(raw_classes, start=1):
             rep = ms[0]
-            maximal: dict[int, int] = {}
-            for s in maximal_subgroups(rep):
-                maximal[class_of[s]] = maximal.get(class_of[s], 0) + 1
-            minover: dict[int, int] = {}
-            for t in minimal_overgroups(rep):
-                minover[class_of[t]] = minover.get(class_of[t], 0) + 1
+            # members of below lie below rep, and of above above it: one test covers
+            below = [s for s in all_subs if len(s) < len(rep) and s < rep]
+            above = [t for t in all_subs if len(t) > len(rep) and rep < t]
+            maximal = Counter(class_of[s] for s in below if not any(s < u for u in below))
+            minover = Counter(class_of[t] for t in above if not any(u < t for u in above))
             classes.append(
                 SubgroupClass(
                     number=nr,

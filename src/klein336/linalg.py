@@ -2,8 +2,7 @@
 
 Three layers live here:
 
-* ``Mat3`` -- 3x3 matrices over the field, with exact determinant, product
-  and kernel computations;
+* ``Mat3`` -- 3x3 matrices over the field, with exact determinant and product;
 * the basis change between C^3 (as a 6-dimensional rational space in the
   coefficient chart) and the standard Z-basis eps_1..eps_6 of the invariant
   lattice;
@@ -105,14 +104,6 @@ class Mat3:
         s = _q(s)
         return Mat3([[s * v for v in row] for row in self.rows])
 
-    def apply(self, v: CVec3) -> CVec3:
-        r = self.rows
-        return (
-            r[0][0] * v[0] + r[0][1] * v[1] + r[0][2] * v[2],
-            r[1][0] * v[0] + r[1][1] * v[1] + r[1][2] * v[2],
-            r[2][0] * v[0] + r[2][1] * v[1] + r[2][2] * v[2],
-        )
-
     def det(self) -> QNum:
         r = self.rows
         return (
@@ -206,15 +197,6 @@ def qnum_nullspace(rows: Sequence[Sequence[QNum]], ncols: int) -> list[list[QNum
     return basis
 
 
-def kernel_K(rows: Sequence[Sequence[QNum]] | Mat3) -> list[CVec3]:
-    """Basis of the right kernel over the field, for an m x 3 matrix."""
-    if isinstance(rows, Mat3):
-        work = [list(r) for r in rows.rows]
-    else:
-        work = [list(r) for r in rows]
-    return [(v[0], v[1], v[2]) for v in qnum_nullspace(work, 3)]
-
-
 # --- the eps basis of the invariant lattice ---------------------------------
 
 E1: CVec3 = vec3(0, ALPHA, ALPHA)
@@ -293,20 +275,6 @@ def to_eps_coords(v: CVec3) -> tuple[Fraction, ...]:
     nums, den = _chart_numerators(v)
     den *= _INVERSE_DEN
     return tuple(Fraction(sum(map(mul, row, nums)), den) for row in _INVERSE_NUM)
-
-
-def from_eps_coords(c: Sequence[Fraction]) -> CVec3:
-    if len(c) != 6:
-        raise ValueError("eps coordinates must have length 6")
-    c = [Fraction(x) for x in c]
-    den = lcm(*(x.denominator for x in c))
-    nums = [x.numerator * (den // x.denominator) for x in c]
-    w = [sum(map(mul, row, nums)) for row in _FORWARD]
-    return (
-        QNum.from_ints(w[0], w[1], den),
-        QNum.from_ints(w[2], w[3], den),
-        QNum.from_ints(w[4], w[5], den),
-    )
 
 
 def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:

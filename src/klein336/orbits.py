@@ -27,7 +27,12 @@ Lambda_1 rows, then the translate test on the survivors.  Whether g p lies
 on a curve is one stacked product too, of the curve's transverse rows with
 g p - t for every g at once: it gives the setwise stabilizer of a curve and
 decides whether a point lies on the singular curve, the G-orbit of the
-kappa_3 curve.
+kappa_3 curve (``on_singular_curve``).
+
+The six special curves (the mirror, kappa_1-kappa_3, c3_axis and h4_axis)
+are one read-only record per table, ``special_curves``: each curve's locus,
+translate, generic stabilizer in G and setwise stabilizer in H, computed
+once and read by the curve strata, the singularity reports and the checks.
 
 The special loci T6, T7 and T4p take one fixed-point enumeration (one Smith
 normal form) per conjugacy class of the wanted order and determinant, then
@@ -37,9 +42,10 @@ the G-orbits of those fixed points: Fix(h g h^-1) = h Fix(g).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,6 +53,7 @@ from .group import GroupTable
 from .linalg import IDENTITY3, mat3_to_int6
 from .qfield import QNum
 from .torus import (
+    ConsistencyError,
     FixedLocus,
     TorusPoint,
     ZERO_POINT,
@@ -61,10 +68,6 @@ from .torus import (
     kappa_translates,
     omega_point,
 )
-
-
-class ConsistencyError(RuntimeError):
-    """The computed strata contradict the expected shape of the singular locus."""
 
 
 # --- stabilizers and orbits ---------------------------------------------------
@@ -395,20 +398,10 @@ class OrbitRecord:
     orbit_min: TorusPoint
 
     def to_dict(self) -> dict:
-        return {
-            "locus": self.locus,
-            "quotient": self.quotient,
-            "representative": str(self.representative),
-            "rep_name": self.rep_name,
-            "orbit_size": self.orbit_size,
-            "stabilizer_order": self.stabilizer_order,
-            "label": self.label,
-            "label_g": self.label_g,
-            "label_h": self.label_h,
-            "reflection_generated": self.reflection_generated,
-            "image_status": self.image_status,
-            "orbit_key": str(self.orbit_min),
-        }
+        d = asdict(self)
+        del d["orbit_min"]  # the last field, serialised under the name orbit_key
+        d.update(representative=str(self.representative), orbit_key=str(self.orbit_min))
+        return d
 
 
 def _record_for_point(
@@ -575,20 +568,7 @@ class CurveStratum:
     ordinary_singular_points: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "quotient": self.quotient,
-            "carrier": self.carrier,
-            "translate": str(self.translate),
-            "generic_stabilizer_order": self.generic_stabilizer_order,
-            "label": self.label,
-            "reflection_generated": self.reflection_generated,
-            "image_status": self.image_status,
-            "invariance_label_h": self.invariance_label_h,
-            "invariance_order_h": self.invariance_order_h,
-            "dissident_points": self.dissident_points,
-            "ordinary_singular_points": self.ordinary_singular_points,
-        }
+        return {**asdict(self), "translate": str(self.translate)}
 
 
 @dataclass
@@ -600,74 +580,81 @@ class SingularityReport:
     notes: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "quotient": self.quotient,
-            "isolated": self.isolated,
-            "curves": self.curves,
-            "smooth_special_orbits": self.smooth_special_orbits,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class SpecialCurve:
+    """One special-curve class: the curve translate + V_1 of its carrier's fixed locus.
+
+    ``generic`` is the stabilizer in G of a generic point of the curve; its
+    part in H is the stabilizer in H, since each element is tested on its
+    own.  ``setwise_h`` holds the elements of H that map the curve onto itself.
+    """
+
+    name: str
+    carrier: str  # the named parabolic element whose fixed locus carries the curve
+    translate: TorusPoint
+    locus: FixedLocus
+    generic: frozenset[int]
+    setwise_h: frozenset[int]
+
+
+def special_curves(table: GroupTable) -> Mapping[str, SpecialCurve]:
+    """The six special-curve classes by name, computed once per table, read-only."""
+    if "curves" not in table.derived:
+        loci = {c: fixed_locus_structure(table, table.named[c]) for c in ("r2", "rho1", "c3", "h4")}
+        kappas = kappa_translates(table, table.named["rho1"])
+        curves = [
+            ("mirror", "r2", ZERO_POINT),
+            *((f"kappa_{i}", "rho1", kappas[i]) for i in (1, 2, 3)),
+            ("c3_axis", "c3", ZERO_POINT),
+            ("h4_axis", "h4", ZERO_POINT),
+        ]
+        table.derived["curves"] = MappingProxyType({
+            name: SpecialCurve(
+                name, carrier, t, loci[carrier],
+                generic_curve_stabilizer(table, t, loci[carrier].lambda1_rows, "G"),
+                curve_setwise_stabilizer(table, loci[carrier], t, "H"),
+            )
+            for name, carrier, t in curves
+        })
+    return table.derived["curves"]
 
 
 def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     """Generic-stabilizer records for every special-curve class through the action."""
-    if "curves" not in table.derived:  # the carriers' loci do not depend on the quotient
-        loci = {c: fixed_locus_structure(table, table.named[c]) for c in ("r2", "rho1", "c3", "h4")}
-        kappas = kappa_translates(table, table.named["rho1"])
-        table.derived["curves"] = (
-            ("mirror", "r2", ZERO_POINT, loci["r2"]),
-            *((f"kappa_{i}", "rho1", kappas[i], loci["rho1"]) for i in (1, 2, 3)),
-            ("c3_axis", "c3", ZERO_POINT, loci["c3"]),
-            ("h4_axis", "h4", ZERO_POINT, loci["h4"]),
-        )
+    ambient = frozenset(table.subset_indices(quotient))
     out: list[CurveStratum] = []
-    for name, carrier, translate, locus in table.derived["curves"]:
-        stab = generic_curve_stabilizer(table, translate, locus.lambda1_rows, quotient)
-        winfo = singularity_weights(table, stab)
-        inv = curve_setwise_stabilizer(table, locus, translate, "H")
+    for c in special_curves(table).values():
+        stab = c.generic & ambient
         out.append(
             CurveStratum(
-                name=name,
+                name=c.name,
                 quotient=quotient,
-                carrier=carrier,
-                translate=translate,
+                carrier=c.carrier,
+                translate=c.translate,
                 generic_stabilizer_order=len(stab),
                 label=table.recognize(stab),
                 reflection_generated=reflection_generated(table, stab),
-                image_status=winfo.image_status(),
-                invariance_label_h=table.recognize(inv),
-                invariance_order_h=len(inv),
+                image_status=singularity_weights(table, stab).image_status(),
+                invariance_label_h=table.recognize(c.setwise_h),
+                invariance_order_h=len(c.setwise_h),
             )
         )
     return out
 
 
-def on_curve_orbit(
-    table: GroupTable, p: TorusPoint, locus: FixedLocus, translate: TorusPoint
-) -> bool:
-    """Does some g in G put g p on the curve translate + V_1 of locus?
+def on_singular_curve(table: GroupTable, p: TorusPoint) -> bool:
+    """Does p lie on the singular curve of J/G, the G-orbit of the kappa_3 curve?
 
-    One stacked product over all of G; for rho1's kappa_3 curve this is
-    membership in the singular curve.
+    That orbit is the union of the antireflections' off-mirror translate
+    curves, since the antireflections are conjugate and conjugation keeps a
+    curve off the mirrors.  One stacked product over all of G asks whether
+    some g puts g p on the kappa_3 curve.
     """
-    return bool(_images_on_curve(table, table.int6_stack, p, locus, translate).any())
-
-
-def kappa3_curve(table: GroupTable) -> tuple[FixedLocus, TorusPoint]:
-    """rho1's fixed locus and kappa_3 translate: the curve whose G-orbit is singular."""
-    rho1 = table.named["rho1"]
-    return fixed_locus_structure(table, rho1), kappa_translates(table, rho1)[3]
-
-
-def point_on_off_mirror_curve(table: GroupTable, p: TorusPoint) -> bool:
-    """Does p lie on the off-mirror translate curve of some antireflection?
-
-    These curves are the G-images of rho1's kappa_3 curve, since the
-    antireflections are conjugate and conjugation keeps a curve off the
-    mirrors; so p lies on one exactly when some g in G puts g p on the
-    kappa_3 curve.
-    """
-    return on_curve_orbit(table, p, *kappa3_curve(table))
+    c = special_curves(table)["kappa_3"]
+    return bool(_images_on_curve(table, table.int6_stack, p, c.locus, c.translate).any())
 
 
 def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) -> SingularityReport:
@@ -722,9 +709,8 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
                 "the singular point strata do not match the expected inventory: "
                 f"isolated={len(isolated)} dissident={len(dissident)} stray={len(stray)}"
             )
-        axis = next(locus for name, *_, locus in table.derived["curves"] if name == ell.name)
-        for rec in dissident + ordinary:
-            if not on_curve_orbit(table, rec.representative, axis, ell.translate):
+        for rec in dissident + ordinary:  # the singular curve is kappa_3's, as checked above
+            if not on_singular_curve(table, rec.representative):
                 raise ConsistencyError(
                     f"singular orbit at {rec.representative} does not lie on the singular curve"
                 )

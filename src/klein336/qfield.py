@@ -182,13 +182,6 @@ class QNum:
         # conj / norm = ((a + b) - b w) d / n
         return _reduced((a + b) * d, -b * d, n)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_integral(self) -> bool:
-        """True iff the value lies in Z[w]."""
-        return self.d == 1
-
     @classmethod
     def parse(cls, text: str) -> QNum:
         """Parse the wire encoding "x+y*w"; inverse of str() bit-exactly."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .group import GroupTable, get_group, roots
@@ -29,20 +29,17 @@ from .orbits import (
     beta_table_summary,
     classify_locus,
     doubling_check,
-    generic_curve_stabilizer,
-    kappa3_curve,
     locus_points,
-    on_curve_orbit,
+    on_singular_curve,
     orbit_points,
-    point_on_off_mirror_curve,
     singularity_report,
+    special_curves,
     stabilizer_indices,
 )
 from .qfield import ONE, QNum, hermitian
 from .quartic import verify_quartic_invariance
 from .torus import (
     TorusPoint,
-    ZERO_POINT,
     apply_element,
     beta_point,
     enumerate_fixed_points,
@@ -65,13 +62,7 @@ class VerifyOutcome:
     paper_ref: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "paper_ref": self.paper_ref,
-        }
+        return asdict(self)
 
 
 def _outcome(name, ok, expected, actual, ref) -> VerifyOutcome:
@@ -304,10 +295,8 @@ def _ac8(table: GroupTable) -> list[VerifyOutcome]:
             "beta stabilizer table",
         )
     ]
-    curve = kappa3_curve(table)
     d8p_on_curve = all(
-        on_curve_orbit(table, beta_point(name.split("_")[1]), *curve)
-        for name in expected_labels["D8'"]
+        on_singular_curve(table, beta_point(name.split("_")[1])) for name in expected_labels["D8'"]
     )
     out.append(
         VerifyOutcome(
@@ -334,7 +323,7 @@ def _ac9(table: GroupTable) -> list[VerifyOutcome]:
         (28, "±S3", "1/2(0,1,1)"),
     ]
     s3_rec = next(r for r in records if r.label == "±S3")
-    on_curve = point_on_off_mirror_curve(table, s3_rec.representative)
+    on_curve = on_singular_curve(table, s3_rec.representative)
     ok = data == expected and sum(r.orbit_size for r in records) == 63 and on_curve
     out = [
         _outcome(
@@ -473,13 +462,8 @@ def _ac11(table: GroupTable) -> list[VerifyOutcome]:
 
 
 def _ac12(table: GroupTable) -> list[VerifyOutcome]:
-    rho1 = table.named["rho1"]
-    axis = fixed_locus_structure(table, rho1)
-    ks = kappa_translates(table)
-    stabs = [
-        generic_curve_stabilizer(table, ks[i], axis.lambda1_rows, "G")
-        for i in (1, 2, 3)
-    ]
+    curves = special_curves(table)
+    stabs = [curves[f"kappa_{i}"].generic for i in (1, 2, 3)]
     labels = [table.recognize(s) for s in stabs]
     two_refl = all(
         len(s & table.reflection_set) == 2
@@ -487,12 +471,7 @@ def _ac12(table: GroupTable) -> list[VerifyOutcome]:
         for s in stabs[:2]
     )
     inter = stabs[2] == stabs[0] & stabs[1]
-    c3 = table.named["c3"]
-    l3 = fixed_locus_structure(table, c3)
-    s3 = generic_curve_stabilizer(table, ZERO_POINT, l3.lambda1_rows, "G")
-    h4 = table.named["h4"]
-    l4 = fixed_locus_structure(table, h4)
-    s4 = generic_curve_stabilizer(table, ZERO_POINT, l4.lambda1_rows, "G")
+    s3, s4 = curves["c3_axis"].generic, curves["h4_axis"].generic
     ok = (
         labels == ["2^2", "2^2", "C2-antirefl"]
         and two_refl
@@ -637,10 +616,9 @@ def emit_report(outcomes: list[VerifyOutcome], fmt: str = "json") -> bytes:
         payload = [o.to_dict() for o in outcomes]
         return (json.dumps(payload, indent=2, ensure_ascii=True) + "\n").encode()
     if fmt == "tsv":
-        lines = ["name\tstatus\texpected\tactual\tpaper_ref"]
+        lines = ["\t".join(f.name for f in fields(VerifyOutcome))]
         for o in outcomes:
-            fields = [o.name, o.status, o.expected, o.actual, o.paper_ref]
-            clean = [f.replace("\t", " ").replace("\n", " ") for f in fields]
+            clean = [v.replace("\t", " ").replace("\n", " ") for v in asdict(o).values()]
             lines.append("\t".join(clean))
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown report format {fmt!r}")

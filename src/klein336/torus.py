@@ -11,8 +11,8 @@ locus is a finite union of translates of a subtorus V_1/Lambda_1; when V_1
 is zero (elliptic elements, or sets fixing finitely many points) the
 translates are the fixed points.  The same normal form gives Lambda_1 and
 the integer rows that test whether a point lies on the component through
-zero.  ``enumerate_fixed_points``, ``fixed_locus_structure`` and
-``subgroup_fixed_points`` are views of it.
+zero.  ``enumerate_fixed_points`` and ``fixed_locus_structure`` are views
+of it for one element.
 
 The stabilizer of a generic point of a special curve is one stacked integer
 product of the group's matrices with the curve's Lambda_1 rows; it also
@@ -34,6 +34,10 @@ import numpy as np
 from .group import GroupTable
 from .linalg import hnf_rows, int_det, smith_normal_form, to_eps_coords
 from .qfield import ALPHA, CVec3, QNum, ZERO, vec3
+
+
+class ConsistencyError(RuntimeError):
+    """A computed result contradicts an exact check."""
 
 
 class ParabolicElementError(ValueError):
@@ -77,6 +81,9 @@ class TorusPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusPoint is immutable")
+
+    def __deepcopy__(self, memo) -> "TorusPoint":
+        return self  # immutable, so records holding points copy them as they are
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -178,14 +185,6 @@ def apply_element(int6: Sequence[Sequence[int]], p: TorusPoint) -> TorusPoint:
     return _point([sum(map(mul, row, n)) for row in int6], p.den)
 
 
-# --- lattice membership -------------------------------------------------------
-
-
-def lattice_contains(v: CVec3) -> bool:
-    """v in Lambda, decided by integrality of its eps coordinates."""
-    return all(c.denominator == 1 for c in to_eps_coords(v))
-
-
 # --- fixed loci -----------------------------------------------------------------
 
 
@@ -255,7 +254,7 @@ def fixed_locus(table: GroupTable, elements: int | Iterable[int]) -> FixedLocus:
     u, d, v = smith_normal_form(stack)
     r = len(stack)
     if r % 2:
-        raise RuntimeError("the fixed space is not a complex subspace")
+        raise ConsistencyError(f"the fixed space has odd real codimension {r}")
     diag = [d[i][i] for i in range(r)]
     cols = list(zip(*stack))
     m = diag[-1]
@@ -284,8 +283,9 @@ def enumerate_fixed_points(table: GroupTable, gi: int) -> list[TorusPoint]:
     locus = fixed_locus(table, gi)
     if locus.dim:
         raise ParabolicElementError(f"element {gi} is parabolic")
-    if len(locus.translates) != fixed_point_count(table, gi):
-        raise RuntimeError("fixed point enumeration does not match the determinant")
+    count, found = fixed_point_count(table, gi), len(locus.translates)
+    if found != count:
+        raise ConsistencyError(f"element {gi} fixes {found} points, but |det(g - I)| = {count}")
     return locus.translates
 
 
@@ -295,14 +295,6 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
     if not locus.dim:
         raise EllipticElementError(f"element {gi} is elliptic; use enumerate_fixed_points")
     return locus
-
-
-def subgroup_fixed_points(table: GroupTable, elements) -> list[TorusPoint]:
-    """All torus points fixed by every listed element; the joint locus must be finite."""
-    locus = fixed_locus(table, elements)
-    if locus.dim:
-        raise ParabolicElementError("the joint fixed locus is positive-dimensional")
-    return locus.translates
 
 
 # --- stabilizers of special curves ----------------------------------------------
@@ -420,7 +412,8 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
     if gi not in set(table.antireflections):
         raise ValueError("kappa translates are defined for antireflections")
     locus = fixed_locus_structure(table, gi)
-    assert locus.component_count == 4
+    if locus.component_count != 4:
+        raise ConsistencyError(f"antireflection {gi} fixes {locus.component_count} curves, not 4")
     nonzero = [t for t in locus.translates if not t.is_zero()]
     off_mirror = [
         t
@@ -428,14 +421,14 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
         if not generic_curve_stabilizer(table, t, locus.lambda1_rows) & table.reflection_set
     ]
     if len(off_mirror) != 1:
-        raise RuntimeError(
+        raise ConsistencyError(
             f"expected exactly one off-mirror translate class, found {len(off_mirror)}"
         )
     k3_class = off_mirror[0]
     k1, k2 = sorted(t for t in nonzero if t != k3_class)
     k3 = k1 + k2
     if not locus.in_v1_plus_lattice(k3 - k3_class):
-        raise RuntimeError("k1 + k2 does not land in the off-mirror translate class")
+        raise ConsistencyError("k1 + k2 does not land in the off-mirror translate class")
     return [ZERO_POINT, k1, k2, k3]
 
 

@@ -6,7 +6,9 @@
 * the float embedding w -> (1 + i*sqrt(7))/2 of field elements and
   matrices, which the package itself never uses;
 * the rational eps chart: the basis change between C^3 and the lattice
-  basis eps_1..eps_6 as ``Fraction`` matrices;
+  basis eps_1..eps_6 as ``Fraction`` matrices, the only chart from eps
+  coordinates back to C^3;
+* field kernels (``kernel_K``) and matrix-vector products of ``Mat3``;
 * ``FracTorusPoint``: a torsion point as six ``Fraction`` coordinates in
   [0, 1), the representation ``klein336.torus.TorusPoint`` used before it
   stored integer numerators over its order;
@@ -24,8 +26,7 @@
   with ``fixes_curve`` on every reflection;
 * the special loci T6, T7 and T4p by one fixed-point enumeration per
   element of the wanted order;
-* test-only membership and group helpers: the lattice congruences, the
-  reflection formula and centralizer sizes; the saturated integer kernel and
+* test-only group helpers: the reflection formula and centralizer sizes; the saturated integer kernel and
   lattice index that the complement-torus path uses;
 * the group built the field-valued way: BFS over ``Mat3`` products, field
   determinants and field kernels for the reflections; unitarity of a
@@ -67,12 +68,11 @@ from klein336.linalg import (
     hnf_contains,
     hnf_rows,
     int_det,
-    kernel_K,
     rat_inverse,
     smith_normal_form,
 )
 from klein336.orbits import ConsistencyError, WeightInfo, reflection_generated
-from klein336.qfield import ALPHA, ALPHA_BAR, CVec3, QNum, hermitian, vec3
+from klein336.qfield import CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
 from klein336.torus import (
     TorusPoint,
@@ -181,12 +181,6 @@ class FracQNum:
         c = self.conj()
         return FracQNum(c.x / n, c.y / n)
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
-
     def to_complex(self) -> complex:
         return float(self.x) + float(self.y) * _W_COMPLEX
 
@@ -252,6 +246,17 @@ def to_eps_coords(v: Sequence) -> tuple[Fraction, ...]:
 def from_eps_coords(c: Sequence) -> tuple[QNum, QNum, QNum]:
     x = rat_mat_vec(FORWARD, [Fraction(t) for t in c])
     return (QNum(x[0], x[1]), QNum(x[2], x[3]), QNum(x[4], x[5]))
+
+
+def kernel_K(rows: Sequence[Sequence[QNum]] | Mat3) -> list[CVec3]:
+    """Basis of the right kernel over the field, for an m x 3 matrix."""
+    rows = rows.rows if isinstance(rows, Mat3) else rows
+    return [tuple(v) for v in linalg.qnum_nullspace(rows, 3)]
+
+
+def mat_apply(m: Mat3, v: Sequence[QNum]) -> CVec3:
+    """The field vector m v."""
+    return tuple(sum((a * b for a, b in zip(row, v)), QNum(0)) for row in m.rows)
 
 
 def mat3_to_int6(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
@@ -368,22 +373,7 @@ def frac_apply_element(int6: Sequence[Sequence[int]], p: FracTorusPoint) -> Frac
     return FracTorusPoint([sum(int6[i][j] * p.coords[j] for j in range(6)) for i in range(6)])
 
 
-# --- lattice congruences, the reflection formula, centralizers -------------------
-
-
-def _o_divides(d: QNum, w: QNum) -> bool:
-    q = w * d.conj()
-    n = d.norm()
-    return (q.x / n).denominator == 1 and (q.y / n).denominator == 1
-
-
-def lattice_contains_congruence(v: CVec3) -> bool:
-    """Membership in the lattice straight from its defining congruences."""
-    if not all(q.is_integral() for q in v):
-        return False
-    if not _o_divides(ALPHA, v[0] - v[1]) or not _o_divides(ALPHA, v[1] - v[2]):
-        return False
-    return _o_divides(ALPHA_BAR, v[0] + v[1] + v[2])
+# --- the reflection formula, centralizers ---------------------------------------
 
 
 def reflection_matrix(e: CVec3) -> Mat3:
@@ -639,8 +629,8 @@ def looped_curve_stabilizer(
 class AntireflectionCurves:
     """Membership in the singular curve, antireflection by antireflection.
 
-    The rule ``orbits.point_on_off_mirror_curve`` applied before it became
-    one stacked product over G: p lies on the singular curve when some
+    The rule ``orbits.on_singular_curve`` applied before it became one
+    stacked product over G: p lies on the singular curve when some
     antireflection fixing p has p on its off-mirror component, the one
     translate class whose curve no reflection fixes (``fixes_curve`` on all
     21 reflections).  Each antireflection's locus is computed once.
@@ -681,7 +671,7 @@ def projector_setwise_stabilizer(
     members = []
     for g in table.subset_indices(quotient):
         el = table.elements[g]
-        if any(any(projector.project_eps(el.mat.apply(b))) for b in v1_basis):
+        if any(any(projector.project_eps(mat_apply(el.mat, b))) for b in v1_basis):
             continue
         moved = apply_element(el.int6, translate)
         if projector.in_v1_plus_lattice((moved - translate).coords):
@@ -1017,7 +1007,7 @@ def residual_involution_weights(
         return None
     sigma = min(i for i in s if i not in w_part)
     b = fixed_line[0]
-    image = table.elements[sigma].mat.apply((b[0], b[1], b[2]))
+    image = mat_apply(table.elements[sigma].mat, b)
     j = next(k for k in range(3) if b[k])
     lam = image[j] * b[j].inv()
     if any(image[k] != lam * b[k] for k in range(3)) or lam * lam != QNum(1):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -5,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from klein336 import report
+from klein336 import report, torus
 from klein336.cli import main
-from klein336.group import GroupConstructionError, UnrecognizedSubgroupError
+from klein336.group import GroupConstructionError, UnrecognizedSubgroupError, get_group
 from klein336.linalg import Mat3, NonIntegralError, mat3_to_int6
 from klein336.orbits import ConsistencyError
 from klein336.qfield import QNum
@@ -273,6 +274,49 @@ def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv):
     assert captured.out == ""
     assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in captured.err
+
+
+# each guard of torus.py, driven through the CLI by one monkeypatched input
+@pytest.mark.parametrize(
+    "argv, owner, name, patch, message",
+    [
+        pytest.param(
+            ["fixed", "--element", "r2"], torus, "hnf_rows",
+            lambda real: lambda rows: real(rows)[:-1],  # drops a row of the g - I stack
+            "odd real codimension 1", id="odd-codimension",
+        ),
+        pytest.param(
+            ["classify", "--locus", "T7"], torus, "fixed_point_count",
+            lambda real: lambda table, gi: real(table, gi) + 1,
+            "fixes 7 points, but |det(g - I)| = 8", id="fixed-point-count",
+        ),
+        pytest.param(
+            ["stabilizer", "--point", "kappa_3"], torus, "fixed_locus_structure",
+            lambda real: lambda table, gi: dataclasses.replace(
+                real(table, gi), translates=real(table, gi).translates[:3]
+            ),
+            "fixes 3 curves, not 4", id="four-components",
+        ),
+        pytest.param(
+            ["stabilizer", "--point", "kappa_3"], torus, "generic_curve_stabilizer",
+            lambda real: lambda *args: frozenset(),  # no curve is fixed by a reflection
+            "found 3", id="one-off-mirror-class",
+        ),
+        pytest.param(
+            ["stabilizer", "--point", "kappa_3"], torus.FixedLocus, "in_v1_plus_lattice",
+            lambda real: lambda locus, p: False,
+            "k1 + k2 does not land", id="k3-class",
+        ),
+    ],
+)
+def test_torus_guards_exit_3(monkeypatch, capsys, argv, owner, name, patch, message):
+    monkeypatch.setattr(get_group(), "derived", {})  # no locus cached before the patch
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("internal error: ConsistencyError: ") and message in line
 
 
 def test_usage_error_exit_code():

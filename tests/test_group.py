@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import centralizer_size, is_unitary, reflection_matrix
+from oracles import centralizer_size, is_unitary, kernel_K, reflection_matrix
 from klein336.group import (
     R1,
     R2,
@@ -17,10 +17,9 @@ from klein336.group import (
     GroupConstructionError,
     GroupTable,
     UnrecognizedSubgroupError,
-    positive_roots,
     roots,
 )
-from klein336.linalg import IDENTITY3, Mat3, int6_to_mat3, kernel_K
+from klein336.linalg import IDENTITY3, Mat3, int6_to_mat3
 from klein336.qfield import ONE, QNum, hermitian, vec3
 
 
@@ -50,12 +49,10 @@ def test_roots():
     assert len(rts) == 42
     for e in rts:
         assert hermitian(e, e) == QNum(2)
-    pos = positive_roots()
-    assert len(pos) == 21
-    neg_keys = {tuple((q.x, q.y) for q in e) for e in rts} - {
-        tuple((q.x, q.y) for q in e) for e in pos
-    }
-    assert len(neg_keys) == 21
+    # the roots fall into 21 pairs +-e
+    keys = {tuple((q.x, q.y) for q in e) for e in rts}
+    assert len(keys) == 42
+    assert {tuple((-q.x, -q.y) for q in e) for e in rts} == keys
 
 
 def test_reflection_formula_recovers_generators():

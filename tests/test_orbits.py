@@ -32,14 +32,13 @@ from klein336.orbits import (
     curve_strata,
     doubling_check,
     generic_curve_stabilizer,
-    kappa3_curve,
     locus_points,
-    on_curve_orbit,
+    on_singular_curve,
     orbit_points,
-    point_on_off_mirror_curve,
     reflection_generated,
     singularity_report,
     singularity_weights,
+    special_curves,
     stabilizer_indices,
 )
 from klein336.qfield import QNum
@@ -254,19 +253,55 @@ def test_traces_read_off_the_integer_matrices(group):
 
 
 def test_curve_loci_are_computed_once_per_table(group, monkeypatch):
+    # both reports and the curve checks AC08, AC09 and AC12 read one record:
+    # four carrier loci, one kappa call, one generic and one setwise
+    # stabilizer for each of the six curves
+    from klein336 import report
+
     calls = Counter()
-    for name in ("fixed_locus_structure", "kappa_translates"):
-        fn = getattr(orbits, name)
-        monkeypatch.setattr(orbits, name, lambda *a, _fn=fn, _n=name: calls.update([_n]) or _fn(*a))
+    names = ("fixed_locus_structure", "kappa_translates", "generic_curve_stabilizer",
+             "curve_setwise_stabilizer")
+    for module in (orbits, report):
+        for name in names:
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, _fn=fn, _n=name, **k: calls.update([_n]) or _fn(*a, **k)
+                )
+    once = {"fixed_locus_structure": 4, "kappa_translates": 1, "generic_curve_stabilizer": 6,
+            "curve_setwise_stabilizer": 6}
     table = GroupTable()
     strata_g = [c.to_dict() for c in curve_strata(table, "G")]
-    assert calls == {"fixed_locus_structure": 4, "kappa_translates": 1}
+    assert calls == once
     strata_h = [c.to_dict() for c in curve_strata(table, "H")]
     report_g = singularity_report(table, "G")
-    assert calls == {"fixed_locus_structure": 4, "kappa_translates": 1}
+    report_h = singularity_report(table, "H")
+    for check in (report._ac8, report._ac9, report._ac12):
+        assert all(o.status != "fail" for o in check(table))
+    assert calls == once
     assert [c.to_dict() for c in curve_strata(table, "G")] == strata_g
     assert [c.to_dict() for c in curve_strata(table, "H")] == strata_h
     assert report_g.to_dict() == singularity_report(group, "G").to_dict()
+    assert report_h.to_dict() == singularity_report(group, "H").to_dict()
+
+
+def test_special_curve_record(group):
+    curves = special_curves(group)
+    assert list(curves) == ["mirror", "kappa_1", "kappa_2", "kappa_3", "c3_axis", "h4_axis"]
+    assert special_curves(group) is curves
+    ks = kappa_translates(group)
+    assert [c.translate for c in curves.values()] == [ZERO_POINT, *ks[1:], ZERO_POINT, ZERO_POINT]
+    for c in curves.values():
+        assert c.locus == fixed_locus_structure(group, group.named[c.carrier])
+        rows = c.locus.lambda1_rows
+        # the H-stabilizer is the part in H of the G-stabilizer
+        for quotient, ambient in (("G", group.g_set), ("H", group.h_set)):
+            assert c.generic & ambient == generic_curve_stabilizer(group, c.translate, rows, quotient)
+        assert c.setwise_h == curve_setwise_stabilizer(group, c.locus, c.translate, "H")
+    with pytest.raises(TypeError):
+        curves["kappa_3"] = curves["mirror"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        curves["kappa_3"].generic = frozenset()
 
 
 def test_inverse_char_poly_inverts_det_one_minus_tg(group):
@@ -657,9 +692,9 @@ def test_no_field_arithmetic_in_group_build_and_quartic(group, monkeypatch):
 def test_singular_points_lie_on_off_mirror_curves(group):
     for p in (omega_point(1, 0), beta_point("1010"), beta_point("0101"),
               beta_point("0011")):
-        assert point_on_off_mirror_curve(group, p)
+        assert on_singular_curve(group, p)
     # a smooth special point does not
-    assert not point_on_off_mirror_curve(group, omega_point(0, 1))
+    assert not on_singular_curve(group, omega_point(0, 1))
 
 
 def _seeded_kappa_curve_points(group, rng, per_curve, den_choices):
@@ -685,7 +720,7 @@ def test_singular_curve_membership_matches_antireflection_rule(group):
     seeded = _seeded_kappa_curve_points(group, random.Random(42), 60, (2, 3, 4, 5, 6, 8, 12))
     assert len(special) == 63 + 42 + 231 + 48 + 15 + 3 and len(seeded) == 240
     for points in (special, seeded):
-        answers = [point_on_off_mirror_curve(group, p) for p in points]
+        answers = [on_singular_curve(group, p) for p in points]
         assert answers == [reference.contains(p) for p in points]
         assert True in answers and False in answers
 
@@ -693,10 +728,9 @@ def test_singular_curve_membership_matches_antireflection_rule(group):
 def test_singular_curve_membership_beyond_int64(group):
     # denominators whose products overflow int64 take the Python-integer path
     reference = AntireflectionCurves(group)
-    curve = kappa3_curve(group)
     points = _seeded_kappa_curve_points(group, random.Random(43), 3, (BIG_PRIME, 10**20))
     points.append(TorusPoint([F(k, 10**20) for k in (1, 3, 0, 0, 0, 7)]))
-    answers = [on_curve_orbit(group, p, *curve) for p in points]
+    answers = [on_singular_curve(group, p) for p in points]
     assert answers == [reference.contains(p) for p in points]
     assert True in answers and False in answers
     assert all(p.den > 2**61 for p in points)

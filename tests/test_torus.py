@@ -6,13 +6,14 @@ import pytest
 
 from oracles import (
     complement_fixed_locus,
+    from_eps_coords,
     goursat_subgroups_of_g,
-    lattice_contains_congruence,
+    kernel_K,
     lattice_index,
 )
-from klein336.linalg import IDENTITY3, from_eps_coords, int_det, kernel_K, to_eps_coords
+from klein336.linalg import IDENTITY3, int_det, to_eps_coords
 from klein336.orbits import stabilizer_indices
-from klein336.qfield import ALPHA, ALPHA_BAR, QNum, vec3
+from klein336.qfield import QNum, vec3
 from klein336.torus import (
     EllipticElementError,
     IdentityElementError,
@@ -28,10 +29,8 @@ from klein336.torus import (
     fixed_point_count,
     half_periods,
     kappa_translates,
-    lattice_contains,
     omega_point,
     registry_point,
-    subgroup_fixed_points,
     xi_point,
 )
 
@@ -60,29 +59,6 @@ def test_torus_point_canonicalization():
     assert p.order() == 12
     assert (p - p).is_zero()
     assert (-p + p).is_zero()
-
-
-def test_lattice_membership_examples():
-    assert lattice_contains(vec3(1, 1, ALPHA_BAR))
-    assert lattice_contains(vec3(2, 2, 2))
-    assert not lattice_contains(vec3(1, 0, 0))
-    assert lattice_contains(vec3(0, ALPHA, ALPHA))
-    assert not lattice_contains(vec3(1, 1, 1))
-
-
-def test_lattice_membership_matches_congruence_oracle():
-    rng = random.Random(20)
-    agree = 0
-    for _ in range(400):
-        v = vec3(
-            QNum(rng.randint(-4, 4), rng.randint(-4, 4)),
-            QNum(rng.randint(-4, 4), rng.randint(-4, 4)),
-            QNum(rng.randint(-4, 4), rng.randint(-4, 4)),
-        )
-        a, b = lattice_contains(v), lattice_contains_congruence(v)
-        assert a == b
-        agree += a
-    assert agree > 0  # the sample really hits the lattice sometimes
 
 
 def test_fixed_point_counts(group):
@@ -311,26 +287,23 @@ def test_registry_point_names(group):
 
 
 def test_subgroup_fixed_points_of_s3_are_the_omega_set(group):
-    from klein336.torus import subgroup_fixed_points
-
     n = group.named
     s3 = group.subgroup_closure([n["rho1"], n["c3"]])
     assert group.recognize(s3) == "S3"
-    pts = subgroup_fixed_points(group, s3)
-    assert pts == sorted(omega_point(i, j) for i in (0, 1) for j in (0, 1))
+    locus = fixed_locus(group, s3)
+    assert locus.dim == 0 and locus.translates == sorted(omega_point(i, j) for i in (0, 1) for j in (0, 1))
 
 
 def test_subgroup_fixed_points_of_klein_four(group):
     from klein336.linalg import Mat3
-    from klein336.orbits import stabilizer_indices
-    from klein336.torus import subgroup_fixed_points
 
     rho_a = group.index_of_mat(Mat3([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]))
     rho_b = group.index_of_mat(Mat3([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
     k4 = group.subgroup_closure([rho_a, rho_b])
     assert group.recognize(k4) == "2^2"
-    pts = subgroup_fixed_points(group, k4)
-    assert len(pts) == 16
+    locus = fixed_locus(group, k4)
+    pts = locus.translates
+    assert locus.dim == 0 and len(pts) == 16
     # the fixed group is Z/4 x (Z/2)^2: one zero, seven 2-torsion, eight 4-torsion
     assert sorted(p.order() for p in pts) == [1] + [2] * 7 + [4] * 8
     # every such point is fixed by an elliptic order-4 element
@@ -343,12 +316,10 @@ def test_subgroup_fixed_points_of_klein_four(group):
 
 
 def test_subgroup_fixed_points_rejects_positive_dimensional(group):
-    from klein336.torus import subgroup_fixed_points
-
-    with pytest.raises(ParabolicElementError):
-        subgroup_fixed_points(group, group.subgroup_closure([group.named["r2"]]))
+    # a group fixing a surface has a locus of dimension 2, and the identity none
+    assert fixed_locus(group, group.subgroup_closure([group.named["r2"]])).dim == 2
     with pytest.raises(IdentityElementError):
-        subgroup_fixed_points(group, [group.identity])
+        fixed_locus(group, [group.identity])
 
 
 def test_fixed_locus_uniform_entry(group):
@@ -395,10 +366,7 @@ def test_joint_loci_of_every_subgroup_of_g(group):
                 assert locus.translates == [
                     p for p in candidates if s <= stabilizer_indices(group, p, "G")
                 ]
-            assert subgroup_fixed_points(group, s) == locus.translates
             continue
-        with pytest.raises(ParabolicElementError):
-            subgroup_fixed_points(group, s)
         # seeded points t + Lambda_1 / q on every component are fixed by S
         for t in locus.translates:
             for q in (5, 13):
