@@ -28,7 +28,7 @@ from .orbits import (
     orbit_points,
     singularity_report,
     singularity_weights,
-    stabilizer,
+    stabilizer_indices,
 )
 from .report import emit_report, has_failures, run_verify
 from .torus import (
@@ -199,27 +199,22 @@ def cmd_fixed(args) -> int:
 def cmd_stabilizer(args) -> int:
     table = get_group()
     p = _parse_point(table, args.point)
-    sub = stabilizer(table, p, args.quotient)
-    winfo = singularity_weights(table, sub.elements)
-    print(
-        f"point {p} in {args.quotient}: stabilizer order {sub.order}, label {sub.label}"
-    )
-    print(
-        f"contains -1: {sub.contains_minus_one}; reflections: {sub.reflection_count}"
-    )
-    print(f"image status: {winfo.image_status()}")
-    print("elements: " + " ".join(str(i) for i in sub.sorted_elements()))
+    s = stabilizer_indices(table, p, args.quotient)
+    payload = {
+        "point": str(p),
+        "quotient": args.quotient,
+        "order": len(s),
+        "label": table.recognize(s),
+        "contains_minus_one": table.minus_one in s,
+        "reflection_count": len(s & table.reflection_set),
+        "image_status": singularity_weights(table, s).image_status(),
+        "elements": sorted(s),
+    }
+    print("point {point} in {quotient}: stabilizer order {order}, label {label}".format(**payload))
+    print("contains -1: {contains_minus_one}; reflections: {reflection_count}".format(**payload))
+    print("image status: {image_status}".format(**payload))
+    print("elements: " + " ".join(map(str, payload["elements"])))
     if args.json:
-        payload = {
-            "point": str(p),
-            "quotient": args.quotient,
-            "order": sub.order,
-            "label": sub.label,
-            "contains_minus_one": sub.contains_minus_one,
-            "reflection_count": sub.reflection_count,
-            "image_status": winfo.image_status(),
-            "elements": sub.sorted_elements(),
-        }
         _write(args.json, (json.dumps(payload, indent=2) + "\n").encode())
     return 0
 

@@ -79,32 +79,6 @@ class ConjClass:
     det: int
 
 
-@dataclass
-class Subgroup:
-    """A subgroup given by its element ids inside a fixed group table."""
-
-    table: "GroupTable"
-    elements: frozenset[int]
-
-    def __post_init__(self) -> None:
-        self.order = len(self.elements)
-
-    @property
-    def label(self) -> str:
-        return self.table.recognize(self.elements)
-
-    @property
-    def contains_minus_one(self) -> bool:
-        return self.table.minus_one in self.elements
-
-    @property
-    def reflection_count(self) -> int:
-        return len(self.elements & self.table.reflection_set)
-
-    def sorted_elements(self) -> list[int]:
-        return sorted(self.elements)
-
-
 @dataclass(frozen=True)
 class SubgroupClass:
     number: int  # 1-based position in the canonical listing

@@ -90,13 +90,6 @@ def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") ->
     return frozenset(ids[i] for i in fixed.tolist())
 
 
-def stabilizer(table: GroupTable, p: TorusPoint, quotient: str = "G"):
-    """The stabilizer as a Subgroup (elements, order, label, flags)."""
-    from .group import Subgroup
-
-    return Subgroup(table, stabilizer_indices(table, p, quotient))
-
-
 class Orbit(Sequence):
     """An orbit of torsion points: sorted, read-only, points built when read.
 
@@ -408,7 +401,7 @@ def _record_for_point(
     table: GroupTable, locus: str, quotient: str, p: TorusPoint, rep_name: str | None = None
 ) -> OrbitRecord:
     stab_g = stabilizer_indices(table, p, "G")
-    stab_h = stab_g & frozenset(table.h_indices)
+    stab_h = stab_g & table.h_set
     stab = stab_g if quotient == "G" else stab_h
     orb = orbit_points(table, p, quotient)
     group_order = len(table.subset_indices(quotient))
@@ -624,7 +617,8 @@ def special_curves(table: GroupTable) -> Mapping[str, SpecialCurve]:
 
 def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     """Generic-stabilizer records for every special-curve class through the action."""
-    ambient = frozenset(table.subset_indices(quotient))
+    table.select(quotient)  # rejects an unknown selector
+    ambient = table.g_set if quotient == "G" else table.h_set
     out: list[CurveStratum] = []
     for c in special_curves(table).values():
         stab = c.generic & ambient

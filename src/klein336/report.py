@@ -40,6 +40,7 @@ from .qfield import ONE, QNum, hermitian
 from .quartic import verify_quartic_invariance
 from .torus import (
     TorusPoint,
+    ZERO_POINT,
     apply_element,
     beta_point,
     enumerate_fixed_points,
@@ -47,7 +48,6 @@ from .torus import (
     fixed_locus_structure,
     fixed_point_count,
     half_periods,
-    kappa_translates,
     omega_point,
     xi_point,
 )
@@ -207,12 +207,17 @@ def _ac5(table: GroupTable) -> list[VerifyOutcome]:
 
 
 def _ac6(table: GroupTable) -> list[VerifyOutcome]:
-    n = table.named
-    expectations = {"r2": 1, "rho2": 4, "c3": 1, "h4": 1}
+    curves = special_curves(table)
+    # r2, c3 and h4 carry the mirror and the two axes; rho2 carries no special curve
+    expectations = {
+        "r2": (curves["mirror"].locus, 1),
+        "rho2": (fixed_locus_structure(table, table.named["rho2"]), 4),
+        "c3": (curves["c3_axis"].locus, 1),
+        "h4": (curves["h4_axis"].locus, 1),
+    }
     parts = []
     ok = True
-    for name, want in expectations.items():
-        locus = fixed_locus_structure(table, n[name])
+    for name, (locus, want) in expectations.items():
         dim = locus.dim
         ok = ok and locus.component_count == want
         if name == "r2":
@@ -524,7 +529,8 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
         + [beta_point(i) for i in range(16)]
         + [eta_point(i) for i in range(7)]
         + [omega_point(i, j) for i in (0, 1) for j in (0, 1)]
-        + list(kappa_translates(table))
+        + [ZERO_POINT]
+        + [special_curves(table)[f"kappa_{i}"].translate for i in (1, 2, 3)]
     )
     orbit_stab = all(
         len(stabilizer_indices(table, p, q)) * len(orbit_points(table, p, q)) == n

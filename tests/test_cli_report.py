@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import klein336
 from klein336 import report, torus
 from klein336.cli import main
 from klein336.group import GroupConstructionError, UnrecognizedSubgroupError, get_group
@@ -259,7 +264,8 @@ INTERNAL_ERRORS = [
     "target, argv",
     [
         ("singularity_report", ["singularities", "--quotient", "G"]),
-        ("stabilizer", ["stabilizer", "--point", "beta_0011"]),
+        # the CLI reads the stabilizer's elements and flags from the table itself
+        pytest.param("stabilizer_indices", ["stabilizer", "--point", "beta_0011"], id="stabilizer-argv1"),
     ],
 )
 def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv):
@@ -274,6 +280,29 @@ def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv):
     assert captured.out == ""
     assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in captured.err
+
+
+def _fresh_klein336_modules(code: str) -> set[str]:
+    """The klein336 modules that ``code`` leaves loaded in a fresh interpreter."""
+    src = str(Path(klein336.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'klein336'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    return set(out.stdout.split())
+
+
+def test_package_root_loads_only_the_group_layer():
+    """``import klein336`` and ``get_group()`` load the group layer and nothing else.
+
+    The CLI, by contrast, imports every layer when it is imported, ``report``
+    included: the benchmark's tracer wraps only the klein336 modules that
+    ``import klein336.cli`` has loaded, so a layer imported later inside a
+    command would run untraced and its metrics would read 0.
+    """
+    assert _fresh_klein336_modules("import klein336; klein336.get_group()") == {
+        "klein336", "klein336.group", "klein336.linalg", "klein336.qfield",
+    }
+    assert "klein336.report" in _fresh_klein336_modules("import klein336.cli")
 
 
 # each guard of torus.py, driven through the CLI by one monkeypatched input

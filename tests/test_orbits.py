@@ -253,22 +253,24 @@ def test_traces_read_off_the_integer_matrices(group):
 
 
 def test_curve_loci_are_computed_once_per_table(group, monkeypatch):
-    # both reports and the curve checks AC08, AC09 and AC12 read one record:
-    # four carrier loci, one kappa call, one generic and one setwise
-    # stabilizer for each of the six curves
-    from klein336 import report
+    # both reports and the curve checks AC06, AC08, AC09, AC12 and AC14 read
+    # one record: the four carrier loci and rho1's inside the one kappa call,
+    # whose off-mirror test takes three generic stabilizers, then one generic
+    # and one setwise stabilizer for each of the six curves; AC06 adds only
+    # the locus of rho2, which carries no special curve
+    from klein336 import report, torus
 
     calls = Counter()
     names = ("fixed_locus_structure", "kappa_translates", "generic_curve_stabilizer",
              "curve_setwise_stabilizer")
-    for module in (orbits, report):
+    for module in (torus, orbits, report):
         for name in names:
             if hasattr(module, name):
                 fn = getattr(module, name)
                 monkeypatch.setattr(
                     module, name, lambda *a, _fn=fn, _n=name, **k: calls.update([_n]) or _fn(*a, **k)
                 )
-    once = {"fixed_locus_structure": 4, "kappa_translates": 1, "generic_curve_stabilizer": 6,
+    once = {"fixed_locus_structure": 5, "kappa_translates": 1, "generic_curve_stabilizer": 9,
             "curve_setwise_stabilizer": 6}
     table = GroupTable()
     strata_g = [c.to_dict() for c in curve_strata(table, "G")]
@@ -279,6 +281,8 @@ def test_curve_loci_are_computed_once_per_table(group, monkeypatch):
     for check in (report._ac8, report._ac9, report._ac12):
         assert all(o.status != "fail" for o in check(table))
     assert calls == once
+    assert all(o.status == "pass" for o in report._ac6(table) + report._ac14(table, seed=0))
+    assert calls == {**once, "fixed_locus_structure": 6}
     assert [c.to_dict() for c in curve_strata(table, "G")] == strata_g
     assert [c.to_dict() for c in curve_strata(table, "H")] == strata_h
     assert report_g.to_dict() == singularity_report(group, "G").to_dict()
