@@ -12,8 +12,9 @@ Regenerate with:
     done
     klein336 group build --json tests/golden/group_build.json
     klein336 group subgroups --json tests/golden/group_subgroups.json > tests/golden/group_subgroups.tsv
-    klein336 group classes --in G > tests/golden/group_classes_G.tsv
-    klein336 group classes --in H > tests/golden/group_classes_H.tsv
+    for q in G H; do
+        klein336 group classes --in $q --json tests/golden/group_classes_$q.json > tests/golden/group_classes_$q.tsv
+    done
     for n in r1 r2 r3 rho1 rho2 rho3 g7 h3 h4 h4p c c3 m1; do
         klein336 fixed --element $n --json tests/golden/fixed_$n.json > tests/golden/fixed_$n.txt
     done
@@ -93,10 +94,12 @@ def test_group_subgroups_match_golden(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("quotient", ["G", "H"])
-def test_group_classes_match_golden(capsys, quotient):
-    assert main(["group", "classes", "--in", quotient]) == 0
+def test_group_classes_match_golden(tmp_path, capsys, quotient):
+    out = tmp_path / f"group_classes_{quotient}.json"
+    assert main(["group", "classes", "--in", quotient, "--json", str(out)]) == 0
     expected = (GOLDEN / f"group_classes_{quotient}.tsv").read_text()
     assert capsys.readouterr().out == expected
+    assert out.read_bytes() == (GOLDEN / f"group_classes_{quotient}.json").read_bytes()
 
 
 def test_verify_outputs_match_golden(tmp_path, capsys, verify_outcomes):
