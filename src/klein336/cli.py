@@ -99,6 +99,17 @@ def _write(path: str | None, data: bytes) -> None:
             raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_json(path: str, obj) -> None:
+    _write(path, (json.dumps(obj, indent=2) + "\n").encode())
+
+
+def _print_tsv(header: list[str], rows: list[dict]) -> None:
+    """A tab-separated table under a header row; None prints as '-'."""
+    print("\t".join(header))
+    for row in rows:
+        print("\t".join("-" if row[h] is None else str(row[h]) for h in header))
+
+
 def cmd_group(args) -> int:
     table = get_group()
     if args.group_cmd == "build":
@@ -109,8 +120,7 @@ def cmd_group(args) -> int:
             f"{table.verify_presentation()}"
         )
         if args.json:
-            payload = json.dumps(table.export_elements(), indent=2) + "\n"
-            _write(args.json, payload.encode())
+            _write_json(args.json, table.export_elements())
             print(f"element table written to {args.json}")
         return 0
     if args.group_cmd == "classes":
@@ -127,26 +137,18 @@ def cmd_group(args) -> int:
             }
             for i, c in enumerate(classes)
         ]
-        header = ["nr", "element_order", "det", "size", "representative", "word"]
-        print("\t".join(header))
-        for r in rows:
-            print("\t".join(str(r[h]) for h in header))
+        _print_tsv(list(rows[0]), rows)
         if args.json:
-            _write(args.json, (json.dumps(rows, indent=2) + "\n").encode())
+            _write_json(args.json, rows)
         return 0
     if args.group_cmd == "subgroups":
-        classes = table.all_subgroups_of_h()
-        header = ["nr", "structure", "order", "length", "maximal", "minimal_overgroups"]
-        print("\t".join(header))
-
         def refs(items):
             return ", ".join(
                 f"{nr}" + (f" ({count})" if count > 1 else "") for nr, count in items
             )
 
-        rows = []
-        for c in classes:
-            row = {
+        rows = [
+            {
                 "nr": c.number,
                 "structure": c.structure,
                 "order": c.order,
@@ -154,10 +156,11 @@ def cmd_group(args) -> int:
                 "maximal": refs(c.maximal),
                 "minimal_overgroups": refs(c.minimal_over),
             }
-            rows.append(row)
-            print("\t".join(str(row[h]) for h in header))
+            for c in table.all_subgroups_of_h()
+        ]
+        _print_tsv(list(rows[0]), rows)
         if args.json:
-            _write(args.json, (json.dumps(rows, indent=2) + "\n").encode())
+            _write_json(args.json, rows)
         return 0
     raise UsageError("unknown group subcommand")
 
@@ -192,7 +195,7 @@ def cmd_fixed(args) -> int:
             }
         )
     if args.json:
-        _write(args.json, (json.dumps(payload, indent=2) + "\n").encode())
+        _write_json(args.json, payload)
     return 0
 
 
@@ -215,7 +218,7 @@ def cmd_stabilizer(args) -> int:
     print("image status: {image_status}".format(**payload))
     print("elements: " + " ".join(map(str, payload["elements"])))
     if args.json:
-        _write(args.json, (json.dumps(payload, indent=2) + "\n").encode())
+        _write_json(args.json, payload)
     return 0
 
 
@@ -233,13 +236,14 @@ def cmd_orbit(args) -> int:
             "size": len(orb),
             "points": [str(q) for q in orb],
         }
-        _write(args.json, (json.dumps(payload, indent=2) + "\n").encode())
+        _write_json(args.json, payload)
     return 0
 
 
 def cmd_classify(args) -> int:
     table = get_group()
     records = classify_locus(table, args.locus, args.quotient)
+    rows = [r.to_dict() for r in records]
     header = [
         "locus",
         "quotient",
@@ -251,13 +255,9 @@ def cmd_classify(args) -> int:
         "reflection_generated",
         "image_status",
     ]
-    print("\t".join(header))
-    for r in records:
-        d = r.to_dict()
-        print("\t".join(str(d[h] if d[h] is not None else "-") for h in header))
+    _print_tsv(header, rows)
     if args.json:
-        payload = [r.to_dict() for r in records]
-        _write(args.json, (json.dumps(payload, indent=2) + "\n").encode())
+        _write_json(args.json, rows)
     return 0
 
 
@@ -283,7 +283,7 @@ def cmd_singularities(args) -> int:
     for note in rep.notes:
         print(f"note: {note}")
     if args.json:
-        _write(args.json, (json.dumps(rep.to_dict(), indent=2) + "\n").encode())
+        _write_json(args.json, rep.to_dict())
     return 0
 
 

@@ -207,10 +207,10 @@ class GroupTable:
         # one, so the integer matrix minus or plus the identity has rank 2
         refl = []
         antirefl = []
-        for el, m in zip(self.elements, stack):
+        for el, m, m_minus_i in zip(self.elements, stack, g_minus_i):
             if el.order != 2:
                 continue
-            if el.det == -1 and len(hnf_rows((m - ident6).tolist())) == 2:
+            if el.det == -1 and len(hnf_rows(m_minus_i.tolist())) == 2:
                 refl.append(el.index)
             elif el.det == 1 and len(hnf_rows((m + ident6).tolist())) == 2:
                 antirefl.append(el.index)
@@ -233,14 +233,8 @@ class GroupTable:
         except (KeyError, NonIntegralError, OverflowError):  # off the lattice, or beyond int64
             raise KeyError("matrix is not an element of the group") from None
 
-    def element(self, i: int) -> GroupElement:
-        return self.elements[i]
-
     def multiply(self, i: int, j: int) -> int:
         return self.mul_list[i][j]
-
-    def inverse(self, i: int) -> int:
-        return int(self.inv[i])
 
     def conjugate(self, g: int, x: int) -> int:
         rows = self.mul_list
@@ -248,7 +242,7 @@ class GroupTable:
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inverse(i), -k)
+            return self.power(int(self.inv[i]), -k)
         rows = self.mul_list
         acc = self.identity
         for _ in range(k):
@@ -468,9 +462,6 @@ class GroupTable:
 
     # --- recognition ---------------------------------------------------------
 
-    def is_reflection(self, i: int) -> bool:
-        return i in self.reflection_set
-
     def recognize(self, s: frozenset[int]) -> str:
         """Name a subgroup by the scheme used for stabilizers of the action."""
         order = len(s)
@@ -495,7 +486,7 @@ class GroupTable:
             gen = next(i for i in s if i != self.identity)
             if gen == self.minus_one:
                 return "±1"
-            return "C2-refl" if self.is_reflection(gen) else "C2-antirefl"
+            return "C2-refl" if gen in self.reflection_set else "C2-antirefl"
         if order == 3:
             return "C3"
         if order == 4:

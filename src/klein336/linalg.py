@@ -3,30 +3,29 @@
 Three layers live here:
 
 * ``Mat3`` -- 3x3 matrices over the field, with exact determinant and product;
+* integer normal forms: Hermite (canonical lattice bases, membership) and
+  Smith (diagonalization with unimodular transforms);
 * the basis change between C^3 (as a 6-dimensional rational space in the
   coefficient chart) and the standard Z-basis eps_1..eps_6 of the invariant
-  lattice;
-* integer normal forms: Hermite (canonical lattice bases, membership) and
-  Smith (diagonalization with unimodular transforms).
+  lattice.
 
 The rational chart of C^3 is the componentwise (x, y) coefficient pair of
 each field entry, so the whole basis change is a single exact 6x6 matrix and
-its inverse.  The forward matrix is integral and the inverse is an integer
-matrix over 2, so both directions work on integer numerators over one common
-denominator.
+its inverse.  The forward matrix is integral and its inverse, read off its
+Smith normal form, is an integer matrix over 2, so both directions work on
+integer numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .qfield import ALPHA, ALPHA_BAR, CVec3, ONE, QNum, ZERO, vec3, vscale
 
 IntMat = list[list[int]]
-RatMat = list[list[Fraction]]
 
 
 class NonIntegralError(ValueError):
@@ -58,9 +57,6 @@ class Mat3:
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat3 is immutable")
-
-    def __getitem__(self, ij: tuple[int, int]) -> QNum:
-        return self.rows[ij[0]][ij[1]]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Mat3):
@@ -197,134 +193,13 @@ def qnum_nullspace(rows: Sequence[Sequence[QNum]], ncols: int) -> list[list[QNum
     return basis
 
 
-# --- the eps basis of the invariant lattice ---------------------------------
-
-E1: CVec3 = vec3(0, ALPHA, ALPHA)
-E2: CVec3 = vec3(0, 0, 2)
-E3: CVec3 = vec3(1, 1, ALPHA_BAR)
-
-EPS_VECTORS: tuple[CVec3, ...] = (
-    vscale(ALPHA, E1),
-    vscale(ALPHA, E2),
-    vscale(ALPHA, E3),
-    vscale(ALPHA_BAR, E1),
-    vscale(ALPHA_BAR, E2),
-    vscale(ALPHA_BAR, E3),
-)
-
-
-def _chart_numerators(v: CVec3) -> tuple[list[int], int]:
-    """Integer chart (a1, b1, a2, b2, a3, b3) of a field vector over one denominator.
-
-    The rational chart (x1, y1, x2, y2, x3, y3) is these numerators over den.
-    """
-    den = lcm(v[0].d, v[1].d, v[2].d)
-    out: list[int] = []
-    for q in v:
-        s = den // q.d
-        out.append(q.a * s)
-        out.append(q.b * s)
-    return out, den
-
-
-def _rat_identity(n: int) -> RatMat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+# --- integer normal forms ----------------------------------------------------
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
     """The product a b of two integer matrices, in Python integers."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def rat_inverse(a: RatMat) -> RatMat:
-    n = len(a)
-    work = [list(map(Fraction, row)) + ident_row for row, ident_row in zip(a, _rat_identity(n))]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c]), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        work[c], work[pr] = work[pr], work[c]
-        piv = work[c][c]
-        work[c] = [v / piv for v in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [work[i][j] - f * work[c][j] for j in range(2 * n)]
-    return [row[n:] for row in work]
-
-
-def _scaled_inverse(a: IntMat) -> tuple[IntMat, int]:
-    """(N, den) with a^-1 = N / den and N an integer matrix."""
-    inv = rat_inverse([[Fraction(x) for x in row] for row in a])
-    den = lcm(*(v.denominator for row in inv for v in row))
-    return [[int(v * den) for v in row] for row in inv], den
-
-
-# chart(eps_1) .. chart(eps_6) as columns: integral, as the eps vectors lie in Z[w]^3
-_EPS_CHARTS = [_chart_numerators(e) for e in EPS_VECTORS]
-assert all(den == 1 for _, den in _EPS_CHARTS)
-_FORWARD: IntMat = [list(col) for col in zip(*(nums for nums, _ in _EPS_CHARTS))]
-# the inverse basis change is _INVERSE_NUM / _INVERSE_DEN, with _INVERSE_DEN = 2
-_INVERSE_NUM, _INVERSE_DEN = _scaled_inverse(_FORWARD)
-_INVERSE_EVEN_COLS = list(zip(*_INVERSE_NUM))[::2]
-
-
-def to_eps_coords(v: CVec3) -> tuple[Fraction, ...]:
-    """Coordinates of a field vector in the eps basis of the lattice."""
-    nums, den = _chart_numerators(v)
-    den *= _INVERSE_DEN
-    return tuple(Fraction(sum(map(mul, row, nums)), den) for row in _INVERSE_NUM)
-
-
-def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:
-    """The 6x6 integer matrix of m in the eps basis.
-
-    Raises NonIntegralError when m does not preserve the lattice.
-    """
-    # 6x6 chart matrix over one denominator: 2x2 multiplication blocks per entry
-    den = lcm(*(q.d for row in m.rows for q in row))
-    cm: IntMat = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            q = m.rows[i][j]
-            s = den // q.d
-            a, b = q.a * s, q.b * s
-            cm[2 * i][2 * j] = a
-            cm[2 * i][2 * j + 1] = -2 * b
-            cm[2 * i + 1][2 * j] = b
-            cm[2 * i + 1][2 * j + 1] = a + b
-    res = int_mat_mul(_INVERSE_NUM, int_mat_mul(cm, _FORWARD))
-    den *= _INVERSE_DEN
-    out: list[tuple[int, ...]] = []
-    for i, row in enumerate(res):
-        ints = []
-        for j, v in enumerate(row):
-            if v % den:
-                raise NonIntegralError(i, j, Fraction(v, den))
-            ints.append(v // den)
-        out.append(tuple(ints))
-    return tuple(out)
-
-
-def int6_to_mat3(a: Sequence[Sequence[int]]) -> Mat3:
-    """The Mat3 whose eps-basis matrix is a: the inverse of mat3_to_int6.
-
-    a must be the matrix of a Q(w)-linear map.  The chart matrix is
-    _FORWARD . a . _INVERSE_NUM / 2; entry (i, j) is read off column 2j of
-    its (i, j) 2x2 multiplication block, so only columns 0, 2 and 4 are formed.
-    """
-    a_cols = [[sum(map(mul, row, col)) for row in a] for col in _INVERSE_EVEN_COLS]
-    cm = [[sum(map(mul, row, col)) for col in a_cols] for row in _FORWARD]
-    return Mat3(
-        [
-            [QNum.from_ints(cm[2 * i][j], cm[2 * i + 1][j], _INVERSE_DEN) for j in range(3)]
-            for i in range(3)
-        ]
-    )
-
-
-# --- integer normal forms ----------------------------------------------------
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
@@ -492,3 +367,112 @@ def hnf_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return not any(v)
+
+
+# --- the eps basis of the invariant lattice ---------------------------------
+
+E1: CVec3 = vec3(0, ALPHA, ALPHA)
+E2: CVec3 = vec3(0, 0, 2)
+E3: CVec3 = vec3(1, 1, ALPHA_BAR)
+
+EPS_VECTORS: tuple[CVec3, ...] = (
+    vscale(ALPHA, E1),
+    vscale(ALPHA, E2),
+    vscale(ALPHA, E3),
+    vscale(ALPHA_BAR, E1),
+    vscale(ALPHA_BAR, E2),
+    vscale(ALPHA_BAR, E3),
+)
+
+
+def _chart_numerators(v: CVec3) -> tuple[list[int], int]:
+    """Integer chart (a1, b1, a2, b2, a3, b3) of a field vector over one denominator.
+
+    The rational chart (x1, y1, x2, y2, x3, y3) is these numerators over den.
+    """
+    den = lcm(v[0].d, v[1].d, v[2].d)
+    out: list[int] = []
+    for q in v:
+        s = den // q.d
+        out.append(q.a * s)
+        out.append(q.b * s)
+    return out, den
+
+
+def _integer_inverse(a: IntMat) -> tuple[IntMat, int]:
+    """(N, den) with a^-1 = N / den in lowest terms, for a nonsingular integer a.
+
+    From the Smith normal form U a V = D: a^-1 = V D^-1 U, and over the last
+    diagonal entry d_n, which every d_i divides, V diag(d_n / d_i) U / d_n.
+    """
+    u, d, v = smith_normal_form(a)
+    n = len(a)
+    den = d[n - 1][n - 1]
+    if not den:
+        raise ValueError("matrix is singular")
+    num = int_mat_mul(v, [[den // d[i][i] * x for x in u[i]] for i in range(n)])
+    g = gcd(den, *(x for row in num for x in row))
+    return [[x // g for x in row] for row in num], den // g
+
+
+# chart(eps_1) .. chart(eps_6) as columns: integral, as the eps vectors lie in Z[w]^3
+_EPS_CHARTS = [_chart_numerators(e) for e in EPS_VECTORS]
+assert all(den == 1 for _, den in _EPS_CHARTS)
+_FORWARD: IntMat = [list(col) for col in zip(*(nums for nums, _ in _EPS_CHARTS))]
+# the inverse basis change is _INVERSE_NUM / _INVERSE_DEN, with _INVERSE_DEN = 2
+_INVERSE_NUM, _INVERSE_DEN = _integer_inverse(_FORWARD)
+_INVERSE_EVEN_COLS = list(zip(*_INVERSE_NUM))[::2]
+
+
+def to_eps_coords(v: CVec3) -> tuple[Fraction, ...]:
+    """Coordinates of a field vector in the eps basis of the lattice."""
+    nums, den = _chart_numerators(v)
+    den *= _INVERSE_DEN
+    return tuple(Fraction(sum(map(mul, row, nums)), den) for row in _INVERSE_NUM)
+
+
+def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:
+    """The 6x6 integer matrix of m in the eps basis.
+
+    Raises NonIntegralError when m does not preserve the lattice.
+    """
+    # 6x6 chart matrix over one denominator: 2x2 multiplication blocks per entry
+    den = lcm(*(q.d for row in m.rows for q in row))
+    cm: IntMat = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        for j in range(3):
+            q = m.rows[i][j]
+            s = den // q.d
+            a, b = q.a * s, q.b * s
+            cm[2 * i][2 * j] = a
+            cm[2 * i][2 * j + 1] = -2 * b
+            cm[2 * i + 1][2 * j] = b
+            cm[2 * i + 1][2 * j + 1] = a + b
+    res = int_mat_mul(_INVERSE_NUM, int_mat_mul(cm, _FORWARD))
+    den *= _INVERSE_DEN
+    out: list[tuple[int, ...]] = []
+    for i, row in enumerate(res):
+        ints = []
+        for j, v in enumerate(row):
+            if v % den:
+                raise NonIntegralError(i, j, Fraction(v, den))
+            ints.append(v // den)
+        out.append(tuple(ints))
+    return tuple(out)
+
+
+def int6_to_mat3(a: Sequence[Sequence[int]]) -> Mat3:
+    """The Mat3 whose eps-basis matrix is a: the inverse of mat3_to_int6.
+
+    a must be the matrix of a Q(w)-linear map.  The chart matrix is
+    _FORWARD . a . _INVERSE_NUM / 2; entry (i, j) is read off column 2j of
+    its (i, j) 2x2 multiplication block, so only columns 0, 2 and 4 are formed.
+    """
+    a_cols = [[sum(map(mul, row, col)) for row in a] for col in _INVERSE_EVEN_COLS]
+    cm = [[sum(map(mul, row, col)) for col in a_cols] for row in _FORWARD]
+    return Mat3(
+        [
+            [QNum.from_ints(cm[2 * i][j], cm[2 * i + 1][j], _INVERSE_DEN) for j in range(3)]
+            for i in range(3)
+        ]
+    )

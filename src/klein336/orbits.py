@@ -59,14 +59,13 @@ from .torus import (
     ZERO_POINT,
     _moved_numerators,
     apply_element,
-    beta_point,
     enumerate_fixed_points,
     eta_point,
     fixed_locus_structure,
     generic_curve_stabilizer,
     half_periods,
     kappa_translates,
-    omega_point,
+    registry_point,
 )
 
 
@@ -398,12 +397,17 @@ class OrbitRecord:
 
 
 def _record_for_point(
-    table: GroupTable, locus: str, quotient: str, p: TorusPoint, rep_name: str | None = None
+    table: GroupTable,
+    locus: str,
+    quotient: str,
+    p: TorusPoint,
+    orb: Orbit,
+    rep_name: str | None = None,
 ) -> OrbitRecord:
+    """The record of p, whose orbit under the quotient's group is orb."""
     stab_g = stabilizer_indices(table, p, "G")
     stab_h = stab_g & table.h_set
     stab = stab_g if quotient == "G" else stab_h
-    orb = orbit_points(table, p, quotient)
     group_order = len(table.subset_indices(quotient))
     if len(orb) * len(stab) != group_order:
         raise ConsistencyError(
@@ -426,67 +430,50 @@ def _record_for_point(
     )
 
 
+# the beta and omega loci are named points, recorded one by one under these names
+_NAMED_LOCI = {
+    "beta": tuple(f"beta_{i:04b}" for i in range(1, 16)),
+    "omega": ("omega_01", "omega_10", "omega_11"),
+}
+# (element order, determinant or None for either) of the elements fixing T6, T7 and T4p
+_FIXED_LOCI = {"T6": (6, None), "T7": (7, None), "T4p": (4, -1)}
+
+
 def locus_points(table: GroupTable, name: str) -> list[TorusPoint]:
-    """The nonzero points of a named special locus.
+    """The nonzero points of a named special locus: T2, T6, T4p, T7, beta or omega.
 
     T6, T7 and T4p are the fixed points of all elements of order 6, of order
     7, and of order 4 with determinant -1.  Since Fix(h g h^-1) = h Fix(g),
     each is the union of the G-orbits of the fixed points of one
     representative per conjugacy class: one Smith normal form a class.
     """
-    key = _normalize_locus(name)
-    if key == "T2":
+    if name == "T2":
         return sorted(p for p in half_periods() if not p.is_zero())
-    wanted = {"T6": (6, None), "T7": (7, None), "T4p": (4, -1)}
-    if key in wanted:
-        if key not in table.derived:  # computed once per table
-            order, det = wanted[key]
-            pts: set[TorusPoint] = set()
-            for c in table.conjugacy_classes("G"):
-                if c.element_order != order or det not in (None, c.det):
-                    continue
-                for p in enumerate_fixed_points(table, c.representative):
-                    if not p.is_zero() and p not in pts:
-                        pts.update(orbit_points(table, p, "G"))
-            table.derived[key] = tuple(sorted(pts))
-        return list(table.derived[key])
-    if key == "beta":
-        return [beta_point(i) for i in range(1, 16)]
-    if key == "omega":
-        return [omega_point(i, j) for i, j in ((0, 1), (1, 0), (1, 1))]
-    raise ValueError(f"unknown locus {name!r}")
-
-
-def _normalize_locus(name: str) -> str:
-    aliases = {
-        "t2": "T2",
-        "t6": "T6",
-        "t7": "T7",
-        "t4p": "T4p",
-        "t4prime": "T4p",
-        "beta": "beta",
-        "omega": "omega",
-    }
-    key = aliases.get(name.lower())
-    if key is None:
+    if name in _NAMED_LOCI:
+        return [registry_point(table, n) for n in _NAMED_LOCI[name]]
+    if name not in _FIXED_LOCI:
         raise ValueError(f"unknown locus {name!r}")
-    return key
+    if name not in table.derived:  # computed once per table
+        order, det = _FIXED_LOCI[name]
+        pts: set[TorusPoint] = set()
+        for c in table.conjugacy_classes("G"):
+            if c.element_order != order or det not in (None, c.det):
+                continue
+            for p in enumerate_fixed_points(table, c.representative):
+                if not p.is_zero() and p not in pts:
+                    pts.update(orbit_points(table, p, "G"))
+        table.derived[name] = tuple(sorted(pts))
+    return list(table.derived[name])
 
 
 def classify_locus(table: GroupTable, name: str, quotient: str = "G") -> list[OrbitRecord]:
     """Orbit decomposition of a locus (per-point records for beta/omega)."""
-    key = _normalize_locus(name)
-    if key == "beta":
+    points = locus_points(table, name)
+    if name in _NAMED_LOCI:
         return [
-            _record_for_point(table, key, quotient, beta_point(i), f"beta_{i:04b}")
-            for i in range(1, 16)
+            _record_for_point(table, name, quotient, p, orbit_points(table, p, quotient), rep)
+            for rep, p in zip(_NAMED_LOCI[name], points)
         ]
-    if key == "omega":
-        return [
-            _record_for_point(table, key, quotient, omega_point(i, j), f"omega_{i}{j}")
-            for i, j in ((0, 1), (1, 0), (1, 1))
-        ]
-    points = locus_points(table, key)
     seen: set[TorusPoint] = set()
     records = []
     for p in points:
@@ -494,7 +481,7 @@ def classify_locus(table: GroupTable, name: str, quotient: str = "G") -> list[Or
             continue
         orb = orbit_points(table, p, quotient)
         seen.update(orb)
-        records.append(_record_for_point(table, key, quotient, orb[0]))
+        records.append(_record_for_point(table, name, quotient, orb[0], orb))
     records.sort(key=lambda r: (r.orbit_size, r.representative.coords))
     return records
 

@@ -111,11 +111,9 @@ def _ac3(table: GroupTable) -> list[VerifyOutcome]:
     h_data = sorted((c.element_order, len(c.members)) for c in h_classes)
     expected_h = [(1, 1), (2, 21), (3, 56), (4, 42), (7, 24), (7, 24)]
     g_classes = table.conjugacy_classes("G")
-    by_members = {c.members: c for c in g_classes}
+    members = {c.members for c in g_classes}
     paired = all(
-        tuple(sorted(table.multiply(table.minus_one, x) for x in c.members)) in by_members
-        and len(by_members[tuple(sorted(table.multiply(table.minus_one, x) for x in c.members))].members)
-        == len(c.members)
+        tuple(sorted(table.multiply(table.minus_one, x) for x in c.members)) in members
         for c in g_classes
     )
     ok = h_data == expected_h and len(g_classes) == 12 and paired

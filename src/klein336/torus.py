@@ -188,13 +188,8 @@ def apply_element(int6: Sequence[Sequence[int]], p: TorusPoint) -> TorusPoint:
 # --- fixed loci -----------------------------------------------------------------
 
 
-def _shifted_int6(table: GroupTable, gi: int) -> list[list[int]]:
-    m = table.elements[gi].int6
-    return [[m[i][j] - int(i == j) for j in range(6)] for i in range(6)]
-
-
 def fixed_point_count(table: GroupTable, gi: int) -> int:
-    det = int_det(_shifted_int6(table, gi))
+    det = int_det(table.minus_identity["G"][0][gi].tolist())
     if det == 0:
         raise ParabolicElementError(
             f"element {gi} has eigenvalue 1; its fixed locus is positive-dimensional"
@@ -247,8 +242,8 @@ def fixed_locus(table: GroupTable, elements: int | Iterable[int]) -> FixedLocus:
     smallest point of order dividing m = max(d_i); when r = 6 the components
     are the fixed points.
     """
-    ids = elements if isinstance(elements, Iterable) else [elements]
-    stack = hnf_rows(row for gi in ids for row in _shifted_int6(table, gi))
+    ids = list(elements) if isinstance(elements, Iterable) else [elements]
+    stack = hnf_rows(table.minus_identity["G"][0][ids].reshape(-1, 6).tolist())
     if not stack:
         raise IdentityElementError("the identity fixes the whole torus")
     u, d, v = smith_normal_form(stack)

@@ -7,7 +7,8 @@
   matrices, which the package itself never uses;
 * the rational eps chart: the basis change between C^3 and the lattice
   basis eps_1..eps_6 as ``Fraction`` matrices, the only chart from eps
-  coordinates back to C^3;
+  coordinates back to C^3, inverted by Gauss-Jordan elimination
+  (``rat_inverse``);
 * field kernels (``kernel_K``) and matrix-vector products of ``Mat3``;
 * ``FracTorusPoint``: a torsion point as six ``Fraction`` coordinates in
   [0, 1), the representation ``klein336.torus.TorusPoint`` used before it
@@ -68,7 +69,6 @@ from klein336.linalg import (
     hnf_contains,
     hnf_rows,
     int_det,
-    rat_inverse,
     smith_normal_form,
 )
 from klein336.orbits import ConsistencyError, WeightInfo, reflection_generated
@@ -233,6 +233,27 @@ def rat_mat_mul(a: RatMat, b: RatMat) -> RatMat:
 
 def rat_mat_vec(a: RatMat, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
+
+
+def rat_inverse(a: RatMat) -> RatMat:
+    """The inverse of a nonsingular rational matrix, by Gauss-Jordan elimination."""
+    n = len(a)
+    work = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c]), None)
+        if pr is None:
+            raise ValueError("matrix is singular")
+        work[c], work[pr] = work[pr], work[c]
+        piv = work[c][c]
+        work[c] = [v / piv for v in work[c]]
+        for i in range(n):
+            if i != c and work[i][c]:
+                f = work[i][c]
+                work[i] = [work[i][j] - f * work[c][j] for j in range(2 * n)]
+    return [row[n:] for row in work]
 
 
 FORWARD: RatMat = [[chart(eps)[i] for eps in EPS_VECTORS] for i in range(6)]

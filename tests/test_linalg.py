@@ -1,11 +1,22 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from oracles import from_eps_coords, int_kernel, is_unitary, kernel_K, lattice_index, mat_apply
+from oracles import (
+    from_eps_coords,
+    int_kernel,
+    is_unitary,
+    kernel_K,
+    lattice_index,
+    mat_apply,
+    rat_inverse,
+)
 from klein336.linalg import (
+    _FORWARD,
+    _integer_inverse,
     E1,
     E2,
     E3,
@@ -193,6 +204,35 @@ def test_smith_normal_form_contract_randomized():
                 assert y % x == 0
             else:
                 assert y == 0
+
+
+def _assert_inverse_in_lowest_terms(a):
+    num, den = _integer_inverse(a)
+    assert den > 0 and gcd(den, *(x for row in num for x in row)) == 1
+    assert [[F(x, den) for x in row] for row in num] == rat_inverse(a)
+
+
+def test_integer_inverse_of_the_eps_basis_change():
+    _assert_inverse_in_lowest_terms(_FORWARD)
+    num, den = _integer_inverse(_FORWARD)
+    assert den == 2
+
+
+def test_integer_inverse_matches_gauss_jordan_randomized():
+    rng = random.Random(5)
+    negative = nontrivial = 0
+    while negative < 20 or nontrivial < 20:
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        det = perm_det(a)
+        if det == 0:
+            with pytest.raises(ValueError, match="singular"):
+                _integer_inverse(a)
+            continue
+        _, d, _ = smith_normal_form(a)
+        negative += det < 0
+        nontrivial += n > 1 and d[n - 2][n - 2] > 1
+        _assert_inverse_in_lowest_terms(a)
 
 
 def test_hnf_examples():

@@ -415,6 +415,31 @@ def test_one_stabilizer_product_per_record(group, monkeypatch, quotient):
         assert rec.image_status == singularity_weights(group, stab).image_status()
 
 
+@pytest.mark.parametrize("quotient", ["G", "H"])
+@pytest.mark.parametrize("locus", ["T2", "T7"])
+def test_one_orbit_per_record(group, monkeypatch, locus, quotient):
+    locus_points(group, locus)  # the locus's own orbits are cached before counting
+    calls = []
+
+    def counted(table, p, sel="G"):
+        calls.append(sel)
+        return orbit_points(table, p, sel)
+
+    monkeypatch.setattr(orbits, "orbit_points", counted)
+    records = classify_locus(group, locus, quotient)
+    assert calls == [quotient] * len(records)
+    for rec in records:
+        orb = orbit_points(group, rec.representative, quotient)
+        assert rec.orbit_size == len(orb) and rec.orbit_min == orb[0]
+
+
+@pytest.mark.parametrize("call", [locus_points, classify_locus])
+@pytest.mark.parametrize("name", ["t7", "t4prime", "T9"])
+def test_unknown_locus_names(group, call, name):
+    with pytest.raises(ValueError, match=f"unknown locus '{name}'"):
+        call(group, name)
+
+
 def test_t4p_locus(group):
     pts = locus_points(group, "T4p")
     assert len(pts) == 231
