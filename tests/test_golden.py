@@ -31,6 +31,11 @@ Regenerate with:
         klein336 stabilizer --point $n --json tests/golden/stabilizer_$n.json > tests/golden/stabilizer_$n.txt
     done
     klein336 stabilizer --point "[1/1009,5/1009,77/1009,0,3/1009,-1/1009]" --json tests/golden/stabilizer_den1009.json > tests/golden/stabilizer_den1009.txt
+    p="[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]"
+    klein336 orbit --point "$p" --json tests/golden/orbit_den20011_generic.json > tests/golden/orbit_den20011_generic.txt
+    klein336 orbit --point "$p" --in H --json tests/golden/orbit_den20011_generic_H.json > tests/golden/orbit_den20011_generic_H.txt
+    p="[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
+    klein336 orbit --point "$p" --json tests/golden/orbit_den20011_mirror.json > tests/golden/orbit_den20011_mirror.txt
 """
 
 import json
@@ -123,6 +128,8 @@ def test_fixed_outputs_match_golden(tmp_path, capsys, name):
 # one orbit literal per sort-key width: den^6, den^3, den^2 and den itself
 # below 2^63, then Python integers
 ORBIT_DENOMINATORS = [1009, 20011, 2097169, 10**12 + 39, 10**20]
+GENERIC_20011 = "[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]"
+MIRROR_20011 = "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
 
 
 @pytest.mark.parametrize(
@@ -144,6 +151,14 @@ ORBIT_DENOMINATORS = [1009, 20011, 2097169, 10**12 + 39, 10**20]
         (["stabilizer", "--point", "beta_1000"], "stabilizer_beta_1000"),
         (["stabilizer", "--point", "xi_0"], "stabilizer_xi_0"),
         (["stabilizer", "--point", "[1/1009,5/1009,77/1009,0,3/1009,-1/1009]"], "stabilizer_den1009"),
+    ]
+    + [
+        # den 20011 packs three coordinates a key: a trivial stabilizer, whose
+        # 336 first keys are distinct, in G and H; and a point on the r2
+        # mirror, whose 336 images repeat each of 168 rows twice
+        (["orbit", "--point", GENERIC_20011], "orbit_den20011_generic"),
+        (["orbit", "--point", GENERIC_20011, "--in", "H"], "orbit_den20011_generic_H"),
+        (["orbit", "--point", MIRROR_20011], "orbit_den20011_mirror"),
     ],
 )
 def test_point_outputs_match_golden(tmp_path, capsys, argv, name):
