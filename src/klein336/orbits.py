@@ -14,10 +14,13 @@ G or H to its numerators at once, in int64 or, for large denominators, in
 Python integers.  The stabilizer tests g - I, built once per group table:
 the first rows of all selected elements filter with one matrix-vector
 product, and only the survivors are tested on all six rows.  The orbit
-applies every selected matrix, packs each image row into base-den sort keys
-as wide as int64 allows, and sorts and deduplicates on the keys.  An orbit
-is an ``Orbit``: its distinct image rows, sorted into coordinate order and
-read-only, whose points are built only when read.
+applies the 168 matrices of H, and a G-orbit adds the negatives of those
+rows, since G = H x {+-1}.  The rows pack into base-den sort keys as wide as
+int64 allows; one argsort of the first keys orders them unless two of those
+tie below full width, where one lexsort of all the keys takes over, and
+equal neighbouring keys are dropped.  An orbit is an ``Orbit``: its
+distinct image rows, sorted into coordinate order and read-only, whose
+points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
@@ -137,28 +140,51 @@ class Orbit(Sequence):
         return f"Orbit({len(self)} points of order {self.den})"
 
 
-def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit:
-    """The orbit of p under G or H, as an ``Orbit`` in coordinate order.
-
-    The image rows, reduced to [0, den), are packed into sort keys of
-    ``width`` base-den digits each: the widest of 6, 3, 2 and 1 whose keys
-    stay below 2^63 in int64, and one Python-integer key for object rows.
-    Key order is coordinate order, so one lexsort of the 6 / width keys
-    orders the rows and a comparison of neighbouring keys drops the repeats;
-    no ``TorusPoint`` is built until the orbit is read.
-    """
-    _, stack = table.select(quotient)
-    moved, _, den = _moved_numerators(table, stack, p)
-    rows = moved % den
-    width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+def _sort_keys(rows: np.ndarray, den: int, width: int) -> np.ndarray:
+    """rows packed into keys of width base-den digits each, in coordinate order."""
     keys = rows[:, ::width]
     for t in range(1, width):
         keys = keys * den + rows[:, t::width]
+    return keys
+
+
+def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit:
+    """The orbit of p under G or H, as an ``Orbit`` in coordinate order.
+
+    One product over the 168 matrices of H gives the H-orbit's rows, reduced
+    to [0, den).  G is the direct product H x {+-1}: -I lies in G but not in
+    H, since det(-I_3) = -1, so G = H + (-I)H and (-h) p = -(h p).  The rows
+    of the other coset are den - rows, with zero entries kept at 0.
+
+    Rows pack into sort keys of ``width`` base-den digits each: the widest
+    of 6, 3, 2 and 1 whose keys stay below 2^63 in int64, and one
+    Python-integer key for object rows.  Key order is coordinate order, so
+    one argsort of the first keys orders the rows when no two of them tie.
+    At width 6 the first key is the whole row, and equal neighbours are the
+    repeats; below it, tied first keys fall back to one lexsort of all
+    6 / width keys and a comparison of neighbouring keys.  No ``TorusPoint``
+    is built until the orbit is read.
+    """
+    table.select(quotient)  # rejects an unknown selector
+    moved, _, den = _moved_numerators(table, table.h_stack, p)
+    rows = moved % den
+    if quotient == "G":
+        neg = den - rows
+        neg[rows == 0] = 0
+        rows = np.concatenate((rows, neg))
+    width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+    first = _sort_keys(rows[:, :width], den, width)[:, 0]
+    order = np.argsort(first)
+    first = first[order]
+    ties = first[1:] == first[:-1]
+    # every int6 has det +-1, so each image has the exact order den of p
+    if width == 6 or not ties.any():
+        return Orbit(rows[order[np.concatenate(([True], ~ties))]], den)
+    keys = _sort_keys(rows, den, width)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    # every int6 has det +-1, so each image has the exact order den of p
     return Orbit(rows[order[distinct]], den)
 
 
@@ -414,6 +440,7 @@ def _record_for_point(
             f"orbit-stabilizer mismatch at {p}: {len(orb)} * {len(stab)} != {group_order}"
         )
     winfo = singularity_weights(table, stab)
+    label_g, label_h = table.recognize(stab_g), table.recognize(stab_h)
     return OrbitRecord(
         locus=locus,
         quotient=quotient,
@@ -421,9 +448,9 @@ def _record_for_point(
         rep_name=rep_name,
         orbit_size=len(orb),
         stabilizer_order=len(stab),
-        label=table.recognize(stab),
-        label_g=table.recognize(stab_g),
-        label_h=table.recognize(stab_h),
+        label=label_g if quotient == "G" else label_h,
+        label_g=label_g,
+        label_h=label_h,
         reflection_generated=reflection_generated(table, stab),
         image_status=winfo.image_status(),
         orbit_min=orb[0],

@@ -72,10 +72,11 @@ def _outcome(name, ok, expected, actual, ref) -> VerifyOutcome:
 def _ac1(table: GroupTable) -> list[VerifyOutcome]:
     rts = roots()
     squares_ok = all(hermitian(e, e) == QNum(2) for e in rts)
+    presentation = table.verify_presentation()
     actual = (
         f"|G|={table.size}, |H|={len(table.h_indices)}, "
         f"refl={len(table.reflections)}, antirefl={len(table.antireflections)}, "
-        f"roots={len(rts)}, squares2={squares_ok}, presentation={table.verify_presentation()}"
+        f"roots={len(rts)}, squares2={squares_ok}, presentation={presentation}"
     )
     ok = (
         table.size == 336
@@ -84,7 +85,7 @@ def _ac1(table: GroupTable) -> list[VerifyOutcome]:
         and len(table.antireflections) == 21
         and len(rts) == 42
         and squares_ok
-        and table.verify_presentation()
+        and presentation
     )
     expected = "|G|=336, |H|=168, refl=21, antirefl=21, roots=42, squares2=True, presentation=True"
     return [_outcome("AC01-group-construction", ok, expected, actual, "generator and root data")]

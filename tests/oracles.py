@@ -15,6 +15,9 @@
   stored integer numerators over its order;
 * torsion-point stabilizers and orbits in unbounded Python integers, with
   no numpy and hence no overflow;
+* the orbit as ``klein336.orbits.orbit_points`` computed it before it used
+  G = H x {+-1}: every selected matrix applied, then one lexsort of all
+  packed keys (``full_stack_orbit``);
 * parabolic fixed loci through the orthogonal-complement torus: the
   Hermitian projector away from V_1 in field arithmetic, the restricted
   elliptic action on the complement lattice, and the coset translates;
@@ -71,11 +74,12 @@ from klein336.linalg import (
     int_det,
     smith_normal_form,
 )
-from klein336.orbits import ConsistencyError, WeightInfo, reflection_generated
+from klein336.orbits import ConsistencyError, Orbit, WeightInfo, reflection_generated
 from klein336.qfield import CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
 from klein336.torus import (
     TorusPoint,
+    _moved_numerators,
     apply_element,
     enumerate_fixed_points,
     fixed_locus_structure,
@@ -327,6 +331,27 @@ def exact_orbit(int6s: Sequence, coords: Sequence[Fraction]) -> set[tuple[Fracti
         tuple(Fraction(sum(a * n for a, n in zip(row, nums)) % den, den) for row in m)
         for m in int6s
     }
+
+
+def full_stack_orbit(table, p: TorusPoint, quotient: str) -> Orbit:
+    """The orbit from every selected matrix and one lexsort of all packed keys.
+
+    The rows pack into keys of the widest of 6, 3, 2 and 1 base-den digits
+    below 2^63 (one Python-integer key for object rows); the lexsort orders
+    them and a comparison of neighbouring keys drops the repeats.
+    """
+    _, stack = table.select(quotient)
+    moved, _, den = _moved_numerators(table, stack, p)
+    rows = moved % den
+    width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+    keys = rows[:, ::width]
+    for t in range(1, width):
+        keys = keys * den + rows[:, t::width]
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return Orbit(rows[order[distinct]], den)
 
 
 # --- torsion points as Fraction tuples ------------------------------------------

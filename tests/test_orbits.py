@@ -13,6 +13,7 @@ from oracles import (
     exact_orbit,
     exact_stabilizer,
     field_singularity_weights,
+    full_stack_orbit,
     fixes_curve,
     goursat_subgroups_of_g,
     looped_curve_stabilizer,
@@ -431,6 +432,23 @@ def test_one_orbit_per_record(group, monkeypatch, locus, quotient):
     for rec in records:
         orb = orbit_points(group, rec.representative, quotient)
         assert rec.orbit_size == len(orb) and rec.orbit_min == orb[0]
+
+
+@pytest.mark.parametrize("quotient", ["G", "H"])
+def test_two_labels_per_record(group, monkeypatch, quotient):
+    # label is label_g or label_h, whichever belongs to the quotient
+    calls = []
+    recognize = group.recognize
+
+    def counted(s):
+        calls.append(s)
+        return recognize(s)
+
+    monkeypatch.setattr(group, "recognize", counted)
+    records = classify_locus(group, "T7", quotient)
+    assert len(calls) == 2 * len(records)
+    for rec in records:
+        assert rec.label == (rec.label_g if quotient == "G" else rec.label_h)
 
 
 @pytest.mark.parametrize("call", [locus_points, classify_locus])
@@ -912,3 +930,67 @@ def test_int64_threshold(group):
     for den in (limit - 1, limit, limit + 1, 2 * limit + 1):
         p = TorusPoint([sum(F(k, den) * r[i] for k, r in zip((den - 1, den // 3), rows)) for i in range(6)])
         _check_against_exact_oracle(group, p, orbit_too=True)
+
+
+# the orbit golden literals: one per sort-key width, a free orbit and a mirror point
+ORBIT_LITERALS = [
+    f"[1/{d},5/{d},77/{d},0,3/{d},-1/{d}]" for d in (1009, 20011, 2097169, 10**12 + 39, 10**20)
+] + [
+    "[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]",
+    "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]",
+]
+
+
+def _orbit_branch(orbit, group_order: int) -> str:
+    """Which path of orbit_points an orbit takes, read off its reference rows."""
+    rows, den = orbit.rows, orbit.den
+    if rows.dtype == object:
+        return "object rows"
+    width = next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+    repeats = len(rows) < group_order  # each row is the image of |stabilizer| matrices
+    if width == 6:
+        return "width 6 with repeats" if repeats else "width 6, distinct rows"
+    if repeats:
+        return "width < 6 with repeated rows"
+    first = rows[:, 0]
+    for t in range(1, width):
+        first = first * den + rows[:, t]
+    if len(set(first.tolist())) == len(rows):
+        return "width < 6 with distinct first keys"
+    return "width < 6 with tied first keys"
+
+
+def test_orbit_matches_full_stack_reference(group):
+    # orbit_points uses G = H x {+-1} and sorts on the first key alone when
+    # it decides the order; the reference applies all selected matrices and
+    # lexsorts every key
+    rng = random.Random(22)
+    names = [f"xi_{k}" for k in range(64)] + [f"beta_{i:04b}" for i in range(16)]
+    names += [f"omega_{i}{j}" for i in (0, 1) for j in (0, 1)]
+    names += [f"eta_{i}" for i in range(7)] + [f"kappa_{i}" for i in range(4)]
+    points = [registry_point(group, n) for n in names]
+    points += locus_points(group, "T6") + locus_points(group, "T7") + locus_points(group, "T4p")
+    points += [TorusPoint.parse(text) for text in ORBIT_LITERALS]
+    dens = [rng.randrange(337, 20012) for _ in range(12)] + [2097169, 10**12 + 39, 10**20]
+    points += [TorusPoint([F(rng.randrange(d), d) for _ in range(6)]) for d in dens]
+    for carrier in ("r2", "c3", "h4"):
+        rows = fixed_locus_structure(group, group.named[carrier]).lambda1_rows
+        for _ in range(2):
+            coeffs = [F(rng.randrange(1, 20011), 20011) for _ in rows]
+            points.append(TorusPoint([sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(6)]))
+    seen = Counter()
+    for quotient, order in (("G", 336), ("H", 168)):
+        for p in points:
+            want = full_stack_orbit(group, p, quotient)
+            got = orbit_points(group, p, quotient)
+            assert got.den == want.den and got.rows.dtype == want.rows.dtype, p
+            assert np.array_equal(got.rows, want.rows), p
+            seen[_orbit_branch(want, order)] += 1
+    for branch in (
+        "width 6 with repeats",
+        "width < 6 with distinct first keys",
+        "width < 6 with tied first keys",
+        "width < 6 with repeated rows",
+        "object rows",
+    ):
+        assert seen[branch], (branch, seen)
