@@ -13,8 +13,8 @@ from oracles import (
     exact_orbit,
     exact_stabilizer,
     field_singularity_weights,
-    full_stack_orbit,
     fixes_curve,
+    full_stack_orbit,
     goursat_subgroups_of_g,
     looped_curve_stabilizer,
     projector_setwise_stabilizer,
