@@ -5,13 +5,16 @@ fixed loci, stabilizers and orbits, locus classification, the singularity
 report, and the full verification suite.  Machine output is JSON or TSV
 (tab separated, header row, no quoting).  Exit codes: 0 success, 1 a
 verification failure, 2 a usage error, 3 an internal error (a computed
-result contradicts an exact check); errors print one line to stderr.
+result contradicts an exact check), 141 stdout closed before the output
+was written (128 + SIGPIPE, as a shell reports a killed writer); errors
+print one line to stderr, a closed stdout nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -225,16 +228,16 @@ def cmd_stabilizer(args) -> int:
 def cmd_orbit(args) -> int:
     table = get_group()
     p = _parse_point(table, args.point)
-    orb = orbit_points(table, p, args.quotient)
-    print(f"orbit of {p} under {args.quotient}: {len(orb)} points")
-    for q in orb:
+    points = [str(q) for q in orbit_points(table, p, args.quotient)]
+    print(f"orbit of {p} under {args.quotient}: {len(points)} points")
+    for q in points:
         print(f"  {q}")
     if args.json:
         payload = {
             "point": str(p),
             "quotient": args.quotient,
-            "size": len(orb),
-            "points": [str(q) for q in orb],
+            "size": len(points),
+            "points": points,
         }
         _write_json(args.json, payload)
     return 0
@@ -376,7 +379,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

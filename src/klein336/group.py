@@ -12,9 +12,11 @@ its integer matrix when first read.
 
 On top of the table live conjugacy classes, the full subgroup lattice of
 the determinant-1 subgroup (168 elements, 179 subgroups in 15 conjugacy
-classes, by cyclic extension up to conjugacy), normalizers, and a
-signature-based recognizer that names every subgroup the torus action can
-produce.
+classes, by cyclic extension up to conjugacy), normalizers, and the labels
+of subgroups.  A subgroup's label is read from a 30-entry table keyed by
+its order and its numbers of reflections and antireflections: on all 547
+subgroups of G that triple fixes the label, which a test checks against
+the rules of the labelling scheme.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class GroupConstructionError(RuntimeError):
 
 class UnrecognizedSubgroupError(ValueError):
     def __init__(self, signature: dict) -> None:
-        super().__init__(f"no recognition rule matches subgroup signature {signature}")
+        super().__init__(f"no label matches subgroup signature {signature}")
         self.signature = signature
 
 
@@ -217,6 +219,7 @@ class GroupTable:
         self.reflections = tuple(refl)
         self.antireflections = tuple(antirefl)
         self.reflection_set = frozenset(refl)
+        self.antireflection_set = frozenset(antirefl)
         if len(refl) != 21 or len(antirefl) != 21:
             raise GroupConstructionError(
                 f"found {len(refl)} reflections / {len(antirefl)} antireflections"
@@ -463,95 +466,26 @@ class GroupTable:
     # --- recognition ---------------------------------------------------------
 
     def recognize(self, s: frozenset[int]) -> str:
-        """Name a subgroup by the scheme used for stabilizers of the action."""
-        order = len(s)
-        els = [self.elements[i] for i in s]
-        orders = sorted(e.order for e in els)
-        has_minus = self.minus_one in s
-        nrefl = len(s & self.reflection_set)
-        in_h = all(e.det == 1 for e in els)
-        cyclic = order in orders
-        signature = {
-            "order": order,
-            "element_orders": orders,
-            "contains_minus_one": has_minus,
-            "reflections": nrefl,
-            "inside_h": in_h,
-            "cyclic": cyclic,
-        }
+        """Name a subgroup by the scheme used for stabilizers of the action.
 
-        if order == 1:
-            return "1"
-        if order == 2:
-            gen = next(i for i in s if i != self.identity)
-            if gen == self.minus_one:
-                return "±1"
-            return "C2-refl" if gen in self.reflection_set else "C2-antirefl"
-        if order == 3:
-            return "C3"
-        if order == 4:
-            if cyclic:
-                return "C4"
-            if has_minus:
-                return "C2xC2'"
-            return "2^2"
-        if order == 6:
-            if cyclic:
-                return "C6"
-            if in_h:
-                return "S3"
-            if nrefl == 3 and not has_minus:
-                return "S3'"
-        if order == 7:
-            return "C7"
-        if order == 8 and not cyclic:
-            abelian = self._is_abelian(s)
-            if abelian and has_minus:
-                return "±2^2" if max(orders) == 2 else "±4"
-            if not abelian:
-                # no non-abelian order-8 subgroup contains -1 (its order-4
-                # elements would square to -1, impossible for det reasons)
-                return "D8" if in_h else "D8'"
-        if order == 12:
-            if in_h and not self._is_abelian(s):
-                return "A4"
-            if has_minus and nrefl == 3:
-                return "±S3"
-        if order == 14 and cyclic:
-            return "C14"
-        if order == 16 and has_minus and not self._is_abelian(s):
-            return "±D8"
-        if order == 21:
-            return "7:3"
-        if order == 24:
-            if in_h:
-                return "S4"
-            if has_minus:
-                return "±A4"
-            if nrefl == 6:
-                return "S4'"
-        if order == 42 and has_minus:
-            return "±7:3"
-        if order == 48 and has_minus:
-            return "±S4"
-        if order == 168 and in_h:
-            return "H168"
-        if order == 336:
-            return "G336"
-        raise UnrecognizedSubgroupError(signature)
+        The label is one lookup of (order, reflections, antireflections) in
+        ``_LABELS``.  This relies on a fact of G, which a test checks against
+        the rules of the scheme (element orders, -1, determinants,
+        commutativity) on all 547 subgroups of G: their triples take 30
+        distinct values, and subgroups with the same triple have the same label.
+        """
+        key = (len(s), len(s & self.reflection_set), len(s & self.antireflection_set))
+        try:
+            return _LABELS[key]
+        except KeyError:
+            raise UnrecognizedSubgroupError(
+                dict(zip(("order", "reflections", "antireflections"), key))
+            ) from None
 
     def structure_name(self, s: frozenset[int]) -> str:
         """Subgroup-table structure string for subgroups of the det-1 part."""
         label = self.recognize(s)
         return _STRUCTURE_NAMES.get(label, label)
-
-    def _is_abelian(self, s: frozenset[int]) -> bool:
-        items = sorted(s)
-        rows = self.mul_list
-        return all(rows[a][b] == rows[b][a] for a, b in itertools.combinations(items, 2))
-
-    def reflection_subgroup_closure(self, s: frozenset[int]) -> frozenset[int]:
-        return self.subgroup_closure(sorted(s & self.reflection_set))
 
     def verify_presentation(self) -> bool:
         n = self.named
@@ -584,6 +518,26 @@ class GroupTable:
             )
         return out
 
+
+# (order, reflections, antireflections) -> label, for every subgroup of G; one order a line
+_LABELS = {
+    (1, 0, 0): "1",
+    (2, 0, 0): "±1", (2, 0, 1): "C2-antirefl", (2, 1, 0): "C2-refl",
+    (3, 0, 0): "C3",
+    (4, 0, 1): "C4", (4, 0, 3): "2^2", (4, 1, 1): "C2xC2'", (4, 2, 1): "2^2",
+    (6, 0, 0): "C6", (6, 0, 3): "S3", (6, 3, 0): "S3'",
+    (7, 0, 0): "C7",
+    (8, 0, 5): "D8", (8, 1, 1): "±4", (8, 2, 3): "D8'", (8, 3, 3): "±2^2", (8, 4, 1): "D8'",
+    (12, 0, 3): "A4", (12, 3, 3): "±S3",
+    (14, 0, 0): "C14",
+    (16, 5, 5): "±D8",
+    (21, 0, 0): "7:3",
+    (24, 0, 9): "S4", (24, 3, 3): "±A4", (24, 6, 3): "S4'",
+    (42, 0, 0): "±7:3",
+    (48, 9, 9): "±S4",
+    (168, 0, 21): "H168",
+    (336, 21, 21): "G336",
+}
 
 _STRUCTURE_NAMES = {
     "H168": "L2(7)",

@@ -188,11 +188,6 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
     return Orbit(rows[order[distinct]], den)
 
 
-def reflection_generated(table: GroupTable, s: frozenset[int]) -> bool:
-    """Is the subgroup equal to the closure of the reflections it contains?"""
-    return table.reflection_subgroup_closure(s) == s
-
-
 # --- cyclic quotient weights ---------------------------------------------------
 
 
@@ -333,23 +328,26 @@ def _coset_weights(
 def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     """Quotient-germ type of a stabilizer: smooth, cyclic 1/d(...), or worse.
 
-    For cyclic stabilizers the canonical form is the lexicographically
-    smallest sorted weight tuple over all generators, found exactly from
-    element orders and int6 traces (``_cyclic_weights``).  A stabilizer whose
-    reflection part W has index 2 reduces in stages: the quotient by W is
-    affine space on W's basic invariants, where the other coset acts by
-    signs, so the germ is 1/2(...) with a 1 for each sign -1.  Degrees and
-    signs come from averaged series over W and over the coset, guarded
-    exactly: the averages are rational integers, the degrees multiply to |W|
-    and exceed the reflection count by 3 in sum, and at least two signs are
-    -1, or the germ would be smooth.  Any other stabilizer is non-cyclic.
+    The germ is smooth exactly when S is generated by its reflections
+    (Chevalley 1955; Shephard and Todd 1954), so S's reflection part W is
+    closed first, once, and the index-2 test below reuses it.  For cyclic
+    stabilizers the canonical form is the lexicographically smallest sorted
+    weight tuple over all generators, found exactly from element orders and
+    int6 traces (``_cyclic_weights``).  A stabilizer whose reflection part W
+    has index 2 reduces in stages: the quotient by W is affine space on W's
+    basic invariants, where the other coset acts by signs, so the germ is
+    1/2(...) with a 1 for each sign -1.  Degrees and signs come from averaged
+    series over W and over the coset, guarded exactly: the averages are
+    rational integers, the degrees multiply to |W| and exceed the reflection
+    count by 3 in sum, and at least two signs are -1, or the germ would be
+    smooth.  Any other stabilizer is non-cyclic.
     """
-    if reflection_generated(table, s):
+    w_part = table.subgroup_closure(sorted(s & table.reflection_set))
+    if w_part == s:
         return WeightInfo("smooth")
     d = len(s)
     if any(table.elements[i].order == d for i in s):
         return WeightInfo("cyclic", d, _cyclic_weights(table, s, d))
-    w_part = table.reflection_subgroup_closure(s)
     if len(w_part) * 2 != d:
         return WeightInfo("non-cyclic")
     return WeightInfo("cyclic", 2, _coset_weights(table, s, w_part))
@@ -451,7 +449,7 @@ def _record_for_point(
         label=label_g if quotient == "G" else label_h,
         label_g=label_g,
         label_h=label_h,
-        reflection_generated=reflection_generated(table, stab),
+        reflection_generated=winfo.status == "smooth",
         image_status=winfo.image_status(),
         orbit_min=orb[0],
     )
@@ -636,6 +634,7 @@ def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     out: list[CurveStratum] = []
     for c in special_curves(table).values():
         stab = c.generic & ambient
+        winfo = singularity_weights(table, stab)
         out.append(
             CurveStratum(
                 name=c.name,
@@ -644,8 +643,8 @@ def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
                 translate=c.translate,
                 generic_stabilizer_order=len(stab),
                 label=table.recognize(stab),
-                reflection_generated=reflection_generated(table, stab),
-                image_status=singularity_weights(table, stab).image_status(),
+                reflection_generated=winfo.status == "smooth",
+                image_status=winfo.image_status(),
                 invariance_label_h=table.recognize(c.setwise_h),
                 invariance_order_h=len(c.setwise_h),
             )

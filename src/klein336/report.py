@@ -33,6 +33,7 @@ from .orbits import (
     on_singular_curve,
     orbit_points,
     singularity_report,
+    singularity_weights,
     special_curves,
     stabilizer_indices,
 )
@@ -470,23 +471,22 @@ def _ac12(table: GroupTable) -> list[VerifyOutcome]:
     stabs = [curves[f"kappa_{i}"].generic for i in (1, 2, 3)]
     labels = [table.recognize(s) for s in stabs]
     two_refl = all(
-        len(s & table.reflection_set) == 2
-        and table.subgroup_closure(sorted(s & table.reflection_set)) == s
+        len(s & table.reflection_set) == 2 and singularity_weights(table, s).status == "smooth"
         for s in stabs[:2]
     )
     inter = stabs[2] == stabs[0] & stabs[1]
-    s3, s4 = curves["c3_axis"].generic, curves["h4_axis"].generic
+    label3, label4 = (table.recognize(curves[c].generic) for c in ("c3_axis", "h4_axis"))
     ok = (
         labels == ["2^2", "2^2", "C2-antirefl"]
         and two_refl
         and inter
-        and table.recognize(s3) == "S3'"
-        and table.recognize(s4) == "D8'"
+        and label3 == "S3'"
+        and label4 == "D8'"
     )
     actual = (
         f"kappa labels {labels}, two-reflection generation: {two_refl}, "
-        f"kappa_3 = intersection: {inter}, diagonal axis: {table.recognize(s3)}, "
-        f"order-4 axis: {table.recognize(s4)}"
+        f"kappa_3 = intersection: {inter}, diagonal axis: {label3}, "
+        f"order-4 axis: {label4}"
     )
     return [
         _outcome(

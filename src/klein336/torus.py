@@ -404,7 +404,7 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
     """
     if gi is None:
         gi = table.named["rho1"]
-    if gi not in set(table.antireflections):
+    if gi not in table.antireflection_set:
         raise ValueError("kappa translates are defined for antireflections")
     locus = fixed_locus_structure(table, gi)
     if locus.component_count != 4:

@@ -44,7 +44,10 @@
 * germ weights of index-2 reflection parts the field-valued way: degree
   parity for W x {+-1} with degrees from a divisor search, and the residual
   involution on the W-invariant linear and quadratic forms, solved with
-  ``qnum_solve``; the subgroups of G from those of H by Goursat's lemma.
+  ``qnum_solve``; the subgroups of G from those of H by Goursat's lemma;
+* subgroup labels by a chain of rules on element orders, -1, determinants,
+  reflections and commutativity (``rule_recognize``), and reflection
+  generation by plain closure (``reflection_generated``).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from klein336 import linalg
-from klein336.group import R1, R2, R3, SubgroupClass
+from klein336.group import R1, R2, R3, SubgroupClass, UnrecognizedSubgroupError
 from klein336.linalg import (
     EPS_VECTORS,
     IDENTITY3,
@@ -74,7 +77,7 @@ from klein336.linalg import (
     int_det,
     smith_normal_form,
 )
-from klein336.orbits import ConsistencyError, Orbit, WeightInfo, reflection_generated
+from klein336.orbits import ConsistencyError, Orbit, WeightInfo
 from klein336.qfield import CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
 from klein336.torus import (
@@ -1111,7 +1114,7 @@ def field_singularity_weights(table, s: frozenset[int]) -> WeightInfo:
     generators = [i for i in s if table.elements[i].order == d]
     if generators:
         return WeightInfo("cyclic", d, min(snap_weights(table, g, d) for g in generators))
-    w_part = table.reflection_subgroup_closure(s)
+    w_part = plain_subgroup_closure(table, sorted(s & table.reflection_set))
     if (
         table.minus_one in s
         and len(w_part) * 2 == d
@@ -1143,3 +1146,98 @@ def goursat_subgroups_of_g(table) -> list[frozenset[int]]:
             if 2 * len(k0) == len(k) and k0 < k:
                 out.append(k0 | frozenset(minus[x] for x in k - k0))
     return out
+
+
+def reflection_generated(table, s: frozenset[int]) -> bool:
+    """Is the subgroup the plain closure of the reflections it contains?"""
+    return plain_subgroup_closure(table, sorted(s & table.reflection_set)) == s
+
+
+def rule_recognize(table, s: frozenset[int]) -> str:
+    """Name a subgroup by the rules of the stabilizer scheme, one rule after another.
+
+    The rules read element orders, -1, determinants, the reflection count
+    and commutativity; ``GroupTable.recognize`` reads a table keyed by the
+    order and the numbers of reflections and antireflections instead.
+    """
+    order = len(s)
+    els = [table.elements[i] for i in s]
+    orders = sorted(e.order for e in els)
+    has_minus = table.minus_one in s
+    nrefl = len(s & table.reflection_set)
+    in_h = all(e.det == 1 for e in els)
+    cyclic = order in orders
+    signature = {
+        "order": order,
+        "element_orders": orders,
+        "contains_minus_one": has_minus,
+        "reflections": nrefl,
+        "inside_h": in_h,
+        "cyclic": cyclic,
+    }
+
+    if order == 1:
+        return "1"
+    if order == 2:
+        gen = next(i for i in s if i != table.identity)
+        if gen == table.minus_one:
+            return "±1"
+        return "C2-refl" if gen in table.reflection_set else "C2-antirefl"
+    if order == 3:
+        return "C3"
+    if order == 4:
+        if cyclic:
+            return "C4"
+        if has_minus:
+            return "C2xC2'"
+        return "2^2"
+    if order == 6:
+        if cyclic:
+            return "C6"
+        if in_h:
+            return "S3"
+        if nrefl == 3 and not has_minus:
+            return "S3'"
+    if order == 7:
+        return "C7"
+    if order == 8 and not cyclic:
+        abelian = _is_abelian(table, s)
+        if abelian and has_minus:
+            return "±2^2" if max(orders) == 2 else "±4"
+        if not abelian:
+            # no non-abelian order-8 subgroup contains -1 (its order-4
+            # elements would square to -1, impossible for det reasons)
+            return "D8" if in_h else "D8'"
+    if order == 12:
+        if in_h and not _is_abelian(table, s):
+            return "A4"
+        if has_minus and nrefl == 3:
+            return "±S3"
+    if order == 14 and cyclic:
+        return "C14"
+    if order == 16 and has_minus and not _is_abelian(table, s):
+        return "±D8"
+    if order == 21:
+        return "7:3"
+    if order == 24:
+        if in_h:
+            return "S4"
+        if has_minus:
+            return "±A4"
+        if nrefl == 6:
+            return "S4'"
+    if order == 42 and has_minus:
+        return "±7:3"
+    if order == 48 and has_minus:
+        return "±S4"
+    if order == 168 and in_h:
+        return "H168"
+    if order == 336:
+        return "G336"
+    raise UnrecognizedSubgroupError(signature)
+
+
+def _is_abelian(table, s: frozenset[int]) -> bool:
+    items = sorted(s)
+    rows = table.mul_list
+    return all(rows[a][b] == rows[b][a] for a, b in itertools.combinations(items, 2))

@@ -142,6 +142,49 @@ def test_orbit_eta_in_h(capsys):
     assert "24 points" in out
 
 
+GENERIC_20011 = "[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]"
+
+
+def test_orbit_json_builds_each_point_once(tmp_path, monkeypatch, capsys):
+    # the free G-orbit: 336 points, and one more for the parsed point itself
+    built = []
+    init = torus.TorusPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(torus.TorusPoint, "__init__", counted)
+    path = tmp_path / "orbit.json"
+    assert main(["orbit", "--point", GENERIC_20011, "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["size"] == 336
+    assert len(built) <= 336 + 1
+    assert "336 points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stabilizer", "--point", "beta_0011"],  # fits the buffer: fails at the last flush
+        ["orbit", "--point", GENERIC_20011],  # 336 rows: fails inside a print
+    ],
+    ids=["flush", "print"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    src = str(Path(klein336.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "klein336.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_classify_beta(capsys):
     assert main(["classify", "--locus", "beta"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -17,6 +17,7 @@ from klein336.group import (
     GroupConstructionError,
     GroupTable,
     UnrecognizedSubgroupError,
+    _LABELS,
     roots,
 )
 from klein336.linalg import IDENTITY3, Mat3, int6_to_mat3
@@ -369,6 +370,16 @@ def test_recognition_examples(group):
     assert group.recognize(group.subgroup_closure(sorted(mono) + [n["m1"]])) == "±S4"
     with pytest.raises(UnrecognizedSubgroupError):
         group.recognize(frozenset())
+
+
+def test_recognize_matches_the_rules_on_every_subgroup_of_g(group):
+    # the table lookup against the rule chain, and every table key occurs
+    keys = set()
+    for s in oracles.goursat_subgroups_of_g(group):
+        assert group.recognize(s) == oracles.rule_recognize(group, s)
+        keys.add((len(s), len(s & group.reflection_set), len(s & group.antireflection_set)))
+    assert keys == set(_LABELS)
+    assert group.antireflection_set == frozenset(group.antireflections)
 
 
 def _monomial_det1_subgroup(group):

@@ -18,6 +18,7 @@ from oracles import (
     goursat_subgroups_of_g,
     looped_curve_stabilizer,
     projector_setwise_stabilizer,
+    reflection_generated,
     sampled_curve_stabilizer,
     swept_locus_points,
 )
@@ -36,7 +37,6 @@ from klein336.orbits import (
     locus_points,
     on_singular_curve,
     orbit_points,
-    reflection_generated,
     singularity_report,
     singularity_weights,
     special_curves,
@@ -188,6 +188,26 @@ def test_staged_weights_for_non_reflection_generated_stabilizers(group):
     assert (w.status, w.order, w.weights) == ("cyclic", 2, (0, 1, 1))
 
 
+def test_reflection_part_is_closed_once(group, monkeypatch):
+    # the +-S3 stabilizer of omega_10 is neither reflection-generated nor cyclic
+    p = omega_point(1, 0)
+    s = stabilizer_indices(group, p, "G")
+    calls = []
+    closure = group.subgroup_closure
+
+    def counted(gens):
+        calls.append(gens)
+        return closure(gens)
+
+    monkeypatch.setattr(group, "subgroup_closure", counted)
+    assert singularity_weights(group, s).status == "cyclic"
+    assert len(calls) == 1
+    calls.clear()
+    rec = orbits._record_for_point(group, "T2", "G", p, orbit_points(group, p, "G"))
+    assert len(calls) == 1
+    assert (rec.label, rec.reflection_generated) == ("±S3", False)
+
+
 def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g(group):
     # the averaged-trace rule against snapped float eigenvalues, the coset
     # series against degree parity and the residual involution
@@ -201,7 +221,7 @@ def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g(group):
             continue
         if any(group.elements[i].order == len(s) for i in s):
             cyclic += 1
-        elif 2 * len(group.reflection_subgroup_closure(s)) == len(s):
+        elif 2 * len(group.subgroup_closure(sorted(s & group.reflection_set))) == len(s):
             index2_shapes.add(group.recognize(s))
     assert cyclic == 136
     assert index2_shapes == {"C2xC2'", "±S3", "D8'"}
@@ -414,6 +434,7 @@ def test_one_stabilizer_product_per_record(group, monkeypatch, quotient):
         assert rec.stabilizer_order == len(stab) and rec.label == group.recognize(stab)
         assert rec.label_g == group.recognize(stab_g)
         assert rec.image_status == singularity_weights(group, stab).image_status()
+        assert rec.reflection_generated == reflection_generated(group, stab)
 
 
 @pytest.mark.parametrize("quotient", ["G", "H"])
