@@ -226,7 +226,7 @@ class GroupTable:
             )
 
         self.named = self._build_named_registry()
-        self.derived: dict = {}  # results computed once per table: the lattice, loci
+        self.derived: dict = {}  # results computed once per table: the lattice, loci, germs
 
     # --- elementary queries ---------------------------------------------
 

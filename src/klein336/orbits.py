@@ -7,20 +7,23 @@ eigenvalue exponents are read off the averaged integer traces of the
 subgroups, which count the eigenvalues of each order.  When the reflection
 part W has index 2, the degrees of W's basic invariants and the signs of the
 other coset on them are read off averaged series of 1/det(1 - t g) in Z[w].
-No floating point enters any germ.
+No floating point enters any germ.  Each subgroup's germ is computed once
+per group table, when first asked for, and kept in ``table.derived`` keyed
+by the subgroup.
 
 Stabilizers and orbits of a torsion point n / den apply integer matrices of
 G or H to its numerators at once, in int64 or, for large denominators, in
 Python integers.  The stabilizer tests g - I, built once per group table:
 the first rows of all selected elements filter with one matrix-vector
-product, and only the survivors are tested on all six rows.  The orbit
-applies the 168 matrices of H, and a G-orbit adds the negatives of those
-rows, since G = H x {+-1}.  The rows pack into base-den sort keys as wide as
-int64 allows; one argsort of the first keys orders them unless two of those
-tie below full width, where one lexsort of all the keys takes over, and
-equal neighbouring keys are dropped.  An orbit is an ``Orbit``: its
-distinct image rows, sorted into coordinate order and read-only, whose
-points are built only when read.
+product, and the survivors are tested on all six rows only when an element
+other than the identity survives.  The orbit applies the 168 matrices of
+H, and a G-orbit adds the negatives of those rows, since G = H x {+-1}.
+The rows pack into base-den sort keys as wide as int64 allows; one argsort
+of the first keys orders them unless two of those tie below full width,
+where one lexsort of all the keys takes over, and equal neighbouring keys
+are dropped.  An orbit is an ``Orbit``: its distinct image rows, sorted
+into coordinate order and read-only, whose points are built only when
+read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
@@ -80,16 +83,19 @@ def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") ->
 
     g fixes p = n / den exactly when (g - I) n is 0 mod den.  The first rows
     of the precomputed g - I of the selection filter every element with one
-    matrix-vector product; only the survivors, about one element for a
-    generic point, are tested on all six rows.
+    matrix-vector product on n, built once.  The identity comes first in
+    both selections and fixes every point, so the survivors are tested on
+    all six rows only when another element survives, which for a generic
+    point none does.
     """
     ids, _ = table.select(quotient)
     minus_i, first_rows = table.minus_identity[quotient]
-    moved, _, den = _moved_numerators(table, first_rows, p)
+    moved, n, den = _moved_numerators(table, first_rows, p)
     kept = np.flatnonzero(moved % den == 0)
-    moved, _, _ = _moved_numerators(table, minus_i[kept], p)
-    fixed = kept[(moved % den == 0).all(axis=1)]
-    return frozenset(ids[i] for i in fixed.tolist())
+    if len(kept) > 1:
+        moved = minus_i[kept].astype(n.dtype, copy=False) @ n
+        kept = kept[(moved % den == 0).all(axis=1)]
+    return frozenset(ids[i] for i in kept.tolist())
 
 
 class Orbit(Sequence):
@@ -327,6 +333,20 @@ def _coset_weights(
 
 def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     """Quotient-germ type of a stabilizer: smooth, cyclic 1/d(...), or worse.
+
+    The germ is computed once per subgroup and table, on first request:
+    ``table.derived["germs"]`` keeps each frozen result keyed by S, so it
+    holds at most one entry per subgroup of G (547) and none per point.
+    """
+    germs = table.derived.setdefault("germs", {})
+    germ = germs.get(s)
+    if germ is None:
+        germ = germs[s] = _germ_type(table, s)
+    return germ
+
+
+def _germ_type(table: GroupTable, s: frozenset[int]) -> WeightInfo:
+    """The germ type of S, computed from its elements (``singularity_weights``).
 
     The germ is smooth exactly when S is generated by its reflections
     (Chevalley 1955; Shephard and Todd 1954), so S's reflection part W is

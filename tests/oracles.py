@@ -1108,13 +1108,13 @@ def field_singularity_weights(table, s: frozenset[int]) -> WeightInfo:
     part with degrees (1, 2, 2) goes through the residual involution on the
     W-fixed line and the W-invariant quadratic forms.
     """
-    if reflection_generated(table, s):
+    w_part = plain_subgroup_closure(table, sorted(s & table.reflection_set))
+    if w_part == s:  # reflection-generated
         return WeightInfo("smooth")
     d = len(s)
     generators = [i for i in s if table.elements[i].order == d]
     if generators:
         return WeightInfo("cyclic", d, min(snap_weights(table, g, d) for g in generators))
-    w_part = plain_subgroup_closure(table, sorted(s & table.reflection_set))
     if (
         table.minus_one in s
         and len(w_part) * 2 == d

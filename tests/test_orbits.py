@@ -80,6 +80,32 @@ def test_stabilizer_matches_exact_application(group):
             assert fixes == (i in stab)
 
 
+@pytest.mark.parametrize(
+    "den, nums",
+    [
+        (5, [1, 0, 0, 0, 2, 3]),  # int64 rows
+        (10**20 + 39, [99999876543210987694, 123456789012345, 0, 1, 2, 10**20 + 37]),
+    ],
+    ids=["int64", "python-int"],
+)
+def test_stabilizer_rechecks_first_row_survivors(group, den, nums):
+    # elements other than the identity pass the first-row filter yet move
+    # the point, so the six-row test runs and rejects them, in G and in H
+    p = TorusPoint([F(n, den) for n in nums])
+    want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
+    for quotient in ("G", "H"):
+        ids, _ = group.select(quotient)
+        _, first_rows = group.minus_identity[quotient]
+        survivors = {
+            ids[i]
+            for i, row in enumerate(first_rows.tolist())
+            if sum(a * n for a, n in zip(row, nums)) % den == 0
+        }
+        stab = stabilizer_indices(group, p, quotient)
+        assert stab == want & frozenset(ids)
+        assert stab < survivors
+
+
 def test_orbit_builds_no_point_until_read(group, monkeypatch):
     p = TorusPoint([F(1, 20011), F(5, 20011), F(77, 20011), 0, F(3, 20011), F(19999, 20011)])
     doubled = 2 * p
@@ -188,54 +214,78 @@ def test_staged_weights_for_non_reflection_generated_stabilizers(group):
     assert (w.status, w.order, w.weights) == ("cyclic", 2, (0, 1, 1))
 
 
-def test_reflection_part_is_closed_once(group, monkeypatch):
-    # the +-S3 stabilizer of omega_10 is neither reflection-generated nor cyclic
-    p = omega_point(1, 0)
-    s = stabilizer_indices(group, p, "G")
+def _counted_closures(table, monkeypatch) -> list:
+    """The generator lists of every later ``table.subgroup_closure`` call."""
     calls = []
-    closure = group.subgroup_closure
+    closure = table.subgroup_closure
+    monkeypatch.setattr(table, "subgroup_closure", lambda gens: calls.append(gens) or closure(gens))
+    return calls
 
-    def counted(gens):
-        calls.append(gens)
-        return closure(gens)
 
-    monkeypatch.setattr(group, "subgroup_closure", counted)
-    assert singularity_weights(group, s).status == "cyclic"
+def test_reflection_part_is_closed_once(monkeypatch):
+    # the +-S3 stabilizer of omega_10 is neither reflection-generated nor
+    # cyclic; a fresh table has no germ stored yet
+    table = GroupTable()
+    p = omega_point(1, 0)
+    s = stabilizer_indices(table, p, "G")
+    calls = _counted_closures(table, monkeypatch)
+    assert singularity_weights(table, s).status == "cyclic"
     assert len(calls) == 1
-    calls.clear()
-    rec = orbits._record_for_point(group, "T2", "G", p, orbit_points(group, p, "G"))
+    assert singularity_weights(table, s).status == "cyclic"
+    assert len(calls) == 1
+    rec = orbits._record_for_point(table, "T2", "G", p, orbit_points(table, p, "G"))
     assert len(calls) == 1
     assert (rec.label, rec.reflection_generated) == ("±S3", False)
 
 
-def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g(group):
+def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g():
     # the averaged-trace rule against snapped float eigenvalues, the coset
-    # series against degree parity and the residual involution
-    subgroups = goursat_subgroups_of_g(group)
+    # series against degree parity and the residual involution, on a fresh
+    # table, so that every germ is computed here
+    table = GroupTable()
+    subgroups = goursat_subgroups_of_g(table)
     assert len(set(subgroups)) == 547
     index2_shapes = set()
     cyclic = 0
     for s in subgroups:
-        assert singularity_weights(group, s) == field_singularity_weights(group, s)
-        if reflection_generated(group, s):
+        assert singularity_weights(table, s) == field_singularity_weights(table, s)
+        if reflection_generated(table, s):
             continue
-        if any(group.elements[i].order == len(s) for i in s):
+        if any(table.elements[i].order == len(s) for i in s):
             cyclic += 1
-        elif 2 * len(group.subgroup_closure(sorted(s & group.reflection_set))) == len(s):
-            index2_shapes.add(group.recognize(s))
+        elif 2 * len(table.subgroup_closure(sorted(s & table.reflection_set))) == len(s):
+            index2_shapes.add(table.recognize(s))
     assert cyclic == 136
     assert index2_shapes == {"C2xC2'", "±S3", "D8'"}
 
 
-def test_germ_rule_uses_no_floating_point_on_any_subgroup(group, monkeypatch):
-    subgroups = goursat_subgroups_of_g(group)
-    expected = [field_singularity_weights(group, s) for s in subgroups]
+def test_germ_rule_uses_no_floating_point_on_any_subgroup(monkeypatch):
+    # a fresh table, so that no germ is read back from an earlier test
+    table = GroupTable()
+    subgroups = goursat_subgroups_of_g(table)
+    expected = [field_singularity_weights(table, s) for s in subgroups]
 
     def no_floats(*args):
         raise AssertionError("numpy.linalg.eigvals called")
 
     monkeypatch.setattr(np.linalg, "eigvals", no_floats)
-    assert [singularity_weights(group, s) for s in subgroups] == expected
+    assert [singularity_weights(table, s) for s in subgroups] == expected
+    assert len(table.derived["germs"]) == 547
+
+
+def test_germs_are_kept_once_per_subgroup(monkeypatch):
+    # each stored germ equals a computation on a second fresh table; asking
+    # again with an equal subgroup returns the stored object, with no closure
+    table, other = GroupTable(), GroupTable()
+    subgroups = goursat_subgroups_of_g(table)
+    germs = [singularity_weights(table, s) for s in subgroups]
+    assert len(table.derived["germs"]) == 547
+    assert "germs" not in other.derived
+    assert germs == [orbits._germ_type(other, s) for s in subgroups]
+    calls = _counted_closures(table, monkeypatch)
+    again = [singularity_weights(table, frozenset(sorted(s))) for s in subgroups]
+    assert all(a is b for a, b in zip(again, germs))
+    assert not calls and len(table.derived["germs"]) == 547
 
 
 @pytest.mark.parametrize(
@@ -348,22 +398,26 @@ def test_inverse_char_poly_inverts_det_one_minus_tg(group):
             assert product == int(k == 0)
 
 
-def test_index2_germs_use_no_floating_point(group, monkeypatch):
-    # staged and cyclic germs alike are exact
+def test_index2_germs_use_no_floating_point(monkeypatch):
+    # staged and cyclic germs alike are exact; a fresh table, so that no germ
+    # is read back from an earlier test
+    table = GroupTable()
+
     def no_floats(*args):
         raise AssertionError("numpy.linalg.eigvals called")
 
     monkeypatch.setattr(np.linalg, "eigvals", no_floats)
     staged = {
-        "±S3": stabilizer_indices(group, omega_point(1, 0), "G"),
-        "D8'": stabilizer_indices(group, beta_point("1010"), "G"),
-        "C2xC2'": group.subgroup_closure([group.named["r1"], group.minus_one]),
+        "±S3": stabilizer_indices(table, omega_point(1, 0), "G"),
+        "D8'": stabilizer_indices(table, beta_point("1010"), "G"),
+        "C2xC2'": table.subgroup_closure([table.named["r1"], table.minus_one]),
     }
     for label, s in staged.items():
-        assert group.recognize(s) == label
-        assert singularity_weights(group, s).image_status() == "1/2(0,1,1)"
-    cyclic = singularity_weights(group, group.subgroup_closure([group.named["rho1"]]))
+        assert table.recognize(s) == label
+        assert singularity_weights(table, s).image_status() == "1/2(0,1,1)"
+    cyclic = singularity_weights(table, table.subgroup_closure([table.named["rho1"]]))
     assert cyclic.image_status() == "1/2(0,1,1)"
+    assert len(table.derived["germs"]) == 4
 
 
 def test_t2_classification(group):
