@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -99,22 +99,15 @@ def roots() -> list[CVec3]:
     seen: set[tuple] = set()
     out: list[CVec3] = []
     for seed in seeds:
-        for perm in itertools.permutations(range(3)):
-            for signs in itertools.product((1, -1), repeat=3):
-                v = tuple(
-                    QNum(signs[i] * seed[perm[i]].x, signs[i] * seed[perm[i]].y)
-                    for i in range(3)
-                )
-                key = _vec_key(v)
+        for perm in itertools.permutations([(q, -q) for q in seed]):
+            for v in itertools.product(*perm):
+                # reduced integer triples: equal values have equal keys
+                key = tuple((q.a, q.b, q.d) for q in v)
                 if key not in seen:
                     seen.add(key)
-                    out.append(v)  # type: ignore[arg-type]
-    out.sort(key=_vec_key)
+                    out.append(v)
+    out.sort(key=lambda v: tuple((q.x, q.y) for q in v))
     return out
-
-
-def _vec_key(v: Sequence[QNum]) -> tuple:
-    return tuple((q.x, q.y) for q in v)
 
 
 class GroupTable:
@@ -321,24 +314,40 @@ class GroupTable:
     # --- subgroup machinery ------------------------------------------------
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
-        gens = [g for g in gens]
-        # the closure lies in H if the generators do, else in G; over half of it is all (Lagrange)
+        """The subgroup generated by gens: ``closure_from`` the trivial subgroup."""
+        return self.closure_from(frozenset((self.identity,)), gens)
+
+    def closure_from(self, known: frozenset[int], gens: Iterable[int]) -> frozenset[int]:
+        """The subgroup generated by gens, by BFS from a subgroup ``known`` of it.
+
+        The closure lies in H if the generators do, else in G: call that the
+        ambient group A.  Its order is a multiple of |known| that divides |A|
+        (Lagrange), so once the BFS has seen more elements than the largest
+        proper divisor of |A| that |known| divides, the closure is A.  From
+        the trivial subgroup that cut-off is half of |A|; from an order-24
+        subgroup of H it is 24, so the first new element settles the closure.
+        """
+        gens = list(gens)
         ambient = self.h_set if self.h_set.issuperset(gens) else self.g_set
-        seen = {self.identity}
-        frontier = [self.identity]
+        index = len(ambient) // len(known)
+        smallest_prime = next((p for p in range(2, index + 1) if index % p == 0), 1)
+        bound = len(ambient) // smallest_prime
+        seen = set(known)
         rows = self.mul_list
+        # known is closed under its own elements, so its first step takes only the others
+        frontier, step = known, [g for g in gens if g not in known]
         while frontier:
-            if 2 * len(seen) > len(ambient):
-                return ambient
             nxt = []
             for x in frontier:
                 row = rows[x]
-                for g in gens:
+                for g in step:
                     y = row[g]
                     if y not in seen:
                         seen.add(y)
+                        if len(seen) > bound:
+                            return ambient
                         nxt.append(y)
-            frontier = nxt
+            frontier, step = nxt, gens
         return frozenset(seen)
 
     def conjugate_subgroup(self, g: int, s: frozenset[int]) -> frozenset[int]:
@@ -426,7 +435,7 @@ class GroupTable:
             for _, cgen in cyclic:
                 if cgen in rep:
                     continue
-                t = self.subgroup_closure(base_gens + (cgen,))
+                t = self.closure_from(rep, base_gens + (cgen,))
                 if t not in known:
                     add_class(t, base_gens + (cgen,))
 
@@ -557,5 +566,8 @@ _STRUCTURE_NAMES = {
 
 @lru_cache(maxsize=1)
 def get_group() -> GroupTable:
-    """The singleton group table; built once per process."""
+    """The shared group table: built on the first call, then returned by every call.
+
+    ``GroupTable()`` builds a new table, with nothing in ``derived``.
+    """
     return GroupTable()

@@ -203,8 +203,20 @@ def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant of a square matrix; 1 for the empty matrix.
+
+    Closed forms for n <= 2, fraction-free Bareiss elimination above.
+    Raises ValueError for a matrix that is not square.
+    """
     n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"int_det needs a square matrix, got row widths {[len(r) for r in a]}")
+    if n <= 2:
+        if n == 2:
+            (p, q), (r, s) = a
+            return int(p) * int(s) - int(q) * int(r)
+        return int(a[0][0]) if n else 1
     m = [list(map(int, row)) for row in a]
     sign = 1
     prev = 1
@@ -215,16 +227,21 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot = m[k]
+        p = pivot[k]
+        for row in m[k + 1 :]:  # column k of these rows is not read again
+            x = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                row[j] = (row[j] * p - x * pivot[j]) // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
 def _identity(n: int) -> IntMat:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def smith_normal_form(
@@ -233,82 +250,86 @@ def smith_normal_form(
     """Smith normal form: returns (U, D, V) with U a V = D.
 
     U and V are unimodular, D is diagonal with nonnegative entries and
-    d_i | d_{i+1}.  Elementary operations with smallest-entry pivoting;
-    fine for the small matrices this project needs.
+    d_i | d_{i+1}.  Elementary operations with smallest-entry pivoting:
+    the pivot is the first entry of least absolute value in the trailing
+    block, in row-major order, so the scan stops at the first entry of
+    absolute value 1; a pivot of +-1 divides every entry, so the
+    divisibility fix-up is skipped for it.  Fine for the small matrices
+    this project needs.
     """
     d = [list(map(int, row)) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
     u = _identity(m)
     v = _identity(n)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the trailing block as pivot
-        best = None
+    for t in range(min(m, n)):
+        # the first nonzero entry of least absolute value in the trailing block
+        best, least = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        bi, bj = best
+        d[t], d[bi] = d[bi], d[t]
+        u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
+            for row in v:
+                row[t], row[bj] = row[bj], row[t]
         while True:
-            # clear column t
+            # clear column t: row_i -= q row_t, swapping in a nonzero remainder
             dirty = False
             for i in range(t + 1, m):
                 if d[i][t]:
                     q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
+                    if q:
+                        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if d[i][t]:
-                        swap_rows(t, i)
+                        d[t], d[i] = d[i], d[t]
+                        u[t], u[i] = u[i], u[t]
                         dirty = True
             if dirty:
                 continue
-            # clear row t
+            # clear row t: col_j -= q col_t, swapping in a nonzero remainder
+            pivot_row = d[t]
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j]:
-                        swap_cols(t, j)
+                if pivot_row[j]:
+                    q = pivot_row[j] // pivot_row[t]
+                    if q:  # rows above t are zero in columns t and j
+                        for row in d[t:]:
+                            row[j] -= q * row[t]
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if pivot_row[j]:
+                        for row in d[t:]:
+                            row[t], row[j] = row[j], row[t]
+                        for row in v:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
             if dirty:
                 continue
-            # enforce divisibility of the trailing block by the pivot
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # enforce divisibility of the trailing block by the pivot: row_t += the
+            # first offending row; a pivot of +-1 divides everything
+            p = d[t][t]
+            if p == 1 or p == -1:
+                break
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None
+            )
             if offender is None:
                 break
-            row_op(t, offender, -1)
-        t += 1
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
     for i in range(min(m, n)):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
@@ -355,15 +376,23 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def hnf_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Membership of an integer vector in the row lattice given by its HNF."""
+    """Membership of an integer vector in the row lattice given by its HNF.
+
+    Raises ValueError when a basis row and the vector differ in width.
+    """
     v = list(map(int, vec))
+    width = len(v)
     for row in basis:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
+        if len(row) != width:
+            raise ValueError(f"a basis row has width {len(row)}, the vector {width}")
+        for c, p in enumerate(row):
+            if p:
+                break
+        else:
             continue
-        if v[c] % row[c]:
+        q, r = divmod(v[c], p)
+        if r:
             return False
-        q = v[c] // row[c]
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return not any(v)

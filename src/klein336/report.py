@@ -515,8 +515,12 @@ def _ac13(table: GroupTable) -> list[VerifyOutcome]:
 
 
 def _random_qnum(rng: random.Random) -> QNum:
-    """x + y*w with x = a/b, y = c/d, drawn in the order a, b, c, d."""
-    a, b, c, d = (rng.randint(lo, hi) for lo, hi in ((-50, 50), (1, 10), (-50, 50), (1, 10)))
+    """x + y*w with x = a/b, y = c/d, drawn in the order a, b, c, d.
+
+    ``rng.randrange(lo, hi + 1)`` is the documented meaning of ``randint(lo, hi)``.
+    """
+    draw = rng.randrange
+    a, b, c, d = draw(-50, 51), draw(1, 11), draw(-50, 51), draw(1, 11)
     return QNum.from_ints(a * d, c * b, b * d)
 
 
@@ -548,10 +552,11 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
         covariant = covariant and stabilizer_indices(table, moved, "G") == expected
     # SNF/HNF contracts on 1000 random small matrices
     normal_forms = True
+    draw = rng.randrange  # randrange(lo, hi + 1) is randint(lo, hi)
     for _ in range(1000):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 5)
-        a = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)]
+        m = draw(1, 6)
+        n = draw(1, 6)
+        a = [[draw(-10, 11) for _ in range(n)] for _ in range(m)]
         u, d, v = smith_normal_form(a)
         uav = int_mat_mul(int_mat_mul(u, a), v)
         diag = [d[i][i] for i in range(min(m, n))]
@@ -572,11 +577,12 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
     axioms = True
     for _ in range(1000):
         a, b, c = (_random_qnum(rng) for _ in range(3))
-        axioms = axioms and (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
+        ab = a * b
+        axioms = axioms and ab * c == a * (b * c) and a * (b + c) == ab + a * c
         if a:
             axioms = axioms and a * a.inv() == ONE
-        axioms = axioms and (a * b).conj() == a.conj() * b.conj()
-        axioms = axioms and (a * b).norm() == a.norm() * b.norm()
+        axioms = axioms and ab.conj() == a.conj() * b.conj()
+        axioms = axioms and ab.norm() == a.norm() * b.norm()
     ok = orbit_stab and covariant and normal_forms and axioms
     actual = (
         f"orbit-stabilizer: {orbit_stab}; covariance(100): {covariant}; "

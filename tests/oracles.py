@@ -47,7 +47,11 @@
   ``qnum_solve``; the subgroups of G from those of H by Goursat's lemma;
 * subgroup labels by a chain of rules on element orders, -1, determinants,
   reflections and commutativity (``rule_recognize``), and reflection
-  generation by plain closure (``reflection_generated``).
+  generation by plain closure (``reflection_generated``);
+* the integer kernels as they were before their unit-pivot rewrite: the
+  Smith normal form through four elementary-operation closures, HNF
+  membership by a pivot scan, Bareiss determinants for every size; the
+  roots deduplicated on ``Fraction`` keys; and AC14's seed-0 matrix draws.
 """
 
 from __future__ import annotations
@@ -1241,3 +1245,160 @@ def _is_abelian(table, s: frozenset[int]) -> bool:
     items = sorted(s)
     rows = table.mul_list
     return all(rows[a][b] == rows[b][a] for a, b in itertools.combinations(items, 2))
+
+
+# --- integer normal forms and roots as the library computed them before ---------
+
+
+def bareiss_int_det(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a nonempty square matrix by fraction-free Bareiss elimination."""
+    n = len(a)
+    m = [list(map(int, row)) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def closure_smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list, list, list]:
+    """(U, D, V) with U a V = D, by four elementary-operation closures.
+
+    Smallest-entry pivoting over the whole trailing block, and the
+    divisibility scan at every pivot, +-1 included.
+    """
+    d = [list(map(int, row)) for row in a]
+    m = len(d)
+    n = len(d[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in d:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    row_op(i, t, q)
+                    if d[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_op(j, t, q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % d[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        t += 1
+    for i in range(min(m, n)):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
+    return u, d, v
+
+
+def scanning_hnf_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """Membership in the row lattice of an HNF basis of the vector's width."""
+    v = list(map(int, vec))
+    for row in basis:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        if v[c] % row[c]:
+            return False
+        q = v[c] // row[c]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def ac14_matrix_draws(group_order: int, seed: int = 0) -> list[list[list[int]]]:
+    """AC14's 1000 random matrices, drawn with ``randint`` after its 100 covariance pairs.
+
+    Each matrix is m x n with m, n in [1, 5] and entries in [-10, 10], drawn
+    in the order m, n, then the entries row by row.
+    """
+    rng = random.Random(seed)
+    for _ in range(100):
+        rng.randrange(95), rng.randrange(group_order)
+    out = []
+    for _ in range(1000):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        out.append([[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)])
+    return out
+
+
+def fraction_keyed_roots() -> list[CVec3]:
+    """The 42 roots from the three seeds by signed permutations, deduplicated on Fractions."""
+    seeds = [vec3(2, 0, 0), vec3(0, QNum(0, 1), QNum(0, 1)), vec3(1, 1, QNum(1, -1))]
+    seen: set[tuple] = set()
+    out: list[CVec3] = []
+    for seed in seeds:
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1, -1), repeat=3):
+                v = tuple(
+                    QNum(signs[i] * seed[perm[i]].x, signs[i] * seed[perm[i]].y)
+                    for i in range(3)
+                )
+                key = tuple((q.x, q.y) for q in v)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(v)  # type: ignore[arg-type]
+    out.sort(key=lambda v: tuple((q.x, q.y) for q in v))
+    return out

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import klein336
+import oracles
 from klein336 import report, torus
 from klein336.cli import main
-from klein336.group import GroupConstructionError, UnrecognizedSubgroupError, get_group
-from klein336.linalg import Mat3, NonIntegralError, mat3_to_int6
+from klein336.group import R1, GroupConstructionError, UnrecognizedSubgroupError, get_group
+from klein336.linalg import IDENTITY3, Mat3, NonIntegralError, mat3_to_int6
 from klein336.orbits import ConsistencyError
 from klein336.qfield import QNum
 from klein336.report import VerifyOutcome, emit_report, has_failures, run_verify
@@ -295,6 +296,15 @@ def test_ac14_field_draws_equal_the_fraction_stream(group, monkeypatch):
     assert [(q.a, q.b, q.d) for q in drawn] == [(q.a, q.b, q.d) for q in want]
 
 
+def test_ac14_matrix_draws_equal_the_randint_stream(group, monkeypatch):
+    drawn = []
+    snf = report.smith_normal_form
+    monkeypatch.setattr(report, "smith_normal_form", lambda a: drawn.append(a) or snf(a))
+    [outcome] = report._ac14(group, 0)
+    assert "normal forms(1000): True" in outcome.actual
+    assert drawn == oracles.ac14_matrix_draws(group.size)
+
+
 INTERNAL_ERRORS = [
     ConsistencyError("strata disagree"),
     GroupConstructionError("closure has 335 elements"),
@@ -389,6 +399,38 @@ def test_torus_guards_exit_3(monkeypatch, capsys, argv, owner, name, patch, mess
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("internal error: ConsistencyError: ") and message in line
+
+
+# each guard of the group build, driven through the CLI by one monkeypatched input
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        pytest.param("R1", lambda real: IDENTITY3, "every generator must have determinant -1", id="det+1"),
+        pytest.param(
+            "R3", lambda real: Mat3([[1, 2, 0], [0, 1, 0], [0, 0, -1]]),  # a shear: infinite order
+            "generator closure exceeds 336 elements", id="infinite",
+        ),
+        pytest.param("R3", lambda real: R1, "generator closure has 8 elements, expected 336", id="r3-is-r1"),
+        pytest.param(
+            "hnf_rows", lambda real: lambda rows: real(rows)[:1],  # every rank reads 1
+            "found 0 reflections / 0 antireflections", id="ranks",
+        ),
+        pytest.param(
+            "R3", lambda real: R1 * real * R1,  # another reflection: G again, other named elements
+            "named element h3 has order 4, expected 3", id="named-orders",
+        ),
+    ],
+)
+def test_group_build_guards_exit_3(monkeypatch, capsys, name, patch, message):
+    import klein336.cli as cli_mod
+    from klein336 import group
+
+    monkeypatch.setattr(group, name, patch(getattr(group, name)))
+    monkeypatch.setattr(cli_mod, "get_group", group.GroupTable)  # a fresh build, not the shared table
+    assert main(["group", "build"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: GroupConstructionError: {message}\n"
 
 
 def test_usage_error_exit_code():

@@ -56,6 +56,10 @@ def test_roots():
     assert {tuple((-q.x, -q.y) for q in e) for e in rts} == keys
 
 
+def test_roots_equal_the_fraction_keyed_reference_in_order():
+    assert roots() == oracles.fraction_keyed_roots()
+
+
 def test_reflection_formula_recovers_generators():
     assert reflection_matrix(vec3(0, 0, 2)) == R2
     assert reflection_matrix(vec3(1, 1, QNum(1, -1))) == R3
@@ -149,9 +153,9 @@ def test_subgroup_lattice_uses_few_closures(group, monkeypatch):
     from klein336.group import GroupTable
 
     calls = []
-    closure = GroupTable.subgroup_closure
+    closure = GroupTable.closure_from
     monkeypatch.setattr(
-        GroupTable, "subgroup_closure", lambda self, gens: calls.append(1) or closure(self, gens)
+        GroupTable, "closure_from", lambda self, known, gens: calls.append(1) or closure(self, known, gens)
     )
     table = GroupTable()
     table.all_subgroups_of_h()
@@ -161,21 +165,30 @@ def test_subgroup_lattice_uses_few_closures(group, monkeypatch):
 
 def test_bounded_closure_matches_plain_bfs_in_the_lattice_build(monkeypatch):
     calls = []
-    closure = GroupTable.subgroup_closure
+    closure = GroupTable.closure_from
 
-    def recorded(self, gens):
+    def recorded(self, known, gens):
         gens = list(gens)
-        calls.append((gens, closure(self, gens)))
-        return calls[-1][1]
+        calls.append((known, gens, closure(self, known, gens)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(GroupTable, "subgroup_closure", recorded)
+    monkeypatch.setattr(GroupTable, "closure_from", recorded)
     table = GroupTable()
     table.all_subgroups_of_h()
-    assert len(calls) > 1000
-    # most extensions end at H, where the Lagrange cut-off returns early
-    assert sum(got == table.h_set for _, got in calls) > 500
-    for gens, got in calls:
-        assert got == oracles.plain_subgroup_closure(table, gens)
+    # the cyclic closures and the check on H's generators start from the trivial
+    # subgroup; each extension <R, c> of a subgroup R of H starts from R
+    subgroups = {s for c in table.all_subgroups_of_h() for s in c.members}
+    extensions = [(known, gens, got) for known, gens, got in calls if len(known) > 1]
+    assert len(extensions) > 800
+    # most extensions end at H, where the divisor cut-off returns early; those
+    # of the order-24 classes return at their first new element
+    assert sum(got == table.h_set for _, _, got in extensions) > 500
+    assert any(len(known) == 24 for known, _, _ in extensions)
+    for known, gens, _ in extensions:
+        # gens are R's generators, then c
+        assert known in subgroups and oracles.plain_subgroup_closure(table, gens[:-1]) == known
+    for known, gens, got in calls:
+        assert got == oracles.plain_subgroup_closure(table, gens) and known <= got
 
 
 @pytest.mark.parametrize("quotient", ["G", "H"])

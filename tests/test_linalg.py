@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     from_eps_coords,
     int_kernel,
@@ -204,6 +207,75 @@ def test_smith_normal_form_contract_randomized():
                 assert y % x == 0
             else:
                 assert y == 0
+
+
+def _assert_kernels_equal_the_references(a):
+    """(U, D, V), the determinants of U, V (and a, if square) and HNF membership, bit for bit."""
+    snf = smith_normal_form(a)
+    assert snf == oracles.closure_smith_normal_form(a)
+    u, _, v = snf
+    for x in (u, v) + ((a,) if len(a) == len(a[0]) else ()):
+        assert int_det(x) == oracles.bareiss_int_det(x)
+    h = hnf_rows(a)
+    # each row, and each row with its first entry moved off the lattice or onto it
+    for row in a:
+        for probe in (row, [row[0] + 1] + row[1:]):
+            assert hnf_contains(h, probe) is oracles.scanning_hnf_contains(h, probe)
+
+
+def test_kernels_equal_the_references_on_the_ac14_draws(group):
+    for a in oracles.ac14_matrix_draws(group.size):
+        _assert_kernels_equal_the_references(a)
+
+
+def test_kernels_equal_the_references_on_every_joint_locus_stack(group, monkeypatch):
+    from klein336 import torus
+
+    class Seen(Exception):
+        pass
+
+    stacks = []
+
+    def record(a):
+        stacks.append(a)
+        raise Seen  # the stack is all this test needs of fixed_locus
+
+    monkeypatch.setattr(torus, "smith_normal_form", record)
+    subgroups = oracles.goursat_subgroups_of_g(group)
+    for s in subgroups:
+        with pytest.raises((Seen, torus.IdentityElementError)):
+            torus.fixed_locus(group, s)
+    assert len(stacks) == len(subgroups) - 1  # all but the trivial subgroup
+    for a in stacks:
+        _assert_kernels_equal_the_references(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    entries=st.lists(st.one_of(st.just(0), st.integers(-30, 30)), min_size=36, max_size=36),
+)
+def test_kernels_equal_the_references_on_small_matrices(shape, entries):
+    m, n = shape
+    _assert_kernels_equal_the_references([entries[i * n : (i + 1) * n] for i in range(m)])
+
+
+def test_int_det_rejects_a_matrix_that_is_not_square():
+    for a in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1, 2]]):
+        with pytest.raises(ValueError, match="square"):
+            int_det(a)
+
+
+def test_int_det_of_the_empty_matrix_is_one():
+    assert int_det([]) == 1
+
+
+def test_hnf_contains_rejects_a_vector_of_another_width():
+    with pytest.raises(ValueError, match="width"):
+        hnf_contains([[2, 0], [0, 3]], [2, 0, 5])
+    with pytest.raises(ValueError, match="width"):
+        hnf_contains([[2, 0, 0]], [2, 0])
+    assert hnf_contains([], [0, 0, 0]) and not hnf_contains([], [0, 1])
 
 
 def _assert_inverse_in_lowest_terms(a):
