@@ -68,10 +68,6 @@ class GroupElement:
     def mat(self) -> Mat3:  # the matrix over Q(w), built on first read
         return int6_to_mat3(self.int6)
 
-    def __str__(self) -> str:
-        w = ".".join(f"r{i}" for i in self.word) if self.word else "e"
-        return f"g{self.index}[{w}]"
-
 
 @dataclass(frozen=True)
 class ConjClass:

@@ -83,18 +83,10 @@ class Mat3:
             ]
         )
 
-    def __add__(self, other: Mat3) -> Mat3:
-        return Mat3(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(3)] for i in range(3)]
-        )
-
     def __sub__(self, other: Mat3) -> Mat3:
         return Mat3(
             [[self.rows[i][j] - other.rows[i][j] for j in range(3)] for i in range(3)]
         )
-
-    def __neg__(self) -> Mat3:
-        return Mat3([[-v for v in row] for row in self.rows])
 
     def scale(self, s) -> Mat3:
         s = _q(s)
@@ -107,9 +99,6 @@ class Mat3:
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-
-    def trace(self) -> QNum:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
     def to_strings(self) -> list[str]:
         """Row-major wire encoding (9 field-element strings)."""

@@ -105,8 +105,7 @@ class Orbit(Sequence):
     common order ``den`` (int64, or Python integers in an object array for
     large denominators), in coordinate order.  Length and membership work on
     the rows; a ``TorusPoint`` is built only when an item is indexed or the
-    orbit is iterated.  An orbit equals another orbit with the same rows and
-    order, and a list or tuple of the same points in the same order.
+    orbit is iterated.
     """
 
     __slots__ = ("rows", "den")
@@ -132,15 +131,6 @@ class Orbit(Sequence):
         if not isinstance(q, TorusPoint) or q.den != self.den:
             return False
         return bool(np.any(np.all(self.rows == q.nums, axis=1)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Orbit):
-            return self.den == other.den and np.array_equal(self.rows, other.rows)
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"Orbit({len(self)} points of order {self.den})"

@@ -116,12 +116,6 @@ class QNum:
             return _reduced(self.a - other.a, self.b - other.b, d1)
         return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
-    def __rsub__(self, other: QNum | Rational) -> QNum:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self) -> QNum:
         return _raw(-self.a, -self.b, self.d)
 
@@ -139,30 +133,6 @@ class QNum:
         return _reduced(a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb, d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: QNum | Rational) -> QNum:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other: QNum | Rational) -> QNum:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, n: int) -> QNum:
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conj(self) -> QNum:
         """Complex conjugate: conj(x + y*w) = (x + y) - y*w."""

@@ -9,7 +9,7 @@ substitution of the linear action.  The substitution is one batched
 expansion for all the matrices at once, on integer pairs a + b*w of Z[w]
 in numpy arrays (int64 while a magnitude bound allows, Python integers
 beyond it), with one common denominator divided out at the end; ``act``
-is its one-matrix case.
+expands it for one matrix over the field.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .group import GroupTable
-from .linalg import _FORWARD, _INVERSE_EVEN_COLS, IDENTITY3, Mat3
+from .linalg import _FORWARD, _INVERSE_EVEN_COLS, Mat3
 from .qfield import QNum
 
 Monomial = tuple[int, int, int]
@@ -67,22 +67,6 @@ class QuarticForm:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.coeffs.items(), key=lambda kv: _degrevlex_key(kv[0]))))
-
-    def items(self) -> Iterator[tuple[Monomial, QNum]]:
-        for mono in degree4_monomials():
-            if mono in self.coeffs:
-                yield mono, self.coeffs[mono]
-
-    def __str__(self) -> str:
-        parts = []
-        for (i, j, k), c in self.items():
-            vars_part = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip("xyz", (i, j, k))
-                if e
-            )
-            parts.append(f"({c})*{vars_part}")
-        return " + ".join(parts) if parts else "0"
 
 
 def klein_quartic() -> QuarticForm:
@@ -131,22 +115,14 @@ def _pairs(values: Sequence[QNum], den: int) -> list[tuple[int, int]]:
 _BLOCK = 32
 
 
-def substitute(mats: Sequence[Mat3], form: QuarticForm) -> tuple[np.ndarray, int]:
-    """The forms F(m v), for all the matrices m at once, over one common scale.
-
-    Returns an integer array of shape (len(mats), 15, 2) and a scale s: the
-    pair (a, b) at [k, c] means that the c-th monomial of
-    ``degree4_monomials()`` has the coefficient (a + b*w)/s in F(m_k v).
-    The matrices are scaled by the lcm D of all their entry denominators,
-    the form by the lcm E of its coefficient denominators, and s = E * D^4.
-    """
-    entries = [q for m in mats for row in m.rows for q in row]
-    den = lcm(*(q.d for q in entries))
-    return _substitute(np.array(_pairs(entries, den), dtype=object).reshape(-1, 3, 3, 2), den, form)
-
-
 def _substitute(m: np.ndarray, den: int, form: QuarticForm) -> tuple[np.ndarray, int]:
-    """``substitute`` on the matrices' Z[w] pairs (k, 3, 3, 2) over den.
+    """The forms F(m v), for k matrices m at once, over one common scale.
+
+    The matrices come as Z[w] pairs (k, 3, 3, 2) over den.  Returns an
+    integer array of shape (k, 15, 2) and a scale s: the pair (a, b) at
+    [k, c] means that the c-th monomial of ``degree4_monomials()`` has the
+    coefficient (a + b*w)/s in F(m_k v).  With E the lcm of the form's
+    coefficient denominators, s = E * den^4.
 
     With F as a tensor T (see ``_index_maps``), F(m v) is T with m applied
     to each of its four indices: four stacked products on Z[w] pairs
@@ -189,22 +165,26 @@ def _contract(t: np.ndarray, m: np.ndarray, collapse: np.ndarray) -> np.ndarray:
 
 
 def act(m: Mat3, form: QuarticForm) -> QuarticForm:
-    """Right action (m . F)(v) = F(m v), expanded exactly: ``substitute`` on m alone."""
-    pairs, scale = substitute([m], form)
+    """Right action (m . F)(v) = F(m v), expanded exactly.
+
+    m's entries are scaled to Z[w] pairs over the lcm of their denominators.
+    """
+    entries = [q for row in m.rows for q in row]
+    den = lcm(*(q.d for q in entries))
+    zw = np.array(_pairs(entries, den), dtype=object).reshape(1, 3, 3, 2)
+    pairs, scale = _substitute(zw, den, form)
     return QuarticForm({
         mono: QNum.from_ints(a, b, scale)
         for mono, (a, b) in zip(_index_maps()[0], pairs[0].tolist())
     })
 
 
-def fixes_form(mats: Sequence[Mat3], form: QuarticForm) -> bool:
-    """Is F(m v) = F(v) for every matrix m?  One ``substitute``, with the identity first."""
-    pairs, _ = substitute([IDENTITY3, *mats], form)
-    return bool((pairs == pairs[0]).all())
-
-
 def int6_fixes_form(stack: np.ndarray, form: QuarticForm) -> bool:
-    """``fixes_form`` on eps-basis matrices, with Z[w] pairs over 2 from one integer product."""
+    """Is F(m v) = F(v) for every eps-basis matrix m of the stack?
+
+    One ``_substitute``, with the identity first, on Z[w] pairs over 2 from
+    one integer product.
+    """
     stack = np.concatenate([np.eye(6, dtype=stack.dtype)[None], stack])
     cm = np.array(_FORWARD) @ stack @ np.array(_INVERSE_EVEN_COLS).T  # [k, 2i + r, j]: m_ij, part r
     pairs, _ = _substitute(cm.reshape(-1, 3, 2, 3).transpose(0, 1, 3, 2), 2, form)

@@ -102,8 +102,10 @@ class TorusPoint:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
-    def __lt__(self, other: "TorusPoint") -> bool:
+    def __lt__(self, other: object) -> bool:
         """Lexicographic order of the coordinates in [0, 1)."""
+        if not isinstance(other, TorusPoint):
+            return NotImplemented
         d, e = self.den, other.den
         if d == e:
             return self.nums < other.nums
@@ -121,10 +123,6 @@ class TorusPoint:
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "TorusPoint":
-        d = self.den
-        return TorusPoint([-x % d for x in self.nums], d)
-
     def __mul__(self, k: int) -> "TorusPoint":
         if not isinstance(k, int):
             return NotImplemented
@@ -134,10 +132,6 @@ class TorusPoint:
 
     def is_zero(self) -> bool:
         return self.den == 1
-
-    def order(self) -> int:
-        """Additive order in the torus."""
-        return self.den
 
     def as_int_vec(self) -> tuple[list[int], int]:
         return list(self.nums), self.den

@@ -157,9 +157,6 @@ class FracQNum:
         other = _coerce(other)
         return FracQNum(self.x - other.x, self.y - other.y)
 
-    def __rsub__(self, other) -> FracQNum:
-        return _coerce(other) - self
-
     def __neg__(self) -> FracQNum:
         return FracQNum(-self.x, -self.y)
 
@@ -172,12 +169,6 @@ class FracQNum:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> FracQNum:
-        return self * _coerce(other).inv()
-
-    def __rtruediv__(self, other) -> FracQNum:
-        return _coerce(other) * self.inv()
 
     def conj(self) -> FracQNum:
         return FracQNum(self.x + self.y, -self.y)
@@ -393,9 +384,6 @@ class FracTorusPoint:
 
     def __sub__(self, other: FracTorusPoint) -> FracTorusPoint:
         return FracTorusPoint([a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> FracTorusPoint:
-        return FracTorusPoint([-a for a in self.coords])
 
     def __mul__(self, k: int) -> FracTorusPoint:
         return FracTorusPoint([k * a for a in self.coords])
@@ -819,7 +807,7 @@ def field_group_build() -> FieldBuild:
     )
     antirefl = tuple(
         i for i, m in enumerate(mats)
-        if orders[i] == 2 and dets[i] == 1 and len(kernel_K(m + IDENTITY3)) == 2
+        if orders[i] == 2 and dets[i] == 1 and len(kernel_K(m.scale(-1) - IDENTITY3)) == 2
     )
     return FieldBuild(mats, words, int6s, mul_list, inv, orders, dets, refl, antirefl)
 
@@ -957,7 +945,8 @@ def snap_weights(table, gen: int, d: int) -> tuple[int, int, int]:
             raise AssertionError(f"eigenvalue {ev} of element {gen} is not a {d}-th root of unity")
         weights.append(int(nu))
     snapped_sum = sum(cmath.exp(2j * cmath.pi * nu / d) for nu in weights)
-    if abs(snapped_sum - complex_value(table.elements[gen].mat.trace())) > 1e-9:
+    m = table.elements[gen].mat.rows
+    if abs(snapped_sum - complex_value(m[0][0] + m[1][1] + m[2][2])) > 1e-9:
         raise AssertionError(f"snapped eigenvalues of element {gen} contradict the trace")
     snapped_prod = cmath.exp(2j * cmath.pi * sum(weights) / d)
     if abs(snapped_prod - table.elements[gen].det) > 1e-9:

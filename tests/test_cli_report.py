@@ -433,6 +433,25 @@ def test_group_build_guards_exit_3(monkeypatch, capsys, name, patch, message):
     assert captured.err == f"internal error: GroupConstructionError: {message}\n"
 
 
+def test_orbit_stabilizer_guard_exit_3(monkeypatch, capsys):
+    import klein336.cli as cli_mod
+    from klein336 import group, orbits
+
+    real = orbits.stabilizer_indices
+
+    def short(table, p, quotient="G"):  # one element too few in every nontrivial stabilizer
+        s = real(table, p, quotient)
+        return s - {max(s)} if len(s) > 1 else s
+
+    monkeypatch.setattr(orbits, "stabilizer_indices", short)
+    monkeypatch.setattr(cli_mod, "get_group", group.GroupTable)  # a fresh build, not the shared table
+    assert main(["classify", "--locus", "T7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("internal error: ConsistencyError: orbit-stabilizer mismatch at [")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--locus", "T9"])

@@ -135,7 +135,7 @@ def test_integer_build_matches_field_oracle(group):
     assert [el.det for el in group.elements] == ref.dets
     assert group.reflections == ref.reflections
     assert group.antireflections == ref.antireflections
-    assert group.elements[group.minus_one].mat == -IDENTITY3
+    assert group.elements[group.minus_one].mat == IDENTITY3.scale(-1)
 
 
 def test_subgroup_lattice_matches_fixpoint_oracle(group):
@@ -223,7 +223,7 @@ def test_reflections_and_antireflections(group):
     for i in group.antireflections:
         el = group.elements[i]
         assert el.det == 1 and el.order == 2
-        assert len(kernel_K(el.mat + IDENTITY3)) == 2
+        assert len(kernel_K(el.mat.scale(-1) - IDENTITY3)) == 2
         # each antireflection is minus a reflection
         assert group.multiply(group.minus_one, i) in group.reflection_set
 

@@ -121,7 +121,7 @@ def test_generators_are_unitary():
 def test_mat3_to_int6_basic():
     ident6 = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
     assert mat3_to_int6(IDENTITY3) == ident6
-    minus = mat3_to_int6(-IDENTITY3)
+    minus = mat3_to_int6(IDENTITY3.scale(-1))
     assert minus == tuple(tuple(-x for x in row) for row in ident6)
 
 
@@ -132,7 +132,7 @@ def test_mat3_to_int6_rejects_non_lattice_map():
 
 
 def test_int6_of_g7_minus_identity_has_det_7():
-    g7 = (-IDENTITY3) * R1 * R2 * R3
+    g7 = IDENTITY3.scale(-1) * R1 * R2 * R3
     a = mat3_to_int6(g7 - IDENTITY3)
     # brute-force determinant oracle
     assert abs(perm_det([list(r) for r in a])) == 7
@@ -144,7 +144,7 @@ def test_int6_of_g7_minus_identity_has_det_7():
 
 
 def test_det6_is_norm_of_det3():
-    g7 = (-IDENTITY3) * R1 * R2 * R3
+    g7 = IDENTITY3.scale(-1) * R1 * R2 * R3
     for m in (R1 * R2, R2 * R3, g7, g7 * g7, R3 * R1):
         shifted = m - IDENTITY3
         det3 = shifted.det()
@@ -158,11 +158,11 @@ def test_kernel_K_examples():
     for v in ker:
         assert v[2] == QNum(0)
         assert mat_apply(R2 - IDENTITY3, v) == vec3(0, 0, 0)
-    rho2 = -R2
+    rho2 = R2.scale(-1)
     ker1 = kernel_K(rho2 - IDENTITY3)
     assert len(ker1) == 1
     assert ker1[0][0] == QNum(0) and ker1[0][1] == QNum(0) and ker1[0][2]
-    g7 = (-IDENTITY3) * R1 * R2 * R3
+    g7 = IDENTITY3.scale(-1) * R1 * R2 * R3
     assert kernel_K(g7 - IDENTITY3) == []
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import types
 from collections import Counter
 from fractions import Fraction as F
@@ -312,12 +313,49 @@ def test_cyclic_weights_reject_traces_that_fit_no_eigenvalues(group, gen, trace,
         orbits._cyclic_weights(types.SimpleNamespace(elements=elements), s, d)
 
 
+def test_cyclic_weights_need_three_eigenvalues(group):
+    # 2 I as the identity's matrix: six eigenvalues of order 1
+    two = tuple(tuple(2 * (i == j) for j in range(6)) for i in range(6))
+    elements = [dataclasses.replace(el, int6=two) if el.index == group.identity else el for el in group.elements]
+    message = "cyclic S of order 1 has eigenvalue exponents [0, 0, 0, 0, 0, 0]"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        orbits._cyclic_weights(types.SimpleNamespace(elements=elements), frozenset({group.identity}), 1)
+
+
+def test_averaged_series_guards(group):
+    g7 = group.named["g7"]
+    # one diagonal entry of g7's matrix raised by 1: a trace outside Z[w]
+    stack = group.int6_stack.copy()
+    stack[g7, 0, 0] += 1
+    table = types.SimpleNamespace(int6_stack=stack, elements=group.elements)
+    with pytest.raises(ConsistencyError, match=rf"^trace of element {g7} is not in Z\[w\]$"):
+        orbits._averaged_series(table, frozenset({g7}), 1)
+    # {g7} is no group, and its series has a coefficient outside Z
+    with pytest.raises(ConsistencyError, match="^an averaged series coefficient is not a rational integer$"):
+        orbits._averaged_series(group, frozenset({g7}), 1)
+
+
+def test_coset_weights_guards(group):
+    c3, m1 = group.named["c3"], group.named["m1"]
+    # <c3> holds no reflection, so no reflection-group degrees multiply to its order
+    message = "no reflection-group degrees fit |W|=3: [1, 2, 3]"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        orbits._coset_weights(group, group.subgroup_closure([c3, m1]), group.subgroup_closure([c3]))
+    # <r, r'> over <r> for commuting reflections: one sign -1 leaves the germ smooth
+    r, *others = sorted(group.reflections)
+    r2 = next(x for x in others if group.multiply(r, x) == group.multiply(x, r))
+    message = "coset weights [1, 0, 0] contradict the series or closure"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        orbits._coset_weights(group, group.subgroup_closure([r, r2]), group.subgroup_closure([r]))
+
+
 def test_traces_read_off_the_integer_matrices(group):
     # with tr g = a + b*w: tr(int6) = 2a + b, and tr(W6 int6) = a - 3b for W6 = int6(w I)
     w6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
     assert (orbits._W6 == w6).all()
     for el in group.elements:
-        tr = el.mat.trace()
+        m = el.mat.rows
+        tr = m[0][0] + m[1][1] + m[2][2]
         a6 = np.array(el.int6)
         assert tr.d == 1
         assert np.trace(a6) == 2 * tr.a + tr.b and np.trace(w6 @ a6) == tr.a - 3 * tr.b
@@ -383,14 +421,14 @@ def test_inverse_char_poly_inverts_det_one_minus_tg(group):
     # e2 as the sum of principal 2x2 minors in field arithmetic; the order-7
     # elements have non-real traces, so conj(tr) and tr are told apart
     n = 9
-    assert any(el.mat.trace().b for el in group.elements)
+    assert any((el.mat.rows[0][0] + el.mat.rows[1][1] + el.mat.rows[2][2]).b for el in group.elements)
     for el in group.elements:
         m = el.mat.rows
         e2 = sum(
             (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
             QNum(0),
         )
-        tr = el.mat.trace()
+        tr = m[0][0] + m[1][1] + m[2][2]
         poly = [QNum(1), -tr, e2, QNum(-el.det)]
         series = [QNum(a, b) for a, b in _inverse_char_poly((tr.a, tr.b), el.det, n)]
         for k in range(n + 1):
@@ -760,8 +798,7 @@ def test_stacked_curve_stabilizer_on_translates_beyond_int64(group, quotient):
 def _count_field_arithmetic(monkeypatch) -> dict[str, int]:
     """Counters of QNum arithmetic, by method name, for the rest of the test."""
     counts: dict[str, int] = {}
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
-                 "__neg__", "__truediv__", "inv"):
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__neg__", "inv"):
         fn = getattr(QNum, name)
 
         def counted(*args, _fn=fn, _name=name):
@@ -973,7 +1010,7 @@ def _check_against_exact_oracle(group, p, orbit_too):
     if orbit_too:
         orbit = orbit_points(group, p, "G")
         assert {q.coords for q in orbit} == exact_orbit(int6s, p.coords)
-        assert len(orbit) * len(want) == 336 and orbit == sorted(orbit)
+        assert len(orbit) * len(want) == 336 and list(orbit) == sorted(orbit)
     return want
 
 

@@ -145,9 +145,3 @@ def test_wire_format_roundtrip_randomized():
         a = rand_qnum(rng)
         assert QNum.parse(str(a)) == a
 
-
-def test_powers():
-    assert ALPHA ** 0 == ONE
-    assert ALPHA ** 3 == ALPHA * ALPHA * ALPHA
-    assert ALPHA ** -1 == ALPHA.inv()
-    assert (ALPHA ** -2) * (ALPHA ** 2) == ONE

@@ -14,10 +14,8 @@ from klein336.quartic import (
     QuarticForm,
     act,
     degree4_monomials,
-    fixes_form,
     int6_fixes_form,
     klein_quartic,
-    substitute,
     verify_quartic_invariance,
 )
 
@@ -33,7 +31,7 @@ def test_monomial_order():
 def test_act_identity_and_minus_identity():
     f = klein_quartic()
     assert act(IDENTITY3, f) == f
-    assert act(-IDENTITY3, f) == f  # even degree
+    assert act(IDENTITY3.scale(-1), f) == f  # even degree
 
 
 def test_act_r2_fixes_quartic_with_float_oracle():
@@ -83,55 +81,32 @@ def test_act_matches_qnum_oracle_on_the_group(group):
         assert act(el.mat, f) == qnum_act(el.mat, f) == f
 
 
-def _forms_of(pairs, scale) -> list[QuarticForm]:
-    """The forms that the rows of a ``substitute`` result stand for."""
-    return [
-        QuarticForm({
-            mono: QNum.from_ints(a, b, scale)
-            for mono, (a, b) in zip(degree4_monomials(), row)
-        })
-        for row in pairs.tolist()
-    ]
-
-
-def test_batched_substitution_matches_qnum_oracle_on_the_group(group):
-    f = klein_quartic()
-    mats = [el.mat for el in group.elements]
-    pairs, scale = substitute(mats, f)
-    assert pairs.shape == (336, 15, 2) and pairs.dtype == np.int64
-    assert _forms_of(pairs, scale) == [qnum_act(m, f) for m in mats] == [f] * 336
-
-
 def test_invariance_check_rejects_forms_and_matrices(group):
-    mats = [el.mat for el in group.elements]
-    f = klein_quartic()
-    assert fixes_form(mats, f)
-    # a form the group does not fix: one coefficient changed
-    bent = QuarticForm({**f.coeffs, (4, 0, 0): QNum(2)})
-    assert not fixes_form(mats, bent)
-    assert not fixes_form(mats, QuarticForm({(1, 1, 2): QNum(1)}))
-    # one matrix outside the group among the 336
-    shear = Mat3([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    assert not fixes_form(mats + [shear], f)
-    assert not fixes_form([shear], f)
-    assert not fixes_form(mats[:100] + [Mat3([[2, 0, 0], [0, 2, 0], [0, 0, 2]])] + mats[100:], f)
-
-
-def test_int6_check_matches_fixes_form(group):
     stack = group.int6_stack
-    mats = [el.mat for el in group.elements]
     f = klein_quartic()
-    assert int6_fixes_form(stack, f) and fixes_form(mats, f)
-    for form in (QuarticForm({(4, 0, 0): QNum(1)}), QuarticForm({**f.coeffs, (0, 2, 2): QNum(1)})):
-        assert not int6_fixes_form(stack, form) and not fixes_form(mats, form)
-        # element by element, the answers differ and agree
-        each = [int6_fixes_form(stack[i : i + 1], form) for i in range(group.size)]
-        assert each == [fixes_form([m], form) for m in mats]
-        assert 0 < sum(each) < group.size
-    # one integer matrix changed among the 336
+    assert int6_fixes_form(stack, f)
+    # forms the group does not fix: one coefficient changed, or one monomial
+    assert not int6_fixes_form(stack, QuarticForm({**f.coeffs, (4, 0, 0): QNum(2)}))
+    assert not int6_fixes_form(stack, QuarticForm({(1, 1, 2): QNum(1)}))
+    # one matrix outside the group among the 336: one entry changed, or 2 I
     bent = stack.copy()
     bent[5, 0, 1] += 1
     assert not int6_fixes_form(bent, f)
+    bent = stack.copy()
+    bent[100] = 2 * np.eye(6, dtype=stack.dtype)
+    assert not int6_fixes_form(bent, f)
+
+
+def test_int6_check_matches_qnum_oracle(group):
+    stack = group.int6_stack
+    mats = [el.mat for el in group.elements]
+    f = klein_quartic()
+    for form in (QuarticForm({(4, 0, 0): QNum(1)}), QuarticForm({**f.coeffs, (0, 2, 2): QNum(1)})):
+        assert not int6_fixes_form(stack, form)
+        # element by element, the answers differ and agree
+        each = [int6_fixes_form(stack[i : i + 1], form) for i in range(group.size)]
+        assert each == [qnum_act(m, form) == form for m in mats]
+        assert 0 < sum(each) < group.size
     assert verify_quartic_invariance(group) and verify_quartic_invariance(group, True)
 
 
@@ -142,16 +117,12 @@ def test_large_entries_take_the_object_path(group):
         [0, QNum(7, 2**39 + 1), 1],
         [QNum(-(2**40), 2**40 - 1), 1, QNum(3, 2)],
     ])
-    pairs, scale = substitute([big], f)
-    assert pairs.dtype == object
-    assert _forms_of(pairs, scale) == [act(big, f)] == [qnum_act(big, f)]
+    assert act(big, f) == qnum_act(big, f)
     # one such matrix moves the whole batch to Python integers
-    mats = [el.mat for el in group.elements[:20]] + [big]
-    pairs, scale = substitute(mats, f)
-    assert pairs.dtype == object
-    assert _forms_of(pairs, scale) == [qnum_act(m, f) for m in mats]
-    assert not fixes_form(mats, f)
-    assert fixes_form(mats[:-1], f)
+    stack = group.int6_stack[:20].copy()
+    assert int6_fixes_form(stack, f)
+    stack[-1] *= 2**40
+    assert not int6_fixes_form(stack, f)
 
 
 entries = st.builds(

@@ -56,9 +56,17 @@ def test_torus_point_canonicalization():
     assert p.coords == (F(1, 2), F(3, 4), 0, F(2, 3), F(2, 3), 0)
     assert str(p) == "[1/2,3/4,0,2/3,2/3,0]"
     assert TorusPoint.parse(str(p)) == p
-    assert p.order() == 12
+    assert p.den == 12
     assert (p - p).is_zero()
-    assert (-p + p).is_zero()
+    assert (-1 * p + p).is_zero()
+
+
+@pytest.mark.parametrize("other", [1, None, "[0,0,0,0,0,0]"])
+def test_torus_points_do_not_order_against_other_types(other):
+    with pytest.raises(TypeError):
+        ZERO_POINT < other
+    with pytest.raises(TypeError):
+        ZERO_POINT > other
 
 
 def test_fixed_point_counts(group):
@@ -145,7 +153,7 @@ def test_omega_points(group):
 
 def test_beta_half_period_flags(group):
     # exactly beta_1000, beta_0100, beta_1100 are 2-torsion (fixed by -1)
-    plus = {idx for idx in range(16) if beta_point(idx).order() <= 2}
+    plus = {idx for idx in range(16) if beta_point(idx).den <= 2}
     names = {"1000", "0100", "1100", "0000"}
     assert {format(i, "04b") for i in plus} == names
 
@@ -257,7 +265,7 @@ def test_kappa_registry(group):
     ks = kappa_translates(group)
     assert ks[0] == ZERO_POINT
     assert ks[3] == ks[1] + ks[2]
-    assert all(k.order() == 2 for k in ks[1:])
+    assert all(k.den == 2 for k in ks[1:])
     rho1 = group.named["rho1"]
     locus = fixed_locus_structure(group, rho1)
     proj = complement_fixed_locus(group, rho1).projector
@@ -305,7 +313,7 @@ def test_subgroup_fixed_points_of_klein_four(group):
     pts = locus.translates
     assert locus.dim == 0 and len(pts) == 16
     # the fixed group is Z/4 x (Z/2)^2: one zero, seven 2-torsion, eight 4-torsion
-    assert sorted(p.order() for p in pts) == [1] + [2] * 7 + [4] * 8
+    assert sorted(p.den for p in pts) == [1] + [2] * 7 + [4] * 8
     # every such point is fixed by an elliptic order-4 element
     for p in pts:
         stab = stabilizer_indices(group, p, "G")
