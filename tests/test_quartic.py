@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complex_matrix, evaluate, qnum_act
+from klein336 import quartic
 from klein336.group import R1, R2, R3
 from klein336.linalg import IDENTITY3, Mat3
 from klein336.qfield import QNum
@@ -110,7 +111,42 @@ def test_int6_check_matches_qnum_oracle(group):
     assert verify_quartic_invariance(group) and verify_quartic_invariance(group, True)
 
 
-def test_large_entries_take_the_object_path(group):
+def _substitutions(monkeypatch) -> list:
+    """Every (pairs, scale) that ``quartic._substitute`` returns from now on."""
+    seen = []
+    inner = quartic._substitute
+
+    def spy(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(quartic, "_substitute", spy)
+    return seen
+
+
+def _forms_of(pairs, scale) -> list[QuarticForm]:
+    """The forms that the rows of a ``_substitute`` result stand for."""
+    return [
+        QuarticForm({
+            mono: QNum.from_ints(a, b, scale)
+            for mono, (a, b) in zip(degree4_monomials(), row)
+        })
+        for row in pairs.tolist()
+    ]
+
+
+def test_batched_substitution_matches_qnum_oracle_on_the_group(group, monkeypatch):
+    seen = _substitutions(monkeypatch)
+    f = klein_quartic()
+    assert int6_fixes_form(group.int6_stack, f)
+    [(pairs, scale)] = seen
+    assert pairs.shape == (337, 15, 2) and pairs.dtype == np.int64
+    # the identity first, then the 336 elements in table order
+    assert _forms_of(pairs, scale) == [f] + [qnum_act(el.mat, f) for el in group.elements] == [f] * 337
+
+
+def test_large_entries_take_the_object_path(group, monkeypatch):
+    seen = _substitutions(monkeypatch)
     f = klein_quartic()
     big = Mat3([
         [QNum(2**40 + 3, 5), 1, QNum(0, 2**40)],
@@ -118,11 +154,20 @@ def test_large_entries_take_the_object_path(group):
         [QNum(-(2**40), 2**40 - 1), 1, QNum(3, 2)],
     ])
     assert act(big, f) == qnum_act(big, f)
+    assert seen.pop()[0].dtype == object
     # one such matrix moves the whole batch to Python integers
     stack = group.int6_stack[:20].copy()
     assert int6_fixes_form(stack, f)
+    assert seen.pop()[0].dtype == np.int64
     stack[-1] *= 2**40
     assert not int6_fixes_form(stack, f)
+    pairs, scale = seen.pop()
+    assert pairs.dtype == object
+    # exact, with no wraparound: the 19 unchanged rows equal the identity's,
+    # and F(2^40 m v) = 2^160 F(v)
+    assert (pairs[1:20] == pairs[0]).all() and (pairs[20] == 2**160 * pairs[0]).all()
+    mats = [el.mat for el in group.elements[:19]] + [group.elements[19].mat.scale(2**40)]
+    assert _forms_of(pairs, scale) == [f] + [qnum_act(m, f) for m in mats]
 
 
 entries = st.builds(

@@ -1,7 +1,7 @@
 """Every function in ``src/klein336`` is reached by the program, not only by tests.
 
 The package's import, a fixed list of ``cli.main`` argv run in process, and
-the library calls that ``perfbench/points.py`` makes all run under a global
+the point query of ``perfbench/points.py`` on its special points all run under a global
 trace function that records the code object of each call and returns None,
 so no line is traced.  Each ``def`` in the package must have been entered,
 except the entries of ALLOWED, each with its reason.  A function that only
@@ -10,27 +10,33 @@ tests call is deleted, with the tests whose only subject it is.
 
 import ast
 import functools
+import importlib.util
 import sys
 from pathlib import Path
 
 import klein336
-from klein336 import cli, orbits, torus
+from klein336 import cli
 from klein336.torus import TorusPoint
 
 SRC = Path(klein336.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
-# qualified names -> why no command or benchmark call enters them; a bare
-# method name stands for that method in every class of the package
+# "module:qualname" -> why no command or benchmark call enters it; a bare
+# dunder name stands for that method in every class of the package
 ALLOWED = {
     ("__setattr__",): "the immutability guards: entered only when code writes to a frozen value",
     ("__repr__",): "debugging output: no command prints a repr",
-    ("Mat3.__eq__", "Mat3.__hash__", "QNum.__hash__", "QuarticForm.__eq__", "QuarticForm.__hash__"): (
-        "value semantics of the value types: equal values compare and hash equal"
-    ),
-    ("Mat3.__mul__",): "BENCHMARK.json traces it for linalg.Mat3.mul.calls",
-    ("qnum_nullspace",): "BENCHMARK.json traces it for linalg.qnum_nullspace.self_s",
-    ("act",): "BENCHMARK.json traces it for quartic.act.calls and quartic.act.self_s",
-    ("UnrecognizedSubgroupError.__init__",): "no subgroup of G has a triple outside the label table",
+    (
+        "linalg:Mat3.__eq__",
+        "linalg:Mat3.__hash__",
+        "qfield:QNum.__hash__",
+        "quartic:QuarticForm.__eq__",
+        "quartic:QuarticForm.__hash__",
+    ): "value semantics of the value types: equal values compare and hash equal",
+    ("linalg:Mat3.__mul__",): "BENCHMARK.json traces it for linalg.Mat3.mul.calls",
+    ("linalg:qnum_nullspace",): "BENCHMARK.json traces it for linalg.qnum_nullspace.self_s",
+    ("quartic:act",): "BENCHMARK.json traces it for quartic.act.calls and quartic.act.self_s",
+    ("group:UnrecognizedSubgroupError.__init__",): "no subgroup of G has a triple outside the label table",
 }
 ALLOWED_NAMES = {name for names in ALLOWED for name in names}
 
@@ -87,8 +93,7 @@ def _defs():
 
 
 def _allowed(name: str) -> bool:
-    qualname = name.split(":", 1)[1]
-    return qualname in ALLOWED_NAMES or qualname.rsplit(".", 1)[-1] in ALLOWED_NAMES
+    return name in ALLOWED_NAMES or name.rsplit(".", 1)[-1] in ALLOWED_NAMES
 
 
 def _import_package():
@@ -98,25 +103,25 @@ def _import_package():
         exec(compile(path.read_text(), str(path), "exec"), {"__name__": name, "__package__": "klein336"})
 
 
-def _point_queries(table):
-    """The library calls of perfbench/points.py: its special points and one query each."""
-    names = ["xi_5", "beta_0011", "omega_11", "eta_2", "kappa_1"]
-    pts = [torus.registry_point(table, n) for n in names] + orbits.locus_points(table, "T7")[:2]
-    rows = torus.fixed_locus_structure(table, table.named["rho1"]).lambda1_rows
-    start = torus.kappa_translates(table, table.named["rho1"])[1].coords
-    pts.append(TorusPoint([s + x for s, x in zip(start, rows[0])]))
-    pts.append(TorusPoint.parse(POINT))
-    for p in pts:
-        g = orbits.stabilizer_indices(table, p, "G")
-        h = orbits.stabilizer_indices(table, p, "H")
-        orbit = orbits.orbit_points(table, p, "G")
-        assert h == g & table.h_set and table.recognize(g)
-        assert orbits.singularity_weights(table, g).image_status()
-        assert len(orbit) * len(g) == table.size and p in orbit
-        assert p.coords in {q.coords for q in orbit}
+def _points(monkeypatch):
+    """perfbench/points.py, whose ``query`` is the benchmark's point query."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # for its calibrate and oracle
+    spec = importlib.util.spec_from_file_location("perfbench_points", ROOT / "perfbench" / "points.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _point_queries(points, table):
+    """points.query, and the orbit membership test, on every special point and one parsed point."""
+    for p in [p for p, _ in points.special_points(table)] + [TorusPoint.parse(POINT)]:
+        *_, orbit = points.query(table, p)
+        assert p in orbit
 
 
 def test_every_function_is_reached(tmp_path, monkeypatch, capsys):
+    points = _points(monkeypatch)
     # every functools cache of the package starts empty, so that each cached
     # function is entered under the trace; the shared group table is untouched
     fresh = {}
@@ -141,7 +146,7 @@ def test_every_function_is_reached(tmp_path, monkeypatch, capsys):
         for k, (code, argv) in enumerate(COMMANDS):
             paths = {"out": str(tmp_path / f"{k}.out"), "missing": str(tmp_path / "no" / "x")}
             assert cli.main([a.format(**paths) for a in argv]) == code, argv
-        _point_queries(cli.get_group())
+        _point_queries(points, cli.get_group())
     finally:
         sys.settrace(previous)
     capsys.readouterr()
@@ -151,6 +156,6 @@ def test_every_function_is_reached(tmp_path, monkeypatch, capsys):
     missed = [name for name, where in defs if where not in entered and not _allowed(name)]
     assert not missed, f"functions that no command or benchmark call enters: {missed}"
     # every allowlist entry still names a function
-    qualnames = {name.split(":", 1)[1] for name, _ in defs}
-    short = {q.rsplit(".", 1)[-1] for q in qualnames}
-    assert all(a in qualnames or a in short for a in ALLOWED_NAMES)
+    names = {name for name, _ in defs}
+    short = {name.rsplit(".", 1)[-1] for name in names}
+    assert all(a in names or a in short for a in ALLOWED_NAMES)
