@@ -186,13 +186,17 @@ class GroupTable:
             "G": (tuple(range(n)), self.int6_stack),
             "H": (self.h_indices, self.h_stack),
         }
-        # g - I over each selection, and its first rows as one contiguous
-        # matrix: a point's stabilizer is filtered on the first row alone
+        # the rows of H's matrices as the columns of one C-contiguous (6, 1008)
+        # matrix: n @ h_columns is every h n at once, h after h (orbit_points)
+        self.h_columns = np.ascontiguousarray(self.h_stack.reshape(-1, 6).T)
+        # g - I over each selection, and its first rows as the columns of one
+        # C-contiguous (6, N) matrix: a point's stabilizer is filtered on the
+        # first row alone, by one vector-matrix product n @ first_columns
         g_minus_i = self.int6_stack - ident6
         h_minus_i = self.h_stack - ident6
         self.minus_identity = {
-            "G": (g_minus_i, np.ascontiguousarray(g_minus_i[:, 0])),
-            "H": (h_minus_i, np.ascontiguousarray(h_minus_i[:, 0])),
+            "G": (g_minus_i, np.ascontiguousarray(g_minus_i[:, 0].T)),
+            "H": (h_minus_i, np.ascontiguousarray(h_minus_i[:, 0].T)),
         }
         # a reflection fixes a complex plane and an antireflection negates
         # one, so the integer matrix minus or plus the identity has rank 2
@@ -317,17 +321,22 @@ class GroupTable:
         """The subgroup generated by gens, by BFS from a subgroup ``known`` of it.
 
         The closure lies in H if the generators do, else in G: call that the
-        ambient group A.  Its order is a multiple of |known| that divides |A|
-        (Lagrange), so once the BFS has seen more elements than the largest
-        proper divisor of |A| that |known| divides, the closure is A.  From
-        the trivial subgroup that cut-off is half of |A|; from an order-24
-        subgroup of H it is 24, so the first new element settles the closure.
+        ambient group A.  Its order is a multiple of |known| (Lagrange), so
+        once the BFS has seen more elements than the largest order of a
+        proper subgroup of A that |known| divides, the closure is A.  In H
+        those orders are ``_H_SUBGROUP_ORDERS``, which ``all_subgroups_of_h``
+        checks, so no extension in H walks past 24 elements; in G the bound
+        is the largest proper divisor of |G| that |known| divides.
         """
         gens = list(gens)
-        ambient = self.h_set if self.h_set.issuperset(gens) else self.g_set
-        index = len(ambient) // len(known)
-        smallest_prime = next((p for p in range(2, index + 1) if index % p == 0), 1)
-        bound = len(ambient) // smallest_prime
+        if self.h_set.issuperset(gens):
+            ambient = self.h_set
+            bound = max((k for k in _H_SUBGROUP_ORDERS if k % len(known) == 0), default=len(known))
+        else:
+            ambient = self.g_set
+            index = len(ambient) // len(known)
+            smallest_prime = next((p for p in range(2, index + 1) if index % p == 0), 1)
+            bound = len(ambient) // smallest_prime
         seen = set(known)
         rows = self.mul_list
         # known is closed under its own elements, so its first step takes only the others
@@ -435,6 +444,12 @@ class GroupTable:
                 if t not in known:
                     add_class(t, base_gens + (cgen,))
 
+        # closure_from cuts extensions off by these orders, so each must be listed
+        for ms in raw_classes:
+            if len(ms[0]) != h_order and len(ms[0]) not in _H_SUBGROUP_ORDERS:
+                raise GroupConstructionError(
+                    f"a subgroup of H has order {len(ms[0])}, outside {_H_SUBGROUP_ORDERS}"
+                )
         # canonical listing: decreasing order, then class length, then rep key
         raw_classes.sort(
             key=lambda ms: (-len(ms[0]), len(ms), sorted(ms[0]))
@@ -523,6 +538,9 @@ class GroupTable:
             )
         return out
 
+
+# the orders of the proper subgroups of H = PSL(2, 7), the cut-offs of closure_from
+_H_SUBGROUP_ORDERS = (1, 2, 3, 4, 6, 7, 8, 12, 21, 24)
 
 # (order, reflections, antireflections) -> label, for every subgroup of G; one order a line
 _LABELS = {

@@ -14,11 +14,13 @@ by the subgroup.
 Stabilizers and orbits of a torsion point n / den apply integer matrices of
 G or H to its numerators at once, in int64 or, for large denominators, in
 Python integers.  The stabilizer tests g - I, built once per group table:
-the first rows of all selected elements filter with one matrix-vector
-product, and the survivors are tested on all six rows only when an element
-other than the identity survives.  The orbit applies the 168 matrices of
-H, and a G-orbit adds the negatives of those rows, since G = H x {+-1}.
-The rows pack into base-den sort keys as wide as int64 allows; one argsort
+the first rows of all selected elements, kept as the columns of one (6, N)
+matrix, filter with one vector-matrix product, and the survivors are tested
+on all six rows only when an element other than the identity survives.  The
+orbit applies the 168 matrices of H, kept as one (6, 1008) matrix of their
+rows, and a G-orbit adds the negatives of those rows, since G = H x {+-1}.
+The rows pack into base-den sort keys as wide as int64 allows, all of them
+from one product of the rows with the place values of base den; one argsort
 of the first keys orders them unless two of those tie below full width,
 where one lexsort of all the keys takes over, and equal neighbouring keys
 are dropped.  An orbit is an ``Orbit``: its distinct image rows, sorted
@@ -82,19 +84,19 @@ def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") ->
     """Ids of the elements of G or H that fix p, tested on g - I.
 
     g fixes p = n / den exactly when (g - I) n is 0 mod den.  The first rows
-    of the precomputed g - I of the selection filter every element with one
-    matrix-vector product on n, built once.  The identity comes first in
-    both selections and fixes every point, so the survivors are tested on
-    all six rows only when another element survives, which for a generic
-    point none does.
+    of the precomputed g - I of the selection, kept as the columns of one
+    (6, N) matrix, filter every element with one vector-matrix product
+    n @ columns.  The identity comes first in both selections and fixes
+    every point, so the survivors are tested on all six rows only when
+    another element survives, which for a generic point none does.
     """
     ids, _ = table.select(quotient)
-    minus_i, first_rows = table.minus_identity[quotient]
-    moved, n, den = _moved_numerators(table, first_rows, p)
-    kept = np.flatnonzero(moved % den == 0)
+    minus_i, first_columns = table.minus_identity[quotient]
+    moved, n, den = _moved_numerators(table, first_columns, p)
+    kept = (moved % den == 0).nonzero()[0]
     if len(kept) > 1:
-        moved = minus_i[kept].astype(n.dtype, copy=False) @ n
-        kept = kept[(moved % den == 0).all(axis=1)]
+        moved = minus_i.take(kept, axis=0).astype(n.dtype, copy=False) @ n
+        kept = kept.compress((moved % den == 0).all(axis=1))
     return frozenset(ids[i] for i in kept.tolist())
 
 
@@ -136,52 +138,49 @@ class Orbit(Sequence):
         return f"Orbit({len(self)} points of order {self.den})"
 
 
-def _sort_keys(rows: np.ndarray, den: int, width: int) -> np.ndarray:
-    """rows packed into keys of width base-den digits each, in coordinate order."""
-    keys = rows[:, ::width]
-    for t in range(1, width):
-        keys = keys * den + rows[:, t::width]
-    return keys
-
-
 def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit:
     """The orbit of p under G or H, as an ``Orbit`` in coordinate order.
 
-    One product over the 168 matrices of H gives the H-orbit's rows, reduced
-    to [0, den).  G is the direct product H x {+-1}: -I lies in G but not in
-    H, since det(-I_3) = -1, so G = H + (-I)H and (-h) p = -(h p).  The rows
-    of the other coset are den - rows, with zero entries kept at 0.
+    One product of n with the (6, 1008) matrix of H's rows gives the
+    H-orbit's rows, reduced to [0, den).  G is the direct product
+    H x {+-1}: -I lies in G but not in H, since det(-I_3) = -1, so
+    G = H + (-I)H and (-h) p = -(h p).  The rows of the other coset are
+    den - rows, with zero entries kept at 0.
 
     Rows pack into sort keys of ``width`` base-den digits each: the widest
-    of 6, 3, 2 and 1 whose keys stay below 2^63 in int64, and one
-    Python-integer key for object rows.  Key order is coordinate order, so
-    one argsort of the first keys orders the rows when no two of them tie.
-    At width 6 the first key is the whole row, and equal neighbours are the
-    repeats; below it, tied first keys fall back to one lexsort of all
-    6 / width keys and a comparison of neighbouring keys.  No ``TorusPoint``
-    is built until the orbit is read.
+    of 6, 3, 2 and 1 with den^width <= 2^63, and one Python-integer key for
+    object rows.  All 6 / width keys of a row come from one product of the
+    rows, grouped width entries at a time, with the place values
+    den^(width - 1), ..., den, 1; every entry lies in [0, den), so each key
+    is exact and below 2^63.  Key order is coordinate order, so one argsort
+    of the first keys orders the rows when no two of them tie.  At width 6
+    the first key is the whole row, and equal neighbours are the repeats;
+    below it, tied first keys fall back to one lexsort of all the keys and
+    a comparison of neighbouring keys.  No ``TorusPoint`` is built until the
+    orbit is read.
     """
     table.select(quotient)  # rejects an unknown selector
-    moved, _, den = _moved_numerators(table, table.h_stack, p)
-    rows = moved % den
+    moved, _, den = _moved_numerators(table, table.h_columns, p)
+    rows = (moved % den).reshape(-1, 6)
     if quotient == "G":
         neg = den - rows
         neg[rows == 0] = 0
         rows = np.concatenate((rows, neg))
     width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
-    first = _sort_keys(rows[:, :width], den, width)[:, 0]
-    order = np.argsort(first)
-    first = first[order]
-    ties = first[1:] == first[:-1]
+    places = np.array([den**k for k in range(width - 1, -1, -1)], dtype=rows.dtype)
+    keys = rows.reshape(len(rows), 6 // width, width) @ places
+    order = keys[:, 0].argsort()
+    first = keys[:, 0].take(order)
+    distinct = np.empty(len(rows), dtype=bool)
+    distinct[0] = True
+    np.not_equal(first[1:], first[:-1], out=distinct[1:])
     # every int6 has det +-1, so each image has the exact order den of p
-    if width == 6 or not ties.any():
-        return Orbit(rows[order[np.concatenate(([True], ~ties))]], den)
-    keys = _sort_keys(rows, den, width)
+    if width == 6 or distinct.all():
+        return Orbit(rows.take(order.compress(distinct), axis=0), den)
     order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    distinct = np.ones(len(keys), dtype=bool)
+    keys = keys.take(order, axis=0)
     distinct[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return Orbit(rows[order[distinct]], den)
+    return Orbit(rows.take(order.compress(distinct), axis=0), den)
 
 
 # --- cyclic quotient weights ---------------------------------------------------
@@ -375,7 +374,8 @@ def _images_on_curve(
     one stacked product over the common order m of the two points, in int64
     while no entry can reach 2^63 and in Python integers beyond.
     """
-    moved, _, den = _moved_numerators(table, stack, p)
+    moved, _, den = _moved_numerators(table, stack.reshape(-1, 6).T, p)
+    moved = moved.reshape(-1, 6)
     m = math.lcm(den, translate.den)
     rows = locus.transverse_rows
     if 6 * max(abs(x) for row in rows for x in row) * m >= 2**63:

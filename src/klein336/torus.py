@@ -289,20 +289,23 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
 # --- stabilizers of special curves ----------------------------------------------
 
 
-def _moved_numerators(table: GroupTable, stack: np.ndarray, p: TorusPoint):
-    """The products stack @ n on p's numerators n over den, computed exactly.
+def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
+    """The products n @ cols on p's numerators n over den, computed exactly.
 
-    stack holds group matrices g or their g - I.  int64 serves while no
-    entry of g n - n, and so none of g n or (g - I) n, can reach 2^63;
-    larger denominators use Python integers in object arrays, through the
-    same numpy operations.
+    cols is a (6, k) matrix whose columns are rows of group matrices g or of
+    their g - I: the first rows of g - I (``GroupTable.minus_identity``),
+    H's rows (``GroupTable.h_columns``), or a stack of matrices passed as
+    ``stack.reshape(-1, 6).T``, whose products the caller reshapes to
+    (-1, 6).  int64 serves while no entry of g n - n, and so none of g n or
+    (g - I) n, can reach 2^63; larger denominators use Python integers in
+    object arrays, through the same numpy operations.
     """
     nums, den = p.as_int_vec()
     if (6 * table.int6_max_abs + 1) * den < 2**63:
         n = np.array(nums, dtype=np.int64)
-        return stack @ n, n, den
+        return n @ cols, n, den
     n = np.array(nums, dtype=object)
-    return stack.astype(object) @ n, n, den
+    return n @ cols.astype(object), n, den
 
 
 def generic_curve_stabilizer(
@@ -326,8 +329,8 @@ def generic_curve_stabilizer(
         stack = stack.astype(object)
     keeps = np.all(stack @ rows == rows, axis=(1, 2))
     kept = np.flatnonzero(keeps)
-    moved, n, den = _moved_numerators(table, stack[kept], translate)
-    fixed = kept[np.all((moved - n) % den == 0, axis=1)]
+    moved, n, den = _moved_numerators(table, stack[kept].reshape(-1, 6).T, translate)
+    fixed = kept[np.all((moved.reshape(-1, 6) - n) % den == 0, axis=1)]
     return frozenset(ids[i] for i in fixed.tolist())
 
 

@@ -339,8 +339,8 @@ def full_stack_orbit(table, p: TorusPoint, quotient: str) -> Orbit:
     them and a comparison of neighbouring keys drops the repeats.
     """
     _, stack = table.select(quotient)
-    moved, _, den = _moved_numerators(table, stack, p)
-    rows = moved % den
+    moved, _, den = _moved_numerators(table, stack.reshape(-1, 6).T, p)
+    rows = moved.reshape(-1, 6) % den
     width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
     keys = rows[:, ::width]
     for t in range(1, width):

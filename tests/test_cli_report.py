@@ -452,6 +452,18 @@ def test_orbit_stabilizer_guard_exit_3(monkeypatch, capsys):
     assert line.startswith("internal error: ConsistencyError: orbit-stabilizer mismatch at [")
 
 
+def test_singularity_report_guard_exit_3(monkeypatch, capsys):
+    from klein336 import orbits
+
+    monkeypatch.setattr(orbits, "on_singular_curve", lambda table, p: False)
+    assert main(["singularities"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("internal error: ConsistencyError: singular orbit at [")
+    assert line.endswith("] does not lie on the singular curve")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--locus", "T9"])

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,8 +179,8 @@ def test_bounded_closure_matches_plain_bfs_in_the_lattice_build(monkeypatch):
     subgroups = {s for c in table.all_subgroups_of_h() for s in c.members}
     extensions = [(known, gens, got) for known, gens, got in calls if len(known) > 1]
     assert len(extensions) > 800
-    # most extensions end at H, where the divisor cut-off returns early; those
-    # of the order-24 classes return at their first new element
+    # most extensions end at H, where the subgroup-order cut-off returns early;
+    # those of the order-24 classes return at their first new element
     assert sum(got == table.h_set for _, _, got in extensions) > 500
     assert any(len(known) == 24 for known, _, _ in extensions)
     for known, gens, _ in extensions:
@@ -205,6 +204,20 @@ def test_lattice_build_checks_its_generators_of_h():
     table.named = {**table.named, "r3": table.named["r2"]}  # r1 r2 twice: a cyclic group
     with pytest.raises(GroupConstructionError, match="do not generate H"):
         table.all_subgroups_of_h()
+
+
+def test_lattice_build_checks_the_subgroup_orders_of_h(monkeypatch):
+    from klein336 import group as group_mod
+
+    # without 7 the list no longer holds every order: the cyclic closures still
+    # find the C7 classes, and the check rejects them before any listing is built
+    orders = (1, 2, 3, 4, 6, 8, 12, 21, 24)
+    monkeypatch.setattr(group_mod, "_H_SUBGROUP_ORDERS", orders)
+    table = GroupTable()
+    with pytest.raises(GroupConstructionError) as err:
+        table.all_subgroups_of_h()
+    assert str(err.value) == f"a subgroup of H has order 7, outside {orders}"
+    assert "lattice" not in table.derived
 
 
 def test_field_matrices_are_built_on_first_read():

@@ -21,8 +21,6 @@ from klein336.linalg import (
     _FORWARD,
     _integer_inverse,
     E1,
-    E2,
-    E3,
     EPS_VECTORS,
     IDENTITY3,
     Mat3,
@@ -34,7 +32,7 @@ from klein336.linalg import (
     smith_normal_form,
     to_eps_coords,
 )
-from klein336.qfield import ALPHA, ALPHA_BAR, QNum, vec3
+from klein336.qfield import QNum, vec3
 
 F = Fraction
 

@@ -96,10 +96,10 @@ def test_stabilizer_rechecks_first_row_survivors(group, den, nums):
     want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
     for quotient in ("G", "H"):
         ids, _ = group.select(quotient)
-        _, first_rows = group.minus_identity[quotient]
+        _, first_columns = group.minus_identity[quotient]
         survivors = {
             ids[i]
-            for i, row in enumerate(first_rows.tolist())
+            for i, row in enumerate(first_columns.T.tolist())
             if sum(a * n for a, n in zip(row, nums)) % den == 0
         }
         stab = stabilizer_indices(group, p, quotient)
@@ -946,6 +946,67 @@ def test_singularity_report_h(group):
     assert by_name["c3_axis"]["image_status"] == "1/3(0,1,2)"
     assert by_name["h4_axis"]["image_status"] == "1/4(0,1,3)"
     assert by_name["mirror"]["image_status"] == "smooth"
+
+
+def _curves_marked(statuses):
+    """A curve_strata whose records take the given image statuses by curve name."""
+    return lambda real: lambda table, quotient="G": [
+        dataclasses.replace(c, image_status=statuses.get(c.name, c.image_status))
+        for c in real(table, quotient)
+    ]
+
+
+def _locus_edited(locus, edit):
+    """A classify_locus that passes the records of one locus through edit."""
+    return lambda real: lambda table, name, quotient="G": (
+        edit(real(table, name, quotient)) if name == locus else real(table, name, quotient)
+    )
+
+
+def _with_stray(records):
+    stray = dataclasses.replace(
+        records[0], image_status="1/3(0,1,2)", orbit_min=TorusPoint([F(1, 5)] * 6)
+    )
+    return records + [stray]
+
+
+# each inventory guard of singularity_report, driven by one monkeypatched input
+@pytest.mark.parametrize(
+    "quotient, name, patch, message",
+    [
+        pytest.param(
+            "G", "curve_strata", _curves_marked({"kappa_1": "1/2(0,1,1)"}),
+            re.escape("unexpected singular curves ['kappa_1', 'kappa_3']"), id="second-curve",
+        ),
+        pytest.param(
+            "G", "curve_strata", _curves_marked({"kappa_3": "1/4(0,1,3)"}),
+            "the singular curve has unexpected generic weights", id="curve-weights",
+        ),
+        pytest.param(
+            "G", "classify_locus", _locus_edited("T7", lambda records: []),
+            "the singular point strata do not match the expected inventory: "
+            "isolated=0 dissident=1 stray=0", id="no-isolated-point",
+        ),
+        pytest.param(
+            "G", "classify_locus", _locus_edited("T2", _with_stray),
+            "the singular point strata do not match the expected inventory: "
+            "isolated=1 dissident=1 stray=1", id="stray-point",
+        ),
+        pytest.param(
+            "G", "on_singular_curve", lambda real: lambda table, p: False,
+            r"singular orbit at \[[0-9/,]+\] does not lie on the singular curve", id="off-curve",
+        ),
+        pytest.param(
+            "H", "classify_locus", _locus_edited("T7", lambda records: records[:1]),
+            "expected two isolated seventh-order points, got 1", id="h-isolated-points",
+        ),
+    ],
+)
+def test_singularity_report_inventory_guards(group, monkeypatch, quotient, name, patch, message):
+    monkeypatch.setattr(orbits, name, patch(getattr(orbits, name)))
+    with pytest.raises(ConsistencyError) as err:
+        singularity_report(group, quotient)
+    assert re.fullmatch(message, str(err.value))
 
 
 def test_locus_cross_relations(group):

@@ -31,7 +31,6 @@ from klein336.torus import (
     kappa_translates,
     omega_point,
     registry_point,
-    xi_point,
 )
 
 
