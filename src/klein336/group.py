@@ -5,10 +5,13 @@ entries in half the ring of integers of Q(w).  ``GroupTable`` closes the
 generators' integer 6x6 matrices on the invariant lattice under
 multiplication (BFS, fixed generator order, so element ids and witness words
 are reproducible).  The multiplication table is filled column by column
-from the right-regular permutations of the generators, determinants are the
-parity of the witness word, reflections and antireflections come from
-integer ranks, and each element's 3x3 matrix over Q(w) is read back from
-its integer matrix when first read.
+from the right-regular permutations of the generators.  Each element fact
+is computed once, from the integer matrices and the table: determinants are
+the parity of the witness word, traces in Z[w] are read off two integer
+traces, the powers of each element (so its order and cyclic subgroup) come
+from one walk along its column, and the reflections and antireflections are
+the involutions of trace 1 and -1.  Each element's 3x3 matrix over Q(w) is
+read back from its integer matrix when first read.
 
 On top of the table live conjugacy classes, the full subgroup lattice of
 the determinant-1 subgroup (168 elements, 179 subgroups in 15 conjugacy
@@ -31,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import Mat3, NonIntegralError, hnf_rows, int6_to_mat3, mat3_to_int6
+from .linalg import IDENTITY3, Mat3, NonIntegralError, int6_to_mat3, mat3_to_int6
 from .qfield import CVec3, MINUS_ONE, QNum, vec3
 
 R1 = Mat3([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -44,6 +47,10 @@ R3 = Mat3(
         [QNum(-_H, _H), QNum(-_H, _H), QNum(0)],
     ]
 )
+# the signed 3-cycle (z1, z2, z3) -> (-z3, -z1, -z2)
+C = Mat3([[0, 0, -1], [-1, 0, 0], [0, -1, 0]])
+# the eps-basis matrix of w * I: tr g = a + b*w gives tr(int6) = 2a + b, tr(_W6 int6) = a - 3b
+_W6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
 
 
 class GroupConstructionError(RuntimeError):
@@ -61,8 +68,13 @@ class GroupElement:
     index: int
     int6: tuple[tuple[int, ...], ...]
     det: int  # +1 or -1, exact
-    order: int
     word: tuple[int, ...]  # generator indices, BFS-shortest witness
+    trace: tuple[int, int]  # (a, b): the trace is a + b*w, exact
+    powers: frozenset[int]  # the cyclic subgroup the element generates
+
+    @property
+    def order(self) -> int:
+        return len(self.powers)
 
     @cached_property
     def mat(self) -> Mat3:  # the matrix over Q(w), built on first read
@@ -149,6 +161,15 @@ class GroupTable:
         int6s = [tuple(map(tuple, m)) for m in self.int6_stack.tolist()]
         # every generator has det -1
         dets = [-1 if len(w) % 2 else 1 for w in words]
+        # 3 tr(int6) + tr(_W6 int6) = 7a and tr(int6) - 2 tr(_W6 int6) = 7b
+        traces = []
+        six = np.trace(self.int6_stack, axis1=1, axis2=2).tolist()
+        w_six = np.einsum("ij,kji->k", _W6, self.int6_stack).tolist()
+        for i, (s, t) in enumerate(zip(six, w_six)):
+            (a, ra), (b, rb) = divmod(3 * s + t, 7), divmod(s - 2 * t, 7)
+            if ra or rb:
+                raise GroupConstructionError(f"trace of element {i} is not in Z[w]")
+            traces.append((a, b))
 
         # column j of the table: g_i g_j = (g_i g_parent(j)) r_gen(j)
         perm = np.array(rperm, dtype=np.int32)
@@ -164,17 +185,18 @@ class GroupTable:
         self.identity = 0
         self.inv = mul.argmin(axis=1).astype(np.int32)
 
+        # the walk i, i^2, ... down i's column of the table ends at the identity
         rows = self.mul_list
-        orders = []
+        powers = []
         for i in range(n):
-            k, acc = 1, i
+            acc, seen = i, [i]
             while acc != 0:
                 acc = rows[acc][i]
-                k += 1
-            orders.append(k)
+                seen.append(acc)
+            powers.append(frozenset(seen))
 
         self.elements: list[GroupElement] = [
-            GroupElement(i, int6s[i], dets[i], orders[i], words[i]) for i in range(n)
+            GroupElement(i, int6s[i], dets[i], words[i], traces[i], powers[i]) for i in range(n)
         ]
 
         self.minus_one = key_to_idx[(-ident6).tobytes()]
@@ -198,17 +220,11 @@ class GroupTable:
             "G": (g_minus_i, np.ascontiguousarray(g_minus_i[:, 0].T)),
             "H": (h_minus_i, np.ascontiguousarray(h_minus_i[:, 0].T)),
         }
-        # a reflection fixes a complex plane and an antireflection negates
-        # one, so the integer matrix minus or plus the identity has rank 2
-        refl = []
-        antirefl = []
-        for el, m, m_minus_i in zip(self.elements, stack, g_minus_i):
-            if el.order != 2:
-                continue
-            if el.det == -1 and len(hnf_rows(m_minus_i.tolist())) == 2:
-                refl.append(el.index)
-            elif el.det == 1 and len(hnf_rows((m + ident6).tolist())) == 2:
-                antirefl.append(el.index)
+        # an involution of trace 1 has eigenvalues (1, 1, -1): a reflection;
+        # one of trace -1 has (-1, -1, 1): an antireflection (Shephard and Todd 1954)
+        involutions = [el for el in self.elements if el.order == 2]
+        refl = [el.index for el in involutions if el.trace == (1, 0)]
+        antirefl = [el.index for el in involutions if el.trace == (-1, 0)]
         self.reflections = tuple(refl)
         self.antireflections = tuple(antirefl)
         self.reflection_set = frozenset(refl)
@@ -218,7 +234,7 @@ class GroupTable:
                 f"found {len(refl)} reflections / {len(antirefl)} antireflections"
             )
 
-        self.named = self._build_named_registry()
+        self.named = self._build_named_registry([key_to_idx[m.tobytes()] for m in gen6])
         self.derived: dict = {}  # results computed once per table: the lattice, loci, germs
 
     # --- elementary queries ---------------------------------------------
@@ -252,48 +268,12 @@ class GroupTable:
             acc = rows[acc][i]
         return acc
 
-    def _build_named_registry(self) -> dict[str, int]:
-        r1 = self.index_of_mat(R1)
-        r2 = self.index_of_mat(R2)
-        r3 = self.index_of_mat(R3)
-        m1 = self.minus_one
-        mul = self.multiply
-        named = {
-            "r1": r1,
-            "r2": r2,
-            "r3": r3,
-            "m1": m1,
-            "rho1": mul(m1, r1),
-            "rho2": mul(m1, r2),
-            "rho3": mul(m1, r3),
-        }
-        named["g7"] = self.product([named["rho1"], named["rho2"], named["rho3"]])
-        named["h3"] = self.product(
-            [named["rho1"], named["rho3"], named["rho1"], named["rho2"]]
-        )
-        named["h4"] = mul(named["rho1"], named["rho2"])
-        named["h4p"] = mul(m1, self.product([r1, r2]))
-        # signed 3-cycle (z1, z2, z3) -> (-z3, -z1, -z2)
-        named["c"] = self.index_of_mat(
-            Mat3([[0, 0, -1], [-1, 0, 0], [0, -1, 0]])
-        )
-        named["c3"] = mul(m1, named["c"])
-        expected_orders = {
-            "rho1": 2,
-            "rho2": 2,
-            "rho3": 2,
-            "g7": 7,
-            "h3": 3,
-            "h4": 4,
-            "h4p": 4,
-            "c": 6,
-            "c3": 3,
-            "m1": 2,
-            "r1": 2,
-            "r2": 2,
-            "r3": 2,
-        }
-        for name, want in expected_orders.items():
+    def _build_named_registry(self, gen_ids: list[int]) -> dict[str, int]:
+        """r1, r2 and r3 by their BFS ids, c by its matrix, the rest by their words."""
+        named = dict(zip(("r1", "r2", "r3"), gen_ids), m1=self.minus_one, c=self.index_of_mat(C))
+        for name, word in _NAMED_WORDS.items():
+            named[name] = self.product(named[x] for x in word)
+        for name, want in _NAMED_ORDERS.items():
             got = self.elements[named[name]].order
             if got != want:
                 raise GroupConstructionError(
@@ -389,13 +369,14 @@ class GroupTable:
         return frozenset(out)
 
     def cyclic_subgroups(self, quotient: str = "H") -> list[tuple[frozenset[int], int]]:
-        """All cyclic subgroups of the chosen group, with a generator witness."""
+        """All cyclic subgroups of the chosen group, with a generator witness.
+
+        Each <g> is the set of g's powers, kept by the build.
+        """
         subset = self.subset_indices(quotient)
         seen: dict[frozenset[int], int] = {}
         for g in subset:
-            sub = self.subgroup_closure([g])
-            if sub not in seen:
-                seen[sub] = g
+            seen.setdefault(self.elements[g].powers, g)
         return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
     def all_subgroups_of_h(self) -> list[SubgroupClass]:
@@ -538,6 +519,22 @@ class GroupTable:
             )
         return out
 
+
+# the named elements after r1, r2, r3, m1 and c, as words in those before them
+_NAMED_WORDS = {
+    "rho1": ("m1", "r1"),
+    "rho2": ("m1", "r2"),
+    "rho3": ("m1", "r3"),
+    "g7": ("rho1", "rho2", "rho3"),
+    "h3": ("rho1", "rho3", "rho1", "rho2"),
+    "h4": ("rho1", "rho2"),
+    "h4p": ("m1", "r1", "r2"),
+    "c3": ("m1", "c"),
+}
+_NAMED_ORDERS = {
+    "rho1": 2, "rho2": 2, "rho3": 2, "g7": 7, "h3": 3, "h4": 4, "h4p": 4,
+    "c": 6, "c3": 3, "m1": 2, "r1": 2, "r2": 2, "r3": 2,
+}
 
 # the orders of the proper subgroups of H = PSL(2, 7), the cut-offs of closure_from
 _H_SUBGROUP_ORDERS = (1, 2, 3, 4, 6, 7, 8, 12, 21, 24)

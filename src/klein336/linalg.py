@@ -403,20 +403,6 @@ EPS_VECTORS: tuple[CVec3, ...] = (
 )
 
 
-def _chart_numerators(v: CVec3) -> tuple[list[int], int]:
-    """Integer chart (a1, b1, a2, b2, a3, b3) of a field vector over one denominator.
-
-    The rational chart (x1, y1, x2, y2, x3, y3) is these numerators over den.
-    """
-    den = lcm(v[0].d, v[1].d, v[2].d)
-    out: list[int] = []
-    for q in v:
-        s = den // q.d
-        out.append(q.a * s)
-        out.append(q.b * s)
-    return out, den
-
-
 def _integer_inverse(a: IntMat) -> tuple[IntMat, int]:
     """(N, den) with a^-1 = N / den in lowest terms, for a nonsingular integer a.
 
@@ -433,20 +419,13 @@ def _integer_inverse(a: IntMat) -> tuple[IntMat, int]:
     return [[x // g for x in row] for row in num], den // g
 
 
-# chart(eps_1) .. chart(eps_6) as columns: integral, as the eps vectors lie in Z[w]^3
-_EPS_CHARTS = [_chart_numerators(e) for e in EPS_VECTORS]
-assert all(den == 1 for _, den in _EPS_CHARTS)
-_FORWARD: IntMat = [list(col) for col in zip(*(nums for nums, _ in _EPS_CHARTS))]
+# the charts (x1, y1, x2, y2, x3, y3) of eps_1 .. eps_6 as columns: integral,
+# as the eps vectors lie in Z[w]^3
+assert all(q.d == 1 for e in EPS_VECTORS for q in e)
+_FORWARD: IntMat = [[getattr(e[i // 2], "ab"[i % 2]) for e in EPS_VECTORS] for i in range(6)]
 # the inverse basis change is _INVERSE_NUM / _INVERSE_DEN, with _INVERSE_DEN = 2
 _INVERSE_NUM, _INVERSE_DEN = _integer_inverse(_FORWARD)
 _INVERSE_EVEN_COLS = list(zip(*_INVERSE_NUM))[::2]
-
-
-def to_eps_coords(v: CVec3) -> tuple[Fraction, ...]:
-    """Coordinates of a field vector in the eps basis of the lattice."""
-    nums, den = _chart_numerators(v)
-    den *= _INVERSE_DEN
-    return tuple(Fraction(sum(map(mul, row, nums)), den) for row in _INVERSE_NUM)
 
 
 def mat3_to_int6(m: Mat3) -> tuple[tuple[int, ...], ...]:

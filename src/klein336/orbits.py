@@ -3,8 +3,9 @@
 A point's image in the quotient is smooth exactly when its stabilizer is
 generated by the reflections it contains; otherwise the germ is the linear
 quotient by the stabilizer.  For cyclic stabilizers the generator's
-eigenvalue exponents are read off the averaged integer traces of the
-subgroups, which count the eigenvalues of each order.  When the reflection
+eigenvalue exponents are read off the averaged traces of the subgroups,
+which count the eigenvalues of each order; the group table keeps each
+element's trace in Z[w].  When the reflection
 part W has index 2, the degrees of W's basic invariants and the signs of the
 other coset on them are read off averaged series of 1/det(1 - t g) in Z[w].
 No floating point enters any germ.  Each subgroup's germ is computed once
@@ -58,8 +59,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .group import GroupTable
-from .linalg import IDENTITY3, mat3_to_int6
-from .qfield import QNum
 from .torus import (
     ConsistencyError,
     FixedLocus,
@@ -202,12 +201,13 @@ class WeightInfo:
 
 
 def _cyclic_weights(table: GroupTable, s: frozenset[int], d: int) -> tuple[int, ...]:
-    """Germ weights of a cyclic S of order d, from element orders and int6 traces.
+    """Germ weights of a cyclic S of order d, from element orders and traces.
 
     The subgroup of order d/m fixes exactly the eigenvalues whose order
-    divides m; on Z^6 = V + conj(V) its average int6 trace is twice their
-    number, and subtracting the divisors' counts leaves n_m, the number of
-    exact order m.  These fill whole Q(w)-conjugacy blocks: all j*d/m with
+    divides m; on Z^6 = V + conj(V) its average int6 trace, 2a + b for the
+    trace a + b*w that the group table keeps for each element, is twice
+    their number, and subtracting the divisors' counts leaves n_m, the
+    number of exact order m.  These fill whole Q(w)-conjugacy blocks: all j*d/m with
     gcd(j, m) = 1 when 7 does not divide m, else the j = 1, 2, 4 mod 7,
     since zeta + zeta^2 + zeta^4 = w - 1 (the conjugate block is a unit
     multiple, which the minimum over units absorbs).  The canonical form is
@@ -215,7 +215,7 @@ def _cyclic_weights(table: GroupTable, s: frozenset[int], d: int) -> tuple[int, 
     generators g^u.
     """
     els = table.elements
-    traces = [(els[i].order, sum(els[i].int6[k][k] for k in range(6))) for i in s]
+    traces = [(els[i].order, 2 * els[i].trace[0] + els[i].trace[1]) for i in s]
     counts: dict[int, int] = {}
     exponents: list[int] = []
     for m in (m for m in range(1, d + 1) if d % m == 0):
@@ -257,21 +257,16 @@ def _inverse_char_poly(tr: tuple[int, int], det: int, n: int) -> tuple[tuple[int
     return tuple(c[2:])
 
 
-# the eps-basis matrix of w * I: tr g = a + b*w gives tr(int6) = 2a + b, tr(W6 int6) = a - 3b
-_W6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
-
-
 def _averaged_series(table: GroupTable, elements: frozenset[int], order: int) -> list[int]:
-    """(1/order) * sum over the elements of 1/det(1 - t g), up to t^order."""
+    """(1/order) * sum over the elements of 1/det(1 - t g), up to t^order.
+
+    Each term depends on the element's trace in Z[w] and its determinant
+    alone (``_inverse_char_poly``), both read off the group table.
+    """
     total_a, total_b = [0] * (order + 1), [0] * (order + 1)
-    stack = table.int6_stack[list(elements)]
-    traces = np.trace(stack, axis1=1, axis2=2).tolist()
-    w_traces = np.einsum("ij,kji->k", _W6, stack).tolist()
-    for i, s, t in zip(elements, traces, w_traces):
-        (tr_a, ra), (tr_b, rb) = divmod(3 * s + t, 7), divmod(s - 2 * t, 7)
-        if ra or rb:
-            raise ConsistencyError(f"trace of element {i} is not in Z[w]")
-        for k, (a, b) in enumerate(_inverse_char_poly((tr_a, tr_b), table.elements[i].det, order)):
+    for i in elements:
+        el = table.elements[i]
+        for k, (a, b) in enumerate(_inverse_char_poly(el.trace, el.det, order)):
             total_a[k] += a
             total_b[k] += b
     if any(total_b) or any(a % order for a in total_a):
@@ -342,7 +337,7 @@ def _germ_type(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     closed first, once, and the index-2 test below reuses it.  For cyclic
     stabilizers the canonical form is the lexicographically smallest sorted
     weight tuple over all generators, found exactly from element orders and
-    int6 traces (``_cyclic_weights``).  A stabilizer whose reflection part W
+    traces (``_cyclic_weights``).  A stabilizer whose reflection part W
     has index 2 reduces in stages: the quotient by W is affine space on W's
     basic invariants, where the other coset acts by signs, so the germ is
     1/2(...) with a 1 for each sign -1.  Degrees and signs come from averaged

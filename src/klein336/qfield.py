@@ -158,6 +158,8 @@ class QNum:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty QNum literal")
+        if "e" in s.lower():  # Fraction would expand 1e5000 to a 5001-digit integer
+            raise ValueError(f"exponent notation is not accepted: {text!r}")
         terms = _TERM_RE.findall(s)
         if "".join(terms) != s:  # a stray sign starts no term
             raise ValueError(f"malformed QNum literal {text!r}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +33,7 @@ from operator import mul
 import numpy as np
 
 from .group import GroupTable
-from .linalg import hnf_rows, int_det, smith_normal_form, to_eps_coords
-from .qfield import ALPHA, CVec3, QNum, ZERO, vec3
+from .linalg import hnf_rows, int_det, smith_normal_form
 
 
 class ConsistencyError(RuntimeError):
@@ -133,9 +133,6 @@ class TorusPoint:
     def is_zero(self) -> bool:
         return self.den == 1
 
-    def as_int_vec(self) -> tuple[list[int], int]:
-        return list(self.nums), self.den
-
     def __str__(self) -> str:
         return "[" + ",".join(_frac(c) for c in self.coords) + "]"
 
@@ -150,11 +147,16 @@ class TorusPoint:
         parts = s[1:-1].split(",")
         if len(parts) != 6:
             raise ValueError("torus point literal must have 6 coordinates")
-        return cls([Fraction(p.strip()) for p in parts])
-
-    @classmethod
-    def from_cvec(cls, v: CVec3) -> "TorusPoint":
-        return cls(to_eps_coords(v))
+        for p in parts:  # Fraction would expand 1e-5000 to a 5001-digit denominator
+            if "e" in p.lower():
+                raise ValueError(f"exponent notation is not accepted: {p.strip()!r}")
+        point = cls([Fraction(p.strip()) for p in parts])
+        # the coordinates of its orbit have denominators dividing its order, so an
+        # order within Python's integer-to-string limit (0: none) keeps them printable
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and point.den >= 10**limit:
+            raise ValueError(f"the point's order has more than {limit} digits")
+        return point
 
 
 def _point(nums: Sequence[int], m: int) -> TorusPoint:
@@ -300,7 +302,7 @@ def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
     (g - I) n, can reach 2^63; larger denominators use Python integers in
     object arrays, through the same numpy operations.
     """
-    nums, den = p.as_int_vec()
+    nums, den = p.nums, p.den
     if (6 * table.int6_max_abs + 1) * den < 2**63:
         n = np.array(nums, dtype=np.int64)
         return n @ cols, n, den
@@ -348,6 +350,10 @@ def half_periods() -> list[TorusPoint]:
     return [xi_point(k) for k in range(64)]
 
 
+# the eps coordinates, times 4, of the parts of beta_bbbb: bit i from the left adds part i
+_BETA_PARTS = ((0, 2, 0, 2, 0, 0), (0, 2, 0, 0, 0, 0), (0, 1, 2, 0, 2, 0), (2, 0, 0, 3, 0, 2))
+
+
 def beta_point(index: int | str) -> TorusPoint:
     """Fixed point of the elliptic order-4 element, by binary multi-index."""
     if isinstance(index, str):
@@ -358,30 +364,15 @@ def beta_point(index: int | str) -> TorusPoint:
         if not 0 <= index < 16:
             raise ValueError("beta index must be in 0..15")
         bits = [(index >> (3 - i)) & 1 for i in range(4)]
-    parts = [
-        vec3(1, 0, 0),
-        vec3(ALPHA, ZERO, ZERO),
-        vec3(
-            QNum(0, Fraction(1, 2)),
-            QNum(0, Fraction(1, 2)),
-            QNum(0, Fraction(-1, 2)),
-        ),
-        vec3(QNum(Fraction(1, 2), Fraction(-1, 2)), QNum(1), ZERO),
-    ]
-    total = vec3(0, 0, 0)
-    for bit, part in zip(bits, parts):
-        if bit:
-            total = (total[0] + part[0], total[1] + part[1], total[2] + part[2])
-    return TorusPoint.from_cvec(total)
+    return _point([sum(b * part[k] for b, part in zip(bits, _BETA_PARTS)) for k in range(6)], 4)
 
 
 def omega_point(i: int, j: int) -> TorusPoint:
     """Fixed point of the order-6 cycle: (i/2)(conj(w), conj(w), conj(w)) + j(1,1,1)."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("omega indices are 0 or 1")
-    half_bar = QNum(Fraction(i, 2), Fraction(-i, 2))
-    v = vec3(half_bar + j, half_bar + j, half_bar + j)
-    return TorusPoint.from_cvec(v)
+    # eps coordinates times 2: i (0, 1, 0, 0, 1, 1) + j (0, 1, 0, 0, 0, 0)
+    return _point([0, i + j, 0, 0, i, i], 2)
 
 
 def eta_point(i: int) -> TorusPoint:

@@ -33,8 +33,10 @@
 * test-only group helpers: the reflection formula and centralizer sizes; the saturated integer kernel and
   lattice index that the complement-torus path uses;
 * the group built the field-valued way: BFS over ``Mat3`` products, field
-  determinants and field kernels for the reflections; unitarity of a
-  ``Mat3`` and the floating-point value of a quartic form;
+  determinants and field kernels for the reflections; the named elements
+  as ``Mat3`` products; unitarity of a ``Mat3`` and the floating-point
+  value of a quartic form;
+* the beta and omega registry points as vectors of C^3;
 * subgroup closures by plain BFS, with no Lagrange cut-off; the subgroup
   lattice of H by fixpoint closure over all subgroups, with those closures;
   and the quartic action expanded in ``QNum`` arithmetic;
@@ -82,7 +84,7 @@ from klein336.linalg import (
     smith_normal_form,
 )
 from klein336.orbits import ConsistencyError, Orbit, WeightInfo
-from klein336.qfield import CVec3, QNum, hermitian, vec3
+from klein336.qfield import ALPHA, CVec3, QNum, hermitian, vec3
 from klein336.quartic import QuarticForm
 from klein336.torus import (
     TorusPoint,
@@ -810,6 +812,41 @@ def field_group_build() -> FieldBuild:
         if orders[i] == 2 and dets[i] == 1 and len(kernel_K(m.scale(-1) - IDENTITY3)) == 2
     )
     return FieldBuild(mats, words, int6s, mul_list, inv, orders, dets, refl, antirefl)
+
+
+def field_named_registry(table) -> dict[str, int]:
+    """The named elements as Mat3 products in Q(w), looked up by ``index_of_mat``."""
+    m1 = IDENTITY3.scale(-1)
+    rho1, rho2, rho3 = (r.scale(-1) for r in (R1, R2, R3))
+    c = Mat3([[0, 0, -1], [-1, 0, 0], [0, -1, 0]])  # (z1, z2, z3) -> (-z3, -z1, -z2)
+    mats = {
+        "r1": R1, "r2": R2, "r3": R3, "m1": m1, "rho1": rho1, "rho2": rho2, "rho3": rho3,
+        "g7": rho1 * rho2 * rho3, "h3": rho1 * rho3 * rho1 * rho2, "h4": rho1 * rho2,
+        "h4p": m1 * (R1 * R2), "c": c, "c3": m1 * c,
+    }
+    return {name: table.index_of_mat(m) for name, m in mats.items()}
+
+
+def beta_cvec(index: int) -> CVec3:
+    """beta_bbbb in C^3: the sum of the parts whose bit is set, first bit first."""
+    half = Fraction(1, 2)
+    parts = [
+        vec3(1, 0, 0),
+        vec3(ALPHA, 0, 0),
+        vec3(QNum(0, half), QNum(0, half), QNum(0, -half)),
+        vec3(QNum(half, -half), QNum(1), 0),
+    ]
+    total = vec3(0, 0, 0)
+    for i, part in enumerate(parts):
+        if (index >> (3 - i)) & 1:
+            total = tuple(x + y for x, y in zip(total, part))
+    return total
+
+
+def omega_cvec(i: int, j: int) -> CVec3:
+    """omega_ij in C^3: (i/2)(conj(w), conj(w), conj(w)) + j(1, 1, 1), conj(w) = 1 - w."""
+    q = QNum(Fraction(i, 2) + j, Fraction(-i, 2))
+    return vec3(q, q, q)
 
 
 def plain_subgroup_closure(table, gens: Sequence[int]) -> frozenset[int]:

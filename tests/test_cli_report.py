@@ -412,8 +412,14 @@ def test_torus_guards_exit_3(monkeypatch, capsys, argv, owner, name, patch, mess
         ),
         pytest.param("R3", lambda real: R1, "generator closure has 8 elements, expected 336", id="r3-is-r1"),
         pytest.param(
-            "hnf_rows", lambda real: lambda rows: real(rows)[:1],  # every rank reads 1
-            "found 0 reflections / 0 antireflections", id="ranks",
+            # a + b*w reads (a + t) + (b - 2t)*w with t = a - 3b: no involution has trace +-1
+            "_W6", lambda real: real * 8,
+            "found 0 reflections / 0 antireflections", id="trace-counts",
+        ),
+        pytest.param(
+            # one unit entry more: the identity's 3 tr(int6) + tr(_W6 int6) is 1 mod 7
+            "_W6", lambda real: real + np.diag([1, 0, 0, 0, 0, 0]),
+            "trace of element 0 is not in Z[w]", id="trace-in-Zw",
         ),
         pytest.param(
             "R3", lambda real: R1 * real * R1,  # another reflection: G again, other named elements
@@ -513,6 +519,30 @@ def test_bad_registry_name_message_is_unquoted(name, message, capsys):
     ],
 )
 def test_zero_denominator_is_named(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stabilizer", "--point", "[1e-5000,0,0,0,0,0]"], "bad point literal: exponent notation is not accepted: '1e-5000'"),
+        (["orbit", "--point", "[3e-4400,0,0,0,0,0]"], "bad point literal: exponent notation is not accepted: '3e-4400'"),
+        # Fraction alone would take seconds to expand this one, and longer past it
+        (["stabilizer", "--point", "[1e-10000000,0,0,0,0,0]"],
+         "bad point literal: exponent notation is not accepted: '1e-10000000'"),
+        (["fixed", "--matrix", '["1e5000",0,0,0,1,0,0,0,1]'],
+         "bad matrix literal: exponent notation is not accepted: '1e5000'"),
+        # six coprime 3001-digit denominators: an order of 18006 digits, whose orbit
+        # coordinates would exceed the integer-to-string limit of 4300 digits
+        (["orbit", "--point", "[" + ",".join(f"1/{10**3000 + k}" for k in (1, 3, 7, 9, 13, 19)) + "]"],
+         f"bad point literal: the point's order has more than {sys.get_int_max_str_digits()} digits"),
+    ],
+    ids=["stabilizer-1e-5000", "orbit-3e-4400", "stabilizer-1e-10000000", "fixed-1e5000", "orbit-18006-digits"],
+)
+def test_huge_literals_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

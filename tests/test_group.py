@@ -104,6 +104,51 @@ def test_named_registry(group):
     assert group.multiply(n["m1"], n["c"]) == n["c3"]
 
 
+def test_named_registry_matches_field_products(group):
+    # the registry from BFS keys and words equals the one from Mat3 products
+    assert group.named == oracles.field_named_registry(group)
+
+
+def _moebius_sum(subgroups: list[frozenset[int]], top: frozenset[int]) -> tuple[int, int]:
+    """(sum of mu(K, top) |K|^2 over all K, mu(1, top)) for the subgroups K of top.
+
+    mu(top, top) = 1, and below it mu(K, top) is minus the sum of mu(L, top)
+    over the L with K < L, which come first in decreasing order.
+    """
+    mu: dict[frozenset[int], int] = {}
+    for k in sorted(subgroups, key=len, reverse=True):
+        mu[k] = 1 if k == top else -sum(m for big, m in mu.items() if k < big)
+    return sum(m * len(k) ** 2 for k, m in mu.items()), mu[min(subgroups, key=len)]
+
+
+def _generating_pairs(table, quotient: str) -> int:
+    """phi_2: the pairs (a, b) of G or H that generate it, by plain closures.
+
+    Conjugation permutes the pairs, so a runs over class representatives,
+    each counted with the size of its class.
+    """
+    top = frozenset(table.subset_indices(quotient))
+    return sum(
+        len(c.members) * sum(
+            oracles.plain_subgroup_closure(table, [c.representative, b]) == top for b in top
+        )
+        for c in table.conjugacy_classes(quotient)
+    )
+
+
+def test_hall_eulerian_function_certifies_both_lattices(group):
+    # P. Hall (1936): sum over K <= A of mu(K, A) |K|^2 = phi_2(A); with
+    # 24 missing from the cut-off orders, H's lattice sums to 22176
+    subs_h = [k for c in group.all_subgroups_of_h() for k in c.members]
+    for subgroups, quotient, phi2 in (
+        (subs_h, "H", 19152),  # 19/28 of 168^2
+        (oracles.goursat_subgroups_of_g(group), "G", 57456),  # 3 * 19152: H is perfect
+    ):
+        total, mu_trivial = _moebius_sum(subgroups, max(subgroups, key=len))
+        assert total == _generating_pairs(group, quotient) == phi2
+        assert mu_trivial == 0
+
+
 def test_columns_are_half_roots(group):
     root_keys = {tuple((q.x, q.y) for q in e) for e in roots()}
     for el in group.elements:

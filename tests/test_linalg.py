@@ -16,6 +16,7 @@ from oracles import (
     lattice_index,
     mat_apply,
     rat_inverse,
+    to_eps_coords,
 )
 from klein336.linalg import (
     _FORWARD,
@@ -30,7 +31,6 @@ from klein336.linalg import (
     int_det,
     mat3_to_int6,
     smith_normal_form,
-    to_eps_coords,
 )
 from klein336.qfield import QNum, vec3
 

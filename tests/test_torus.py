@@ -5,13 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (
+    beta_cvec,
     complement_fixed_locus,
     from_eps_coords,
     goursat_subgroups_of_g,
     kernel_K,
     lattice_index,
+    omega_cvec,
+    to_eps_coords,
 )
-from klein336.linalg import IDENTITY3, int_det, to_eps_coords
+from klein336.linalg import IDENTITY3, int_det
 from klein336.orbits import stabilizer_indices
 from klein336.qfield import QNum, vec3
 from klein336.torus import (
@@ -225,7 +228,7 @@ def test_rho2_translates_match_published_representatives(group):
         vec3(QNum(0, half), QNum(0, half), 0),
         vec3(QNum(1, half), QNum(0, half), 0),
     ]
-    listed_pts = [TorusPoint.from_cvec(v) for v in listed]
+    listed_pts = [TorusPoint(to_eps_coords(v)) for v in listed]
     matches = []
     for t in locus.translates:
         hits = [i for i, r in enumerate(listed_pts) if locus.in_v1_plus_lattice(t - r)]
@@ -291,6 +294,15 @@ def test_registry_point_names(group):
     assert registry_point(group, "kappa_3") == kappa_translates(group)[3]
     with pytest.raises(KeyError):
         registry_point(group, "zeta_1")
+
+
+def test_beta_and_omega_points_are_their_field_vectors():
+    # the eps rows of beta_point and omega_point against their vectors in C^3
+    for i in range(16):
+        assert beta_point(i) == TorusPoint(to_eps_coords(beta_cvec(i)))
+    for i in (0, 1):
+        for j in (0, 1):
+            assert omega_point(i, j) == TorusPoint(to_eps_coords(omega_cvec(i, j)))
 
 
 def test_subgroup_fixed_points_of_s3_are_the_omega_set(group):
