@@ -74,8 +74,10 @@ def _parse_element(table: GroupTable, args) -> int:
         name = args.element.strip()
         if name in table.named:
             return table.named[name]
-        # ASCII digits only: str.isdigit also accepts '²' and '٣'
-        if name.isascii() and name.isdigit() and int(name) < table.size:
+        # ASCII digits only: str.isdigit also accepts '²' and '٣'; an id has at
+        # most 3 digits after its leading zeros, and int() fails past 4300 digits
+        short = len(name.lstrip("0")) <= 3
+        if name.isascii() and name.isdigit() and short and int(name) < table.size:
             return int(name)
         raise UsageError(
             f"unknown element {name!r}; use a named element "
@@ -144,28 +146,26 @@ def cmd_group(args) -> int:
         if args.json:
             _write_json(args.json, rows)
         return 0
-    if args.group_cmd == "subgroups":
-        def refs(items):
-            return ", ".join(
-                f"{nr}" + (f" ({count})" if count > 1 else "") for nr, count in items
-            )
+    # subgroups, the last subcommand argparse admits
 
-        rows = [
-            {
-                "nr": c.number,
-                "structure": c.structure,
-                "order": c.order,
-                "length": c.length,
-                "maximal": refs(c.maximal),
-                "minimal_overgroups": refs(c.minimal_over),
-            }
-            for c in table.all_subgroups_of_h()
-        ]
-        _print_tsv(list(rows[0]), rows)
-        if args.json:
-            _write_json(args.json, rows)
-        return 0
-    raise UsageError("unknown group subcommand")
+    def refs(items):
+        return ", ".join(f"{nr}" + (f" ({count})" if count > 1 else "") for nr, count in items)
+
+    rows = [
+        {
+            "nr": c.number,
+            "structure": c.structure,
+            "order": c.order,
+            "length": c.length,
+            "maximal": refs(c.maximal),
+            "minimal_overgroups": refs(c.minimal_over),
+        }
+        for c in table.all_subgroups_of_h()
+    ]
+    _print_tsv(list(rows[0]), rows)
+    if args.json:
+        _write_json(args.json, rows)
+    return 0
 
 
 def cmd_fixed(args) -> int:

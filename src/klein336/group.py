@@ -20,6 +20,10 @@ of subgroups.  A subgroup's label is read from a 30-entry table keyed by
 its order and its numbers of reflections and antireflections: on all 547
 subgroups of G that triple fixes the label, which a test checks against
 the rules of the labelling scheme.
+
+G = H x {+-1} with -1 central: classes and normalizers are computed in G
+and restricted to H.  ``acting`` reads the selector "G" or "H", and no
+other code does; it returns one record of the acting group.
 """
 
 from __future__ import annotations
@@ -79,6 +83,21 @@ class GroupElement:
     @cached_property
     def mat(self) -> Mat3:  # the matrix over Q(w), built on first read
         return int6_to_mat3(self.int6)
+
+
+@dataclass(frozen=True, eq=False)
+class ActingGroup:
+    """G or H as it acts, from ``GroupTable.acting``.
+
+    Its ids in id order and as a set, their g - I, and the first rows of
+    those as the columns of one C-contiguous (6, N) matrix, so that one
+    vector-matrix product n @ first_columns filters a point's stabilizer.
+    """
+
+    ids: tuple[int, ...]
+    members: frozenset[int]
+    minus_identity: np.ndarray
+    first_columns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -202,23 +221,17 @@ class GroupTable:
         self.minus_one = key_to_idx[(-ident6).tobytes()]
         self.h_indices = tuple(i for i in range(n) if dets[i] == 1)
         self.g_set, self.h_set = frozenset(range(n)), frozenset(self.h_indices)
-        # the integer matrices of H, in h_indices order, beside int6_stack
-        self.h_stack = self.int6_stack[list(self.h_indices)]
-        self._selections = {
-            "G": (tuple(range(n)), self.int6_stack),
-            "H": (self.h_indices, self.h_stack),
-        }
         # the rows of H's matrices as the columns of one C-contiguous (6, 1008)
         # matrix: n @ h_columns is every h n at once, h after h (orbit_points)
-        self.h_columns = np.ascontiguousarray(self.h_stack.reshape(-1, 6).T)
-        # g - I over each selection, and its first rows as the columns of one
-        # C-contiguous (6, N) matrix: a point's stabilizer is filtered on the
-        # first row alone, by one vector-matrix product n @ first_columns
-        g_minus_i = self.int6_stack - ident6
-        h_minus_i = self.h_stack - ident6
-        self.minus_identity = {
-            "G": (g_minus_i, np.ascontiguousarray(g_minus_i[:, 0].T)),
-            "H": (h_minus_i, np.ascontiguousarray(h_minus_i[:, 0].T)),
+        h_list = list(self.h_indices)
+        self.h_columns = np.ascontiguousarray(self.int6_stack[h_list].reshape(-1, 6).T)
+        self.minus_identity = self.int6_stack - ident6  # g - I for every g in G
+        self._acting = {
+            name: ActingGroup(ids, members, m, np.ascontiguousarray(m[:, 0].T))
+            for name, ids, members, m in (
+                ("G", tuple(range(n)), self.g_set, self.minus_identity),
+                ("H", self.h_indices, self.h_set, self.minus_identity[h_list]),
+            )
         }
         # an involution of trace 1 has eigenvalues (1, 1, -1): a reflection;
         # one of trace -1 has (-1, -1, 1): an antireflection (Shephard and Todd 1954)
@@ -281,15 +294,12 @@ class GroupTable:
                 )
         return named
 
-    def select(self, quotient: str) -> tuple[tuple[int, ...], np.ndarray]:
-        """The element ids of G or of H, and their integer matrices in that order."""
+    def acting(self, quotient: str) -> ActingGroup:
+        """G or H, for the selector "G" or "H": the one place a selector is read."""
         try:
-            return self._selections[quotient]
+            return self._acting[quotient]
         except (KeyError, TypeError):  # TypeError: an unhashable selector
             raise ValueError(f"unknown group selector {quotient!r}; use 'G' or 'H'") from None
-
-    def subset_indices(self, quotient: str) -> tuple[int, ...]:
-        return self.select(quotient)[0]
 
     # --- subgroup machinery ------------------------------------------------
 
@@ -341,41 +351,37 @@ class GroupTable:
         return frozenset(row_g[rows[x][g_inv]] for x in s)
 
     def conjugacy_classes(self, quotient: str = "G") -> list[ConjClass]:
-        subset = self.subset_indices(quotient)
-        arr = np.asarray(subset, dtype=np.int64)
+        """The classes of G, or those lying in H, each led by its least id.
+
+        -1 is central, so conjugation by -h is conjugation by h: the classes
+        of H are the classes of G inside H, with the same representatives.
+        """
+        keep = self.acting(quotient).members
+        every = np.arange(self.size)
         seen: set[int] = set()
         classes: list[ConjClass] = []
-        for x in subset:
+        for x in range(self.size):
             if x in seen:
                 continue
-            conj = self.mul[arr, self.mul[x, self.inv[arr]]]
-            members = sorted(set(conj.tolist()))
+            members = sorted(set(self.mul[every, self.mul[x, self.inv]].tolist()))
             seen.update(members)
-            el = self.elements[x]
-            classes.append(
-                ConjClass(
-                    representative=x,
-                    members=tuple(members),
-                    element_order=el.order,
-                    det=el.det,
-                )
-            )
+            if x in keep:
+                el = self.elements[x]
+                classes.append(ConjClass(x, tuple(members), el.order, el.det))
         classes.sort(key=lambda c: (c.element_order, -c.det, c.representative))
         return classes
 
-    def normalizer(self, s: frozenset[int], quotient: str = "G") -> frozenset[int]:
-        subset = self.subset_indices(quotient)
-        out = [g for g in subset if self.conjugate_subgroup(g, s) == s]
-        return frozenset(out)
+    def normalizer(self, s: frozenset[int]) -> frozenset[int]:
+        """N_G(s); its part in H, ``normalizer(s) & h_set``, is N_H(s)."""
+        return frozenset(g for g in range(self.size) if self.conjugate_subgroup(g, s) == s)
 
-    def cyclic_subgroups(self, quotient: str = "H") -> list[tuple[frozenset[int], int]]:
-        """All cyclic subgroups of the chosen group, with a generator witness.
+    def cyclic_subgroups(self) -> list[tuple[frozenset[int], int]]:
+        """All cyclic subgroups of H, with a generator witness.
 
         Each <g> is the set of g's powers, kept by the build.
         """
-        subset = self.subset_indices(quotient)
         seen: dict[frozenset[int], int] = {}
-        for g in subset:
+        for g in self.h_indices:
             seen.setdefault(self.elements[g].powers, g)
         return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
@@ -392,7 +398,7 @@ class GroupTable:
         if "lattice" in self.derived:
             return self.derived["lattice"]
 
-        cyclic = self.cyclic_subgroups("H")
+        cyclic = self.cyclic_subgroups()
         known: set[frozenset[int]] = set()
         raw_classes: list[list[frozenset[int]]] = []
         pending: list[tuple[frozenset[int], tuple[int, ...]]] = []

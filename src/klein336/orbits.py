@@ -15,32 +15,33 @@ by the subgroup.
 Stabilizers and orbits of a torsion point n / den apply integer matrices of
 G or H to its numerators at once, in int64 or, for large denominators, in
 Python integers.  The stabilizer tests g - I, built once per group table:
-the first rows of all selected elements, kept as the columns of one (6, N)
-matrix, filter with one vector-matrix product, and the survivors are tested
-on all six rows only when an element other than the identity survives.  The
-orbit applies the 168 matrices of H, kept as one (6, 1008) matrix of their
-rows, and a G-orbit adds the negatives of those rows, since G = H x {+-1}.
-The rows pack into base-den sort keys as wide as int64 allows, all of them
-from one product of the rows with the place values of base den; one argsort
-of the first keys orders them unless two of those tie below full width,
-where one lexsort of all the keys takes over, and equal neighbouring keys
-are dropped.  An orbit is an ``Orbit``: its distinct image rows, sorted
-into coordinate order and read-only, whose points are built only when
-read.
+the first rows of all elements of G or H (``GroupTable.acting``), kept as
+the columns of one (6, N) matrix, filter with one vector-matrix product,
+and the survivors are tested on all six rows only when an element other
+than the identity survives.  The orbit applies the 168 matrices of H, kept
+as one (6, 1008) matrix of their rows, and a G-orbit adds the negatives of
+those rows, since G = H x {+-1}.  The rows pack into base-den sort keys as
+wide as int64 allows, all of them from one product of the rows with the
+place values of base den; one argsort of the first keys orders them unless
+two of those tie below full width, where one lexsort of all the keys takes
+over, and equal neighbouring keys are dropped.  An orbit is an ``Orbit``:
+its distinct image rows, sorted into coordinate order and read-only, whose
+points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
-sampled.  The generic stabilizer (``torus.generic_curve_stabilizer``,
-re-exported here) is one stacked product of the selected matrices with the
-Lambda_1 rows, then the translate test on the survivors.  Whether g p lies
-on a curve is one stacked product too, of the curve's transverse rows with
-g p - t for every g at once: it gives the setwise stabilizer of a curve and
-decides whether a point lies on the singular curve, the G-orbit of the
-kappa_3 curve (``on_singular_curve``).
+sampled.  Both curve stabilizers are computed in G; their parts in H are
+the stabilizers in H.  The generic stabilizer
+(``torus.generic_curve_stabilizer``, re-exported here) is one stacked
+product of G's matrices with the Lambda_1 rows, then the translate test on
+the survivors.  Whether g p lies on a curve is one stacked product too, of
+the curve's transverse rows with g p - t for every g at once: it gives the
+setwise stabilizer of a curve and decides whether a point lies on the
+singular curve, the G-orbit of the kappa_3 curve (``on_singular_curve``).
 
 The six special curves (the mirror, kappa_1-kappa_3, c3_axis and h4_axis)
 are one read-only record per table, ``special_curves``: each curve's locus,
-translate, generic stabilizer in G and setwise stabilizer in H, computed
+translate, generic stabilizer in G and setwise stabilizer in G, computed
 once and read by the curve strata, the singularity reports and the checks.
 
 The special loci T6, T7 and T4p take one fixed-point enumeration (one Smith
@@ -83,20 +84,19 @@ def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") ->
     """Ids of the elements of G or H that fix p, tested on g - I.
 
     g fixes p = n / den exactly when (g - I) n is 0 mod den.  The first rows
-    of the precomputed g - I of the selection, kept as the columns of one
+    of the precomputed g - I of the acting group, kept as the columns of one
     (6, N) matrix, filter every element with one vector-matrix product
-    n @ columns.  The identity comes first in both selections and fixes
-    every point, so the survivors are tested on all six rows only when
-    another element survives, which for a generic point none does.
+    n @ columns.  The identity comes first in G and in H and fixes every
+    point, so the survivors are tested on all six rows only when another
+    element survives, which for a generic point none does.
     """
-    ids, _ = table.select(quotient)
-    minus_i, first_columns = table.minus_identity[quotient]
-    moved, n, den = _moved_numerators(table, first_columns, p)
+    group = table.acting(quotient)
+    moved, n, den = _moved_numerators(table, group.first_columns, p)
     kept = (moved % den == 0).nonzero()[0]
     if len(kept) > 1:
-        moved = minus_i.take(kept, axis=0).astype(n.dtype, copy=False) @ n
+        moved = group.minus_identity.take(kept, axis=0).astype(n.dtype, copy=False) @ n
         kept = kept.compress((moved % den == 0).all(axis=1))
-    return frozenset(ids[i] for i in kept.tolist())
+    return frozenset(group.ids[i] for i in kept.tolist())
 
 
 class Orbit(Sequence):
@@ -143,8 +143,8 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
     One product of n with the (6, 1008) matrix of H's rows gives the
     H-orbit's rows, reduced to [0, den).  G is the direct product
     H x {+-1}: -I lies in G but not in H, since det(-I_3) = -1, so
-    G = H + (-I)H and (-h) p = -(h p).  The rows of the other coset are
-    den - rows, with zero entries kept at 0.
+    G = H + (-I)H and (-h) p = -(h p).  When the acting group holds -I, the
+    rows of the other coset are den - rows, with zero entries kept at 0.
 
     Rows pack into sort keys of ``width`` base-den digits each: the widest
     of 6, 3, 2 and 1 with den^width <= 2^63, and one Python-integer key for
@@ -158,10 +158,10 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
     a comparison of neighbouring keys.  No ``TorusPoint`` is built until the
     orbit is read.
     """
-    table.select(quotient)  # rejects an unknown selector
+    group = table.acting(quotient)
     moved, _, den = _moved_numerators(table, table.h_columns, p)
     rows = (moved % den).reshape(-1, 6)
-    if quotient == "G":
+    if table.minus_one in group.members:
         neg = den - rows
         neg[rows == 0] = 0
         rows = np.concatenate((rows, neg))
@@ -381,23 +381,20 @@ def _images_on_curve(
 
 
 def curve_setwise_stabilizer(
-    table: GroupTable,
-    locus: FixedLocus,
-    translate: TorusPoint,
-    quotient: str = "H",
+    table: GroupTable, locus: FixedLocus, translate: TorusPoint
 ) -> frozenset[int]:
-    """Elements mapping the curve translate + V_1 onto itself (mod the lattice).
+    """Elements of G mapping the curve translate + V_1 onto itself (mod the lattice).
 
     g maps V_1 onto itself when the transverse rows vanish on g of every
     Lambda_1 row, and then maps the curve onto itself when g t lies on it.
-    Both tests are stacked products over the selected matrices.
+    Both tests are stacked products over G's matrices.
     """
-    ids, stack = table.select(quotient)
+    stack = table.int6_stack
     rows = np.array(locus.lambda1_rows, dtype=np.int64).T
     transverse = np.array(locus.transverse_rows, dtype=np.int64)
     kept = np.flatnonzero(~np.any(transverse @ stack @ rows, axis=(1, 2)))
     on_curve = _images_on_curve(table, stack[kept], translate, locus, translate)
-    return frozenset(ids[i] for i in kept[on_curve].tolist())
+    return frozenset(kept[on_curve].tolist())
 
 
 # --- locus classification -------------------------------------------------------
@@ -434,10 +431,11 @@ def _record_for_point(
     rep_name: str | None = None,
 ) -> OrbitRecord:
     """The record of p, whose orbit under the quotient's group is orb."""
+    group = table.acting(quotient)
     stab_g = stabilizer_indices(table, p, "G")
     stab_h = stab_g & table.h_set
-    stab = stab_g if quotient == "G" else stab_h
-    group_order = len(table.subset_indices(quotient))
+    stab = stab_g & group.members
+    group_order = len(group.ids)
     if len(orb) * len(stab) != group_order:
         raise ConsistencyError(
             f"orbit-stabilizer mismatch at {p}: {len(orb)} * {len(stab)} != {group_order}"
@@ -451,7 +449,7 @@ def _record_for_point(
         rep_name=rep_name,
         orbit_size=len(orb),
         stabilizer_order=len(stab),
-        label=label_g if quotient == "G" else label_h,
+        label=label_h if stab == stab_h else label_g,  # equal subgroups, equal labels
         label_g=label_g,
         label_h=label_h,
         reflection_generated=winfo.status == "smooth",
@@ -597,9 +595,9 @@ class SingularityReport:
 class SpecialCurve:
     """One special-curve class: the curve translate + V_1 of its carrier's fixed locus.
 
-    ``generic`` is the stabilizer in G of a generic point of the curve; its
-    part in H is the stabilizer in H, since each element is tested on its
-    own.  ``setwise_h`` holds the elements of H that map the curve onto itself.
+    ``generic`` is the stabilizer in G of a generic point of the curve, and
+    ``setwise`` holds the elements of G that map the curve onto itself.  Each
+    element is tested on its own, so their parts in H are H's stabilizers.
     """
 
     name: str
@@ -607,7 +605,7 @@ class SpecialCurve:
     translate: TorusPoint
     locus: FixedLocus
     generic: frozenset[int]
-    setwise_h: frozenset[int]
+    setwise: frozenset[int]
 
 
 def special_curves(table: GroupTable) -> Mapping[str, SpecialCurve]:
@@ -624,8 +622,8 @@ def special_curves(table: GroupTable) -> Mapping[str, SpecialCurve]:
         table.derived["curves"] = MappingProxyType({
             name: SpecialCurve(
                 name, carrier, t, loci[carrier],
-                generic_curve_stabilizer(table, t, loci[carrier].lambda1_rows, "G"),
-                curve_setwise_stabilizer(table, loci[carrier], t, "H"),
+                generic_curve_stabilizer(table, loci[carrier], t),
+                curve_setwise_stabilizer(table, loci[carrier], t),
             )
             for name, carrier, t in curves
         })
@@ -634,11 +632,11 @@ def special_curves(table: GroupTable) -> Mapping[str, SpecialCurve]:
 
 def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
     """Generic-stabilizer records for every special-curve class through the action."""
-    table.select(quotient)  # rejects an unknown selector
-    ambient = table.g_set if quotient == "G" else table.h_set
+    members = table.acting(quotient).members
     out: list[CurveStratum] = []
     for c in special_curves(table).values():
-        stab = c.generic & ambient
+        stab = c.generic & members
+        setwise_h = c.setwise & table.h_set
         winfo = singularity_weights(table, stab)
         out.append(
             CurveStratum(
@@ -650,8 +648,8 @@ def curve_strata(table: GroupTable, quotient: str = "G") -> list[CurveStratum]:
                 label=table.recognize(stab),
                 reflection_generated=winfo.status == "smooth",
                 image_status=winfo.image_status(),
-                invariance_label_h=table.recognize(c.setwise_h),
-                invariance_order_h=len(c.setwise_h),
+                invariance_label_h=table.recognize(setwise_h),
+                invariance_order_h=len(setwise_h),
             )
         )
     return out
@@ -698,7 +696,8 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
                 f"(order {c.invariance_order_h}) differs from the classical D8 claim"
             )
 
-    if quotient == "G":
+    # the quotient by G, the group with reflections: one curve, one isolated point
+    if not table.reflection_set.isdisjoint(table.acting(quotient).members):
         if [c.name for c in singular_curves] != ["kappa_3"]:
             raise ConsistencyError(
                 f"unexpected singular curves {[c.name for c in singular_curves]}"
@@ -735,7 +734,7 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
             "point orbits on the singular curve with the generic transversal type are listed as ordinary, not dissident"
         )
         return SingularityReport(
-            quotient="G",
+            quotient=quotient,
             isolated=[isolated[0].to_dict()],
             curves=[c.to_dict() for c in curves],
             smooth_special_orbits=smooth_count,
@@ -751,7 +750,7 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
         "all other special orbits lie on singular curve strata of the quotient by the unimodular subgroup"
     )
     return SingularityReport(
-        quotient="H",
+        quotient=quotient,
         isolated=[r.to_dict() for r in isolated],
         curves=[c.to_dict() for c in curves],
         smooth_special_orbits=smooth_count,

@@ -241,7 +241,7 @@ def _ac7(table: GroupTable) -> list[VerifyOutcome]:
     rec_g = classify_locus(table, "T7", "G")
     rec_h = classify_locus(table, "T7", "H")
     dbl = doubling_check(table)
-    nh = table.normalizer(table.subgroup_closure([table.named["g7"]]), "H")
+    nh = table.normalizer(table.subgroup_closure([table.named["g7"]])) & table.h_set
     stab_eta = stabilizer_indices(table, eta_point(1), "H")
     ok = (
         len(t7) == 48

@@ -185,7 +185,7 @@ def apply_element(int6: Sequence[Sequence[int]], p: TorusPoint) -> TorusPoint:
 
 
 def fixed_point_count(table: GroupTable, gi: int) -> int:
-    det = int_det(table.minus_identity["G"][0][gi].tolist())
+    det = int_det(table.minus_identity[gi].tolist())
     if det == 0:
         raise ParabolicElementError(
             f"element {gi} has eigenvalue 1; its fixed locus is positive-dimensional"
@@ -239,7 +239,7 @@ def fixed_locus(table: GroupTable, elements: int | Iterable[int]) -> FixedLocus:
     are the fixed points.
     """
     ids = list(elements) if isinstance(elements, Iterable) else [elements]
-    stack = hnf_rows(table.minus_identity["G"][0][ids].reshape(-1, 6).tolist())
+    stack = hnf_rows(table.minus_identity[ids].reshape(-1, 6).tolist())
     if not stack:
         raise IdentityElementError("the identity fixes the whole torus")
     u, d, v = smith_normal_form(stack)
@@ -295,7 +295,7 @@ def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
     """The products n @ cols on p's numerators n over den, computed exactly.
 
     cols is a (6, k) matrix whose columns are rows of group matrices g or of
-    their g - I: the first rows of g - I (``GroupTable.minus_identity``),
+    their g - I: the first rows of g - I (``ActingGroup.first_columns``),
     H's rows (``GroupTable.h_columns``), or a stack of matrices passed as
     ``stack.reshape(-1, 6).T``, whose products the caller reshapes to
     (-1, 6).  int64 serves while no entry of g n - n, and so none of g n or
@@ -311,29 +311,23 @@ def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
 
 
 def generic_curve_stabilizer(
-    table: GroupTable,
-    translate: TorusPoint,
-    direction_rows: Sequence[Sequence[int]],
-    quotient: str = "G",
+    table: GroupTable, locus: FixedLocus, translate: TorusPoint
 ) -> frozenset[int]:
-    """Stabilizer of a generic point of translate + span(directions).
+    """Stabilizer in G of a generic point of the curve translate + V_1 of locus.
 
-    g fixes a generic point exactly when it fixes every direction row and the
+    g fixes a generic point exactly when it fixes every Lambda_1 row and the
     translate: (g - id)(t + s) lies in Z^6 for s in an open set only if
-    g - id vanishes on the span.  One stacked product tests the directions
-    of all selected matrices; the translate is tested on the survivors.
+    g - id vanishes on V_1.  One stacked int64 product tests the Lambda_1
+    rows of all of G's matrices: G's entries are at most 2 and those of
+    Lambda_1 at most 6 in absolute value on every fixed locus of G (a test
+    checks both), so no sum comes near 2^63.  The translate is tested on
+    the survivors.
     """
-    ids, stack = table.select(quotient)
-    rows = np.array(direction_rows, dtype=object).reshape(-1, 6).T
-    if 6 * table.int6_max_abs * max(map(abs, rows.flat), default=0) < 2**63:
-        rows = rows.astype(np.int64)
-    else:  # Python integers, as in _moved_numerators
-        stack = stack.astype(object)
-    keeps = np.all(stack @ rows == rows, axis=(1, 2))
-    kept = np.flatnonzero(keeps)
+    stack = table.int6_stack
+    rows = np.array(locus.lambda1_rows, dtype=np.int64).reshape(-1, 6).T
+    kept = np.flatnonzero(np.all(stack @ rows == rows, axis=(1, 2)))
     moved, n, den = _moved_numerators(table, stack[kept].reshape(-1, 6).T, translate)
-    fixed = kept[np.all((moved.reshape(-1, 6) - n) % den == 0, axis=1)]
-    return frozenset(ids[i] for i in fixed.tolist())
+    return frozenset(kept[np.all((moved.reshape(-1, 6) - n) % den == 0, axis=1)].tolist())
 
 
 # --- the named point registry --------------------------------------------------
@@ -401,7 +395,7 @@ def kappa_translates(table: GroupTable, gi: int | None = None) -> list[TorusPoin
     off_mirror = [
         t
         for t in nonzero
-        if not generic_curve_stabilizer(table, t, locus.lambda1_rows) & table.reflection_set
+        if not generic_curve_stabilizer(table, locus, t) & table.reflection_set
     ]
     if len(off_mirror) != 1:
         raise ConsistencyError(
@@ -436,9 +430,7 @@ def registry_point(table: GroupTable, name: str) -> TorusPoint:
         return omega_point(int(idx[0]), int(idx[1]))
     if family == "eta":
         return eta_point(int(idx))
-    if family == "kappa":
-        k = int(idx)
-        if not 0 <= k <= 3:
-            raise KeyError("kappa index must be in 0..3")
-        return kappa_translates(table)[k]
-    raise KeyError(f"unknown point name {name!r}")
+    k = int(idx)  # kappa, the last family the name pattern admits
+    if not 0 <= k <= 3:
+        raise KeyError("kappa index must be in 0..3")
+    return kappa_translates(table)[k]

@@ -305,6 +305,11 @@ def mat3_to_int6(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def group_ids(table, quotient: str) -> tuple[int, ...]:
+    """The ids of G ("G") or of its determinant-1 subgroup H ("H"), in id order."""
+    return {"G": tuple(range(table.size)), "H": table.h_indices}[quotient]
+
+
 # --- torsion points in unbounded integers ---------------------------------------
 
 
@@ -340,7 +345,7 @@ def full_stack_orbit(table, p: TorusPoint, quotient: str) -> Orbit:
     below 2^63 (one Python-integer key for object rows); the lexsort orders
     them and a comparison of neighbouring keys drops the repeats.
     """
-    _, stack = table.select(quotient)
+    stack = table.int6_stack[list(group_ids(table, quotient))]
     moved, _, den = _moved_numerators(table, stack.reshape(-1, 6).T, p)
     rows = moved.reshape(-1, 6) % den
     width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
@@ -632,7 +637,7 @@ def sampled_curve_stabilizer(
     """
     rng = random.Random(seed)
     int6s = [el.int6 for el in table.elements]
-    allowed = frozenset(table.subset_indices(quotient))
+    allowed = frozenset(group_ids(table, quotient))
     result = allowed
     for p in GENERIC_PRIMES[:samples]:
         coords = list(translate.coords)
@@ -664,7 +669,7 @@ def looped_curve_stabilizer(
     """
     return frozenset(
         g
-        for g in table.subset_indices(quotient)
+        for g in group_ids(table, quotient)
         if fixes_curve(table.elements[g].int6, direction_rows, translate)
     )
 
@@ -712,7 +717,7 @@ def projector_setwise_stabilizer(
     """Elements mapping the curve translate + V_1 onto itself, through the projector."""
     projector = AxisProjector(v1_basis)
     members = []
-    for g in table.subset_indices(quotient):
+    for g in group_ids(table, quotient):
         el = table.elements[g]
         if any(any(projector.project_eps(mat_apply(el.mat, b))) for b in v1_basis):
             continue
@@ -873,7 +878,7 @@ def fixpoint_subgroup_lattice(table) -> list[SubgroupClass]:
     known subgroup until nothing new appears; classes come from conjugating
     each subgroup by all of H.
     """
-    cyclic = table.cyclic_subgroups("H")
+    cyclic = table.cyclic_subgroups()
     gens_of: dict[frozenset[int], tuple[int, ...]] = {}
     pending: list[frozenset[int]] = []
     for sub, gen in cyclic:

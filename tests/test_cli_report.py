@@ -137,6 +137,22 @@ def test_bad_point_literal(capsys):
     assert main(["stabilizer", "--point", "zeta_9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stabilizer", "--point", "[1,2,3,4,5,6"],
+         "bad point literal: torus point literal must be bracketed: '[1,2,3,4,5,6'"),
+        (["fixed", "--matrix", '["",0,0,0,1,0,0,0,1]'], "bad matrix literal: empty QNum literal"),
+    ],
+    ids=["unclosed-point", "empty-matrix-entry"],
+)
+def test_unclosed_point_and_empty_entry_are_named(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_orbit_eta_in_h(capsys):
     assert main(["orbit", "--point", "eta_1", "--in", "H"]) == 0
     out = capsys.readouterr().out
@@ -547,6 +563,28 @@ def test_huge_literals_are_usage_errors(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() of an id of more than 4300 digits raises ValueError
+        (["fixed", "--element", "7" * 5000], "unknown element '" + "7" * 5000 + "'; use a named element"),
+        # X/7 + X/7*w, X of 4300 nines, is off the lattice, and its value has
+        # too many digits for the message of the error that says so
+        (["fixed", "--matrix", json.dumps([f"{NINES}/7+{NINES}/7*w", 0, 0, 0, 1, 0, 0, 0, 1])],
+         "matrix is not an element of the reflection group"),
+    ],
+    ids=["element-5000-digits", "matrix-entry-4300-digits"],
+)
+def test_oversized_integers_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 def test_point_literal_beyond_int64(capsys):

@@ -127,7 +127,7 @@ def _generating_pairs(table, quotient: str) -> int:
     Conjugation permutes the pairs, so a runs over class representatives,
     each counted with the size of its class.
     """
-    top = frozenset(table.subset_indices(quotient))
+    top = frozenset(oracles.group_ids(table, quotient))
     return sum(
         len(c.members) * sum(
             oracles.plain_subgroup_closure(table, [c.representative, b]) == top for b in top
@@ -239,7 +239,7 @@ def test_bounded_closure_matches_plain_bfs_in_the_lattice_build(monkeypatch):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(picks=st.lists(st.integers(0, 335), max_size=3))
 def test_bounded_closure_matches_plain_bfs(group, quotient, picks):
-    ids = group.subset_indices(quotient)
+    ids = oracles.group_ids(group, quotient)
     gens = [ids[k % len(ids)] for k in picks]
     assert group.subgroup_closure(gens) == oracles.plain_subgroup_closure(group, gens)
 
@@ -299,6 +299,9 @@ def test_h_conjugacy_classes(group):
         assert len(c.members) * centralizer_size(
             group, c.representative, group.h_indices
         ) == 168
+        # H's classes are read off G's: each is one H-class, led by its least id
+        assert c.representative == c.members[0]
+        assert {group.conjugate(h, c.representative) for h in group.h_indices} == set(c.members)
 
 
 def test_g_conjugacy_classes_pair_up(group):
@@ -410,15 +413,24 @@ def test_subgroup_members_are_conjugate(group):
 def test_normalizers(group):
     n = group.named
     g7sub = group.subgroup_closure([n["g7"]])
-    nh = group.normalizer(g7sub, "H")
+    nh = group.normalizer(g7sub) & group.h_set
     assert len(nh) == 21
     assert group.recognize(nh) == "7:3"
     whole = frozenset(range(group.size))
-    assert group.normalizer(whole, "G") == whole
+    assert group.normalizer(whole) == whole
     rho1sub = group.subgroup_closure([n["rho1"]])
-    nrho = group.normalizer(rho1sub, "H")
+    nrho = group.normalizer(rho1sub) & group.h_set
     assert len(nrho) == 8
     assert group.recognize(nrho) == "D8"
+    # on every subgroup of H: N_G(S) & H equals N_H(S) by brute force, and
+    # N_G(S) = N_H(S) x {+-1}, since -1 is central
+    rows, inv = group.mul_list, group.inv.tolist()
+    for c in group.all_subgroups_of_h():
+        for s in c.members:
+            n_h = {h for h in group.h_indices if {rows[rows[h][x]][inv[h]] for x in s} == s}
+            n_g = group.normalizer(s)
+            assert n_g & group.h_set == n_h
+            assert n_g == n_h | {group.multiply(group.minus_one, h) for h in n_h}
 
 
 def test_recognition_examples(group):

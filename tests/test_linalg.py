@@ -354,3 +354,22 @@ def test_matrix_wire_roundtrip():
     assert Mat3.from_strings(nested) == R2
     with pytest.raises(ValueError):
         Mat3.from_strings(["1", "0"])
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Mat3([[1, 0], [0, 1]]), ValueError, "Mat3 requires a 3x3 array"),
+        (
+            lambda: Mat3([[1, 0, 0], [0, 1, 0], [0, 0, "1"]]),
+            TypeError,
+            "cannot interpret '1' as a field element",
+        ),
+        (lambda: setattr(IDENTITY3, "rows", ()), AttributeError, "Mat3 is immutable"),
+    ],
+    ids=["not-3x3", "string-entry", "immutable"],
+)
+def test_mat3_guards(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

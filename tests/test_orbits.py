@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 import types
@@ -17,6 +18,7 @@ from oracles import (
     fixes_curve,
     full_stack_orbit,
     goursat_subgroups_of_g,
+    group_ids,
     looped_curve_stabilizer,
     projector_setwise_stabilizer,
     reflection_generated,
@@ -95,11 +97,12 @@ def test_stabilizer_rechecks_first_row_survivors(group, den, nums):
     p = TorusPoint([F(n, den) for n in nums])
     want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
     for quotient in ("G", "H"):
-        ids, _ = group.select(quotient)
-        _, first_columns = group.minus_identity[quotient]
+        acting = group.acting(quotient)
+        ids = acting.ids
+        assert ids == group_ids(group, quotient)
         survivors = {
             ids[i]
-            for i, row in enumerate(first_columns.T.tolist())
+            for i, row in enumerate(acting.first_columns.T.tolist())
             if sum(a * n for a, n in zip(row, nums)) % den == 0
         }
         stab = stabilizer_indices(group, p, quotient)
@@ -130,9 +133,9 @@ def test_orbit_builds_no_point_until_read(group, monkeypatch):
     [
         lambda g: stabilizer_indices(g, eta_point(1), "K"),
         lambda g: orbit_points(g, eta_point(1), "K"),
-        lambda g: g.subset_indices("K"),
+        lambda g: g.acting("K"),
     ],
-    ids=["stabilizer_indices", "orbit_points", "subset_indices"],
+    ids=["stabilizer_indices", "orbit_points", "acting"],
 )
 def test_unknown_group_selector(group, call):
     with pytest.raises(ValueError, match=r"^unknown group selector 'K'; use 'G' or 'H'$"):
@@ -398,11 +401,17 @@ def test_special_curve_record(group):
     assert [c.translate for c in curves.values()] == [ZERO_POINT, *ks[1:], ZERO_POINT, ZERO_POINT]
     for c in curves.values():
         assert c.locus == fixed_locus_structure(group, group.named[c.carrier])
+        assert c.generic == generic_curve_stabilizer(group, c.locus, c.translate)
+        assert c.setwise == curve_setwise_stabilizer(group, c.locus, c.translate)
+        # each element is tested on its own: the H-stabilizer is the part in H
+        # of the G-stabilizer
         rows = c.locus.lambda1_rows
-        # the H-stabilizer is the part in H of the G-stabilizer
         for quotient, ambient in (("G", group.g_set), ("H", group.h_set)):
-            assert c.generic & ambient == generic_curve_stabilizer(group, c.translate, rows, quotient)
-        assert c.setwise_h == curve_setwise_stabilizer(group, c.locus, c.translate, "H")
+            assert c.generic & ambient == looped_curve_stabilizer(group, c.translate, rows, quotient)
+    kappa_3 = curves["kappa_3"]
+    assert len(kappa_3.setwise) == 16 and group.recognize(kappa_3.setwise) == "±D8"
+    setwise_h = kappa_3.setwise & group.h_set
+    assert len(setwise_h) == 8 and group.recognize(setwise_h) == "D8"
     with pytest.raises(TypeError):
         curves["kappa_3"] = curves["mirror"]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -426,6 +435,55 @@ def test_inverse_char_poly_inverts_det_one_minus_tg(group):
         for k in range(n + 1):
             product = sum((poly[j] * series[k - j] for j in range(min(k, 3) + 1)), QNum(0))
             assert product == int(k == 0)
+
+
+def _over_free_product(numerator: list[int], degrees: tuple[int, ...], n: int) -> list[int]:
+    """The coefficients up to t^n of sum_k t^k over numerator, divided by prod (1 - t^d)."""
+    series = [0] * (n + 1)
+    for k in numerator:
+        series[k] += 1
+    for d in degrees:
+        for k in range(d, n + 1):
+            series[k] += series[k - d]
+    return series
+
+
+def _free_degrees(series: list[int]) -> list[int] | None:
+    """The three degrees d_i if the truncated series is prod 1/(1 - t^d_i), else None."""
+    series, degrees = list(series), []
+    for d in range(1, len(series)):
+        if series[d] < 0 or len(degrees) + series[d] > 3:
+            return None
+        for _ in range(series[d]):
+            degrees.append(d)
+            for k in range(len(series) - 1, d - 1, -1):  # times 1 - t^d
+                series[k] -= series[k - d]
+    return degrees if len(degrees) == 3 and not any(series[1:]) else None
+
+
+def test_molien_series_of_g_and_h(group):
+    # Klein's invariants of degrees 4, 6 and 14 generate those of G freely;
+    # H adds one of degree 21, whose square lies in the ring of G
+    klein = (4, 6, 14)
+    assert orbits._averaged_series(group, group.g_set, 336) == _over_free_product([0], klein, 336)
+    assert orbits._averaged_series(group, group.h_set, 168) == _over_free_product([0, 21], klein, 168)
+
+
+def test_molien_series_certify_the_smooth_germs(group):
+    # Chevalley, Shephard and Todd: S is generated by reflections exactly when
+    # its invariants are free, and then its Molien series is prod 1/(1 - t^d_i)
+    # with prod d_i = |S| and sum (d_i - 1) its number of reflections
+    smooth = 0
+    for s in goursat_subgroups_of_g(group):
+        degrees = _free_degrees(orbits._averaged_series(group, s, len(s)))
+        free = (
+            degrees is not None
+            and math.prod(degrees) == len(s)
+            and sum(d - 1 for d in degrees) == len(s & group.reflection_set)
+        )
+        assert free == (singularity_weights(group, s).status == "smooth"), sorted(s)
+        smooth += free
+    assert smooth == 177
 
 
 def test_index2_germs_use_no_floating_point(monkeypatch):
@@ -659,7 +717,9 @@ def test_doubling(group):
 
 def test_normalizer_of_order7_subgroup(group):
     g7 = group.named["g7"]
-    nh = group.normalizer(group.subgroup_closure([g7]), "H")
+    ng = group.normalizer(group.subgroup_closure([g7]))
+    assert len(ng) == 42 and group.recognize(ng) == "±7:3"
+    nh = ng & group.h_set
     assert len(nh) == 21 and group.recognize(nh) == "7:3"
 
 
@@ -667,7 +727,7 @@ def test_generic_curve_stabilizers_seed0(group):
     rho1 = group.named["rho1"]
     axis = fixed_locus_structure(group, rho1)
     ks = kappa_translates(group)
-    stabs = [generic_curve_stabilizer(group, ks[i], axis.lambda1_rows, "G") for i in (1, 2, 3)]
+    stabs = [generic_curve_stabilizer(group, axis, ks[i]) for i in (1, 2, 3)]
     assert [group.recognize(s) for s in stabs] == ["2^2", "2^2", "C2-antirefl"]
     # the kappa_1 and kappa_2 groups are generated by two reflections each
     for s in stabs[:2]:
@@ -685,11 +745,11 @@ def test_generic_curve_stabilizers_seed0(group):
 def test_generic_axis_stabilizers(group):
     c3 = group.named["c3"]
     locus = fixed_locus_structure(group, c3)
-    s = generic_curve_stabilizer(group, ZERO_POINT, locus.lambda1_rows, "G")
+    s = generic_curve_stabilizer(group, locus, ZERO_POINT)
     assert group.recognize(s) == "S3'"
     h4 = group.named["h4"]
     locus4 = fixed_locus_structure(group, h4)
-    s4 = generic_curve_stabilizer(group, ZERO_POINT, locus4.lambda1_rows, "G")
+    s4 = generic_curve_stabilizer(group, locus4, ZERO_POINT)
     assert group.recognize(s4) == "D8'"
     assert reflection_generated(group, s) and reflection_generated(group, s4)
 
@@ -702,7 +762,7 @@ def test_generic_sampling_is_seed_stable(group):
     b = sampled_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=0)
     c = sampled_curve_stabilizer(group, k3, axis.lambda1_rows, "G", seed=7)
     assert a == b == c  # the generic stabilizer does not depend on the sample
-    assert a == generic_curve_stabilizer(group, k3, axis.lambda1_rows, "G")
+    assert a == generic_curve_stabilizer(group, axis, k3)
 
 
 def test_curve_invariance_groups(group):
@@ -710,8 +770,10 @@ def test_curve_invariance_groups(group):
     locus = fixed_locus_structure(group, rho1)
     ks = kappa_translates(group)
     for t in ks[1:]:
-        inv = curve_setwise_stabilizer(group, locus, t, "H")
-        assert len(inv) == 8 and group.recognize(inv) == "D8"
+        inv = curve_setwise_stabilizer(group, locus, t)
+        assert len(inv) == 16 and group.recognize(inv) == "±D8"
+        inv_h = inv & group.h_set
+        assert len(inv_h) == 8 and group.recognize(inv_h) == "D8"
 
 
 def test_setwise_stabilizers_of_parallel_curves(group):
@@ -724,10 +786,10 @@ def test_setwise_stabilizers_of_parallel_curves(group):
         gi = group.named[carrier]
         locus = fixed_locus_structure(group, gi)
         v1_basis = complement_fixed_locus(group, gi).v1_basis
-        keeps_v1 = curve_setwise_stabilizer(group, locus, ZERO_POINT, "G")
+        keeps_v1 = curve_setwise_stabilizer(group, locus, ZERO_POINT)
         for q in (2, 3, 5):
             t = TorusPoint([F(rng.randrange(q), q) for _ in range(6)])
-            got = curve_setwise_stabilizer(group, locus, t, "G")
+            got = curve_setwise_stabilizer(group, locus, t)
             assert got == projector_setwise_stabilizer(group, v1_basis, t, "G")
             assert got <= keeps_v1
             shrunk += got < keeps_v1
@@ -743,47 +805,48 @@ def _six_curves(group):
     ]
 
 
+# the curve stabilizers are computed in G; for H, their part in H is tested
 @pytest.mark.parametrize("quotient", ["G", "H"])
 def test_exact_curve_stabilizers_match_field_oracles(group, quotient):
+    ambient = frozenset(group_ids(group, quotient))
     for carrier, t in _six_curves(group):
         gi = group.named[carrier]
         locus = fixed_locus_structure(group, gi)
-        generic = generic_curve_stabilizer(group, t, locus.lambda1_rows, quotient)
-        assert (gi in generic) == (gi in group.subset_indices(quotient))
+        generic = generic_curve_stabilizer(group, locus, t) & ambient
+        assert (gi in generic) == (gi in ambient)
         for seed in (0, 7):
             assert sampled_curve_stabilizer(group, t, locus.lambda1_rows, quotient, seed) == generic
         v1_basis = complement_fixed_locus(group, gi).v1_basis
-        assert curve_setwise_stabilizer(group, locus, t, quotient) == projector_setwise_stabilizer(
-            group, v1_basis, t, quotient
-        )
+        setwise = curve_setwise_stabilizer(group, locus, t) & ambient
+        assert setwise == projector_setwise_stabilizer(group, v1_basis, t, quotient)
 
 
 @pytest.mark.parametrize("quotient", ["G", "H"])
 def test_stacked_curve_stabilizer_matches_element_loop(group, quotient):
+    ambient = frozenset(group_ids(group, quotient))
     for carrier, t in _six_curves(group):
-        rows = fixed_locus_structure(group, group.named[carrier]).lambda1_rows
-        stacked = generic_curve_stabilizer(group, t, rows, quotient)
-        assert stacked == looped_curve_stabilizer(group, t, rows, quotient)
+        locus = fixed_locus_structure(group, group.named[carrier])
+        stacked = generic_curve_stabilizer(group, locus, t) & ambient
+        assert stacked == looped_curve_stabilizer(group, t, locus.lambda1_rows, quotient)
         assert group.identity in stacked
-        # rows too large for int64 span the same curve: the object path
-        huge = [[x * 2**62 for x in row] for row in rows]
-        assert generic_curve_stabilizer(group, t, huge, quotient) == stacked
 
 
 @pytest.mark.parametrize("quotient", ["G", "H"])
 def test_stacked_curve_stabilizer_on_translates_beyond_int64(group, quotient):
     den = 10**20
+    ambient = frozenset(group_ids(group, quotient))
     for carrier in ("r2", "rho1", "c3", "h4"):
-        rows = fixed_locus_structure(group, group.named[carrier]).lambda1_rows
+        locus = fixed_locus_structure(group, group.named[carrier])
+        rows = locus.lambda1_rows
         on_curve = TorusPoint([F(3 * x, den) for x in rows[0]])
         generic = TorusPoint([F(k, den) for k in (1, 3, 0, 0, 0, 7)])
         for t in (on_curve, generic):
             assert t.den == den
-            stacked = generic_curve_stabilizer(group, t, rows, quotient)
+            stacked = generic_curve_stabilizer(group, locus, t) & ambient
             assert stacked == looped_curve_stabilizer(group, t, rows, quotient)
         # a translate on the curve through zero leaves its stabilizer unchanged
-        assert generic_curve_stabilizer(group, on_curve, rows, quotient) == (
-            generic_curve_stabilizer(group, ZERO_POINT, rows, quotient)
+        assert generic_curve_stabilizer(group, locus, on_curve) == (
+            generic_curve_stabilizer(group, locus, ZERO_POINT)
         )
 
 
@@ -815,9 +878,8 @@ def test_no_field_arithmetic_in_fixed_loci_and_curve_stabilizers(group, monkeypa
     assert parabolic == 140
     for carrier, t in curves:
         locus = fixed_locus_structure(group, group.named[carrier])
-        for quotient in ("G", "H"):
-            generic_curve_stabilizer(group, t, locus.lambda1_rows, quotient)
-            curve_setwise_stabilizer(group, locus, t, quotient)
+        generic_curve_stabilizer(group, locus, t)
+        curve_setwise_stabilizer(group, locus, t)
     assert counts == {}
     # the counters do see field arithmetic where it happens
     QNum(1) * QNum(0, 1) + QNum(2)
@@ -894,7 +956,7 @@ def test_stacked_mirror_test_matches_fixes_curve_loop(group):
     for rho in group.antireflections:
         locus = fixed_locus_structure(group, rho)
         for t in locus.translates:
-            stacked = generic_curve_stabilizer(group, t, locus.lambda1_rows) & group.reflection_set
+            stacked = generic_curve_stabilizer(group, locus, t) & group.reflection_set
             looped = {
                 r
                 for r in group.reflections

@@ -145,3 +145,17 @@ def test_wire_format_roundtrip_randomized():
         a = rand_qnum(rng)
         assert QNum.parse(str(a)) == a
 
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: vec3(1, 0, "w"), TypeError, "cannot interpret 'w' as a field element"),
+        (lambda: setattr(ONE, "a", 2), AttributeError, "QNum is immutable"),
+    ],
+    ids=["string-coordinate", "immutable"],
+)
+def test_qnum_guards(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,3 +186,12 @@ def test_act_matches_qnum_oracle_on_random_matrices(items, form):
     m = Mat3([items[0:3], items[3:6], items[6:9]])
     assert act(m, form) == qnum_act(m, form)
     assert act(m, klein_quartic()) == qnum_act(m, klein_quartic())
+
+
+def test_quartic_form_guards():
+    with pytest.raises(ValueError) as err:
+        QuarticForm({(3, 0, 0): QNum(1)})
+    assert str(err.value) == "not a degree-4 monomial: (3, 0, 0)"
+    with pytest.raises(AttributeError) as err:
+        klein_quartic().coeffs = {}
+    assert str(err.value) == "QuarticForm is immutable"

@@ -62,12 +62,14 @@ COMMANDS = [
     # one usage error of each kind
     (2, ["stabilizer", "--point", "[1/0,0,0,0,0,0]"]),
     (2, ["stabilizer", "--point", "[1/2,0,0]"]),
+    (2, ["stabilizer", "--point", "[1,2,3,4,5,6"]),  # not bracketed
     (2, ["stabilizer", "--point", "omega_3"]),
     (2, ["orbit", "--point", "kappa_9"]),
     (2, ["fixed", "--element", "e"]),
     (2, ["fixed", "--element", "0"]),
     (2, ["fixed", "--matrix", '["1/0",0,0,0,1,0,0,0,1]']),
     (2, ["fixed", "--matrix", "[1, 2]"]),
+    (2, ["fixed", "--matrix", '["",0,0,0,1,0,0,0,1]']),  # an empty entry
     (2, ["fixed", "--matrix", '["1/2",0,0,0,1,0,0,0,1]']),  # off the lattice
     (2, ["group", "build", "--json", "{missing}"]),
 ]

@@ -356,12 +356,14 @@ def test_joint_loci_of_every_subgroup_of_g(group):
     subgroups = goursat_subgroups_of_g(group)
     assert len(subgroups) == 547
     dims = Counter()
+    loci = []
     for s in subgroups:
         if s == {group.identity}:
             with pytest.raises(IdentityElementError):
                 fixed_locus(group, s)
             continue
         locus = fixed_locus(group, s)
+        loci.append(locus)
         field_rows = [row for g in s for row in (group.elements[g].mat - IDENTITY3).rows]
         assert locus.dim == len(kernel_K(field_rows))
         assert len(locus.lambda1_rows) == 2 * locus.dim
@@ -395,6 +397,13 @@ def test_joint_loci_of_every_subgroup_of_g(group):
                 assert s <= stabilizer_indices(group, p, "G")
     # finite sets, curves, and the 21 mirrors of C2-refl
     assert dims == {0: 364, 1: 161, 2: 21}
+    # torus.generic_curve_stabilizer multiplies G's matrices by Lambda_1 rows in
+    # int64: on every fixed locus of G, of a subgroup or of one element, the
+    # entries stay far below 2^63
+    loci += [fixed_locus(group, g) for g in range(1, group.size)]
+    assert len(loci) == 881
+    assert group.int6_max_abs == 2
+    assert max(abs(x) for locus in loci for row in locus.lambda1_rows for x in row) == 6
 
 
 def test_eps_roundtrip_on_registry_points(group):
@@ -402,3 +411,17 @@ def test_eps_roundtrip_on_registry_points(group):
     for p in pts:
         v = from_eps_coords(list(p.coords))
         assert tuple(to_eps_coords(v)) == p.coords
+
+
+def test_torus_guards(group):
+    r2 = group.named["r2"]
+    cases = [
+        (lambda: TorusPoint([0] * 5), ValueError, "torus points have 6 eps coordinates"),
+        (lambda: setattr(ZERO_POINT, "den", 2), AttributeError, "TorusPoint is immutable"),
+        (lambda: beta_point("0x11"), ValueError, "beta index must be 4 bits, got '0x11'"),
+        (lambda: enumerate_fixed_points(group, r2), ParabolicElementError, f"element {r2} is parabolic"),
+    ]
+    for make, error, message in cases:
+        with pytest.raises(error) as err:
+            make()
+        assert str(err.value) == message
