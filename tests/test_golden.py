@@ -34,6 +34,9 @@ Regenerate with:
     p="[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]"
     klein336 orbit --point "$p" --json tests/golden/orbit_den20011_generic.json > tests/golden/orbit_den20011_generic.txt
     klein336 orbit --point "$p" --in H --json tests/golden/orbit_den20011_generic_H.json > tests/golden/orbit_den20011_generic_H.txt
+    klein336 stabilizer --point "$p" --json tests/golden/stabilizer_den20011_generic.json > tests/golden/stabilizer_den20011_generic.txt
+    d=709490156681136599
+    klein336 stabilizer --point "[0,-1/$d,-1/$d,-1/$d,0,0]" --json tests/golden/stabilizer_den$d.json > tests/golden/stabilizer_den$d.txt
     p="[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
     klein336 orbit --point "$p" --json tests/golden/orbit_den20011_mirror.json > tests/golden/orbit_den20011_mirror.txt
 """
@@ -130,6 +133,9 @@ def test_fixed_outputs_match_golden(tmp_path, capsys, name):
 ORBIT_DENOMINATORS = [1009, 20011, 2097169, 10**12 + 39, 10**20]
 GENERIC_20011 = "[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]"
 MIRROR_20011 = "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
+# a denominator at the top of the int64 path, 13 den < 2^63, with numerators
+# 0 and den - 1
+BOUNDARY_INT64 = "[0,-1/709490156681136599,-1/709490156681136599,-1/709490156681136599,0,0]"
 
 
 @pytest.mark.parametrize(
@@ -159,6 +165,9 @@ MIRROR_20011 = "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
         (["orbit", "--point", GENERIC_20011], "orbit_den20011_generic"),
         (["orbit", "--point", GENERIC_20011, "--in", "H"], "orbit_den20011_generic_H"),
         (["orbit", "--point", MIRROR_20011], "orbit_den20011_mirror"),
+        # trivial stabilizers: a generic point, and one at the int64 boundary
+        (["stabilizer", "--point", GENERIC_20011], "stabilizer_den20011_generic"),
+        (["stabilizer", "--point", BOUNDARY_INT64], "stabilizer_den709490156681136599"),
     ],
 )
 def test_point_outputs_match_golden(tmp_path, capsys, argv, name):
