@@ -55,6 +55,8 @@ R3 = Mat3(
 C = Mat3([[0, 0, -1], [-1, 0, 0], [0, -1, 0]])
 # the eps-basis matrix of w * I: tr g = a + b*w gives tr(int6) = 2a + b, tr(_W6 int6) = a - 3b
 _W6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
+# the covector l of the stabilizer filter (``ActingGroup``): only the identity fixes it
+_FILTER_COVECTOR = (-1, 0, 0, 1, -1, 1)
 
 
 class GroupConstructionError(RuntimeError):
@@ -89,15 +91,23 @@ class GroupElement:
 class ActingGroup:
     """G or H as it acts, from ``GroupTable.acting``.
 
-    Its ids in id order and as a set, their g - I, and the first rows of
-    those as the columns of one C-contiguous (6, N) matrix, so that one
-    vector-matrix product n @ first_columns filters a point's stabilizer.
+    Its ids in id order, as an array and as a set, their g - I, and the rows
+    l (g - I) of the covector l = ``_FILTER_COVECTOR`` as the columns of one
+    C-contiguous (6, N) matrix, so that one vector-matrix product
+    n @ filter_columns filters a point's stabilizer.  Only the identity
+    fixes l, so only the identity's row vanishes, and a non-stabilizing g
+    passes the filter only when l (g - I) n is 0 mod den: about once in den.
+    The positive entries of each row sum to at most 10, and so do the
+    absolute values of the negative ones; numerators lie in [0, den), so
+    |l (g - I) n| < 10 den.  The build checks both facts, and the second
+    keeps the filter under the int64 bound of ``torus._moved_numerators``,
+    (6 max|int6| + 1) den = 13 den.
     """
 
-    ids: tuple[int, ...]
+    ids: np.ndarray
     members: frozenset[int]
     minus_identity: np.ndarray
-    first_columns: np.ndarray
+    filter_columns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -226,11 +236,22 @@ class GroupTable:
         h_list = list(self.h_indices)
         self.h_columns = np.ascontiguousarray(self.int6_stack[h_list].reshape(-1, 6).T)
         self.minus_identity = self.int6_stack - ident6  # g - I for every g in G
+        # the stabilizer filter's rows l (g - I), and the two facts ActingGroup states
+        filter_rows = np.array(_FILTER_COVECTOR, dtype=np.int64) @ self.minus_identity
+        fixing = (~filter_rows.any(axis=1)).nonzero()[0].tolist()
+        if fixing != [0]:
+            raise GroupConstructionError(f"the filter covector is fixed by elements {fixing}")
+        # the largest sum of a row's positive entries or of its negative entries' sizes
+        signed = int(np.maximum(np.stack((filter_rows, -filter_rows)), 0).sum(axis=2).max())
+        if signed > 6 * self.int6_max_abs + 1:
+            raise GroupConstructionError(
+                f"the filter's signed row bound {signed} exceeds 6 max|int6| + 1"
+            )
         self._acting = {
-            name: ActingGroup(ids, members, m, np.ascontiguousarray(m[:, 0].T))
-            for name, ids, members, m in (
-                ("G", tuple(range(n)), self.g_set, self.minus_identity),
-                ("H", self.h_indices, self.h_set, self.minus_identity[h_list]),
+            name: ActingGroup(ids, members, m, np.ascontiguousarray(rows.T))
+            for name, ids, members, m, rows in (
+                ("G", np.arange(n), self.g_set, self.minus_identity, filter_rows),
+                ("H", np.array(h_list), self.h_set, self.minus_identity[h_list], filter_rows[h_list]),
             )
         }
         # an involution of trace 1 has eigenvalues (1, 1, -1): a reflection;

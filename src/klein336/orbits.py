@@ -15,18 +15,19 @@ by the subgroup.
 Stabilizers and orbits of a torsion point n / den apply integer matrices of
 G or H to its numerators at once, in int64 or, for large denominators, in
 Python integers.  The stabilizer tests g - I, built once per group table:
-the first rows of all elements of G or H (``GroupTable.acting``), kept as
-the columns of one (6, N) matrix, filter with one vector-matrix product,
-and the survivors are tested on all six rows only when an element other
-than the identity survives.  The orbit applies the 168 matrices of H, kept
-as one (6, 1008) matrix of their rows, and a G-orbit adds the negatives of
-those rows, since G = H x {+-1}.  The rows pack into base-den sort keys as
-wide as int64 allows, all of them from one product of the rows with the
-place values of base den; one argsort of the first keys orders them unless
-two of those tie below full width, where one lexsort of all the keys takes
-over, and equal neighbouring keys are dropped.  An orbit is an ``Orbit``:
-its distinct image rows, sorted into coordinate order and read-only, whose
-points are built only when read.
+the rows l (g - I) of one covector l that only the identity fixes, for all
+elements of G or H (``GroupTable.acting``), kept as the columns of one
+(6, N) matrix, filter with one vector-matrix product, and the survivors
+are tested on all six rows only when an element other than the identity
+survives, for a generic point about once in den.  The orbit applies the 168
+matrices of H, kept as one (6, 1008) matrix of their rows, and a G-orbit
+adds the negatives of those rows, since G = H x {+-1}.  The rows pack into
+base-den sort keys as wide as int64 allows, all of them from one product of
+the rows with the place values of base den; one argsort of the first keys
+orders them unless two of those tie below full width, where one lexsort of
+all the keys takes over, and equal neighbouring keys are dropped.  An orbit
+is an ``Orbit``: its distinct image rows, sorted into coordinate order and
+read-only, whose points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
@@ -79,24 +80,29 @@ from .torus import (
 
 # --- stabilizers and orbits ---------------------------------------------------
 
+_ONES6 = np.ones(6, dtype=np.int64)
+
 
 def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
     """Ids of the elements of G or H that fix p, tested on g - I.
 
-    g fixes p = n / den exactly when (g - I) n is 0 mod den.  The first rows
-    of the precomputed g - I of the acting group, kept as the columns of one
-    (6, N) matrix, filter every element with one vector-matrix product
-    n @ columns.  The identity comes first in G and in H and fixes every
-    point, so the survivors are tested on all six rows only when another
-    element survives, which for a generic point none does.
+    g fixes p = n / den exactly when (g - I) n is 0 mod den.  The rows
+    l (g - I) of one covector l that only the identity fixes, kept as the
+    columns of one (6, N) matrix (``ActingGroup.filter_columns``), filter
+    every element with one vector-matrix product n @ columns.  A g that
+    moves p survives only when l (g - I) n is 0 mod den, about once in den,
+    so for a generic point the identity, which comes first in G and in H,
+    mostly survives alone.  When others survive, all six rows of their g - I
+    are tested: after % den every entry lies in [0, den), so a row is 0 mod
+    den exactly when its entries sum to 0.
     """
     group = table.acting(quotient)
-    moved, n, den = _moved_numerators(table, group.first_columns, p)
+    moved, n, den = _moved_numerators(table, group.filter_columns, p)
     kept = (moved % den == 0).nonzero()[0]
     if len(kept) > 1:
         moved = group.minus_identity.take(kept, axis=0).astype(n.dtype, copy=False) @ n
-        kept = kept.compress((moved % den == 0).all(axis=1))
-    return frozenset(group.ids[i] for i in kept.tolist())
+        kept = kept.compress((moved % den) @ _ONES6 == 0)
+    return frozenset(group.ids.take(kept).tolist())
 
 
 class Orbit(Sequence):

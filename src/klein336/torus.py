@@ -294,13 +294,19 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
 def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
     """The products n @ cols on p's numerators n over den, computed exactly.
 
-    cols is a (6, k) matrix whose columns are rows of group matrices g or of
-    their g - I: the first rows of g - I (``ActingGroup.first_columns``),
-    H's rows (``GroupTable.h_columns``), or a stack of matrices passed as
+    cols is a (6, k) matrix whose columns are rows of group matrices g, of
+    their g - I, or of l (g - I) for the stabilizer filter's covector l:
+    the filter rows (``ActingGroup.filter_columns``), H's rows
+    (``GroupTable.h_columns``), or a stack of matrices passed as
     ``stack.reshape(-1, 6).T``, whose products the caller reshapes to
-    (-1, 6).  int64 serves while no entry of g n - n, and so none of g n or
-    (g - I) n, can reach 2^63; larger denominators use Python integers in
-    object arrays, through the same numpy operations.
+    (-1, 6).  Numerators lie in [0, den).  int64 serves while no entry of
+    g n - n, and so none of g n or (g - I) n, can reach 2^63: each row of
+    g - I has absolute sum at most 6 max|int6| + 1.  A filter row's positive
+    entries sum to at most that bound, and so do its negative entries'
+    sizes (the group build checks it), so |l (g - I) n| stays below it
+    times den as well, though the row's absolute sum may not.  Larger
+    denominators use Python integers in object arrays, through the same
+    numpy operations.
     """
     nums, den = p.nums, p.den
     if (6 * table.int6_max_abs + 1) * den < 2**63:
@@ -418,19 +424,22 @@ def registry_point(table: GroupTable, name: str) -> TorusPoint:
     if not m:
         raise KeyError(f"unknown point name {name!r}")
     family, idx = m.group(1), m.group(2)
+    # every family's indices have at most two digits: a longer index is out
+    # of range, and is not converted (Python refuses over 4300 digits)
+    digits = idx.lstrip("0") or "0"
+    k = int(digits) if len(digits) <= 2 else 100
     if family == "xi":
-        return xi_point(int(idx))
+        return xi_point(k)
     if family == "beta":
         if len(idx) == 4 and set(idx) <= {"0", "1"}:
             return beta_point(idx)
-        return beta_point(int(idx))
+        return beta_point(k)
     if family == "omega":
         if len(idx) != 2:
             raise KeyError(f"omega index must be two bits, got {idx!r}")
         return omega_point(int(idx[0]), int(idx[1]))
     if family == "eta":
-        return eta_point(int(idx))
-    k = int(idx)  # kappa, the last family the name pattern admits
-    if not 0 <= k <= 3:
+        return eta_point(k)
+    if not 0 <= k <= 3:  # kappa, the last family the name pattern admits
         raise KeyError("kappa index must be in 0..3")
     return kappa_translates(table)[k]

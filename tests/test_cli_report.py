@@ -577,8 +577,20 @@ NINES = "9" * 4300
         # too many digits for the message of the error that says so
         (["fixed", "--matrix", json.dumps([f"{NINES}/7+{NINES}/7*w", 0, 0, 0, 1, 0, 0, 0, 1])],
          "matrix is not an element of the reflection group"),
+        # a registry index of 5000 digits is out of its family's range
+        (["stabilizer", "--point", "beta_" + "9" * 5000], "beta index must be in 0..15"),
+        (["stabilizer", "--point", "xi_" + "9" * 5000], "half-period index must be in 0..63"),
+        (["orbit", "--point", "eta_" + "9" * 5000], "eta index must be in 0..6"),
+        (["stabilizer", "--point", "kappa_" + "9" * 5000], "kappa index must be in 0..3"),
     ],
-    ids=["element-5000-digits", "matrix-entry-4300-digits"],
+    ids=[
+        "element-5000-digits",
+        "matrix-entry-4300-digits",
+        "beta-5000-digits",
+        "xi-5000-digits",
+        "eta-5000-digits",
+        "kappa-5000-digits",
+    ],
 )
 def test_oversized_integers_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2

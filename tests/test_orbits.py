@@ -26,7 +26,7 @@ from oracles import (
     swept_locus_points,
 )
 from klein336 import orbits
-from klein336.group import _W6, R1, R2, R3, GroupTable
+from klein336.group import _FILTER_COVECTOR, _W6, R1, R2, R3, GroupTable
 from klein336.linalg import IDENTITY3, mat3_to_int6
 from klein336.orbits import (
     ConsistencyError,
@@ -83,31 +83,85 @@ def test_stabilizer_matches_exact_application(group):
             assert fixes == (i in stab)
 
 
-@pytest.mark.parametrize(
-    "den, nums",
-    [
-        (5, [1, 0, 0, 0, 2, 3]),  # int64 rows
-        (10**20 + 39, [99999876543210987694, 123456789012345, 0, 1, 2, 10**20 + 37]),
-    ],
-    ids=["int64", "python-int"],
-)
-def test_stabilizer_rechecks_first_row_survivors(group, den, nums):
-    # elements other than the identity pass the first-row filter yet move
-    # the point, so the six-row test runs and rejects them, in G and in H
+def _filter_rows(group):
+    """l (g - I) for every g in G, from the covector and the element matrices."""
+    cov = np.array(_FILTER_COVECTOR, dtype=object)
+    return [(cov @ (np.array(el.int6, dtype=object) - np.eye(6, dtype=int))).tolist() for el in group.elements]
+
+
+@pytest.mark.parametrize("den", [1009, 10**20 + 39], ids=["int64", "python-int"])
+def test_stabilizer_rechecks_filter_survivors(group, den):
+    # a point on which g7 (in H) passes the filter, l (g7 - I) n = 0 mod den,
+    # yet which g7 moves: the six-row test runs and rejects it, in G and in H
+    row = _filter_rows(group)[group.named["g7"]]
+    rng = random.Random(den)
+    nums = [rng.randrange(den) for _ in range(6)]
+    j = next(i for i, a in enumerate(row) if a)
+    nums[j] = 0
+    nums[j] = -sum(a * n for a, n in zip(row, nums)) * pow(row[j], -1, den) % den
     p = TorusPoint([F(n, den) for n in nums])
+    assert p.nums == tuple(nums) and p.den == den
+    assert (p.den * 13 < 2**63) == (den == 1009)
     want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
+    assert group.named["g7"] not in want
     for quotient in ("G", "H"):
         acting = group.acting(quotient)
-        ids = acting.ids
-        assert ids == group_ids(group, quotient)
+        ids = acting.ids.tolist()
+        assert ids == list(group_ids(group, quotient))
         survivors = {
             ids[i]
-            for i, row in enumerate(acting.first_columns.T.tolist())
-            if sum(a * n for a, n in zip(row, nums)) % den == 0
+            for i, col in enumerate(acting.filter_columns.T.tolist())
+            if sum(a * n for a, n in zip(col, nums)) % den == 0
         }
         stab = stabilizer_indices(group, p, quotient)
+        assert group.named["g7"] in survivors
         assert stab == want & frozenset(ids)
         assert stab < survivors
+
+
+def test_filter_rows_vanish_only_at_the_identity(group):
+    rows = _filter_rows(group)
+    for quotient in ("G", "H"):
+        acting = group.acting(quotient)
+        cols = acting.filter_columns
+        assert cols.shape == (6, len(acting.ids)) and cols.flags.c_contiguous
+        assert cols.T.tolist() == [rows[i] for i in acting.ids.tolist()]
+        assert (~cols.any(axis=0)).nonzero()[0].tolist() == [0]
+
+
+def test_filter_signed_bound_keeps_the_int64_guard(group):
+    # |l (g - I) n| < bound * den for numerators in [0, den): within 13 den
+    rows = _filter_rows(group)
+    bound = max(max(sum(a for a in r if a > 0), -sum(a for a in r if a < 0)) for r in rows)
+    assert bound == 10 <= 6 * group.int6_max_abs + 1 == 13
+    # the absolute sums exceed 13, so only the signed bound keeps the guard
+    assert max(sum(map(abs, r)) for r in rows) == 16
+
+
+def test_generic_point_keeps_only_the_identity_after_the_filter(group):
+    nums, den = [3, 1000, 4567, 12345, 777, 19000], 20011
+    for quotient in ("G", "H"):
+        cols = group.acting(quotient).filter_columns
+        assert ((np.array(nums) @ cols) % den == 0).nonzero()[0].tolist() == [0]
+        assert stabilizer_indices(group, TorusPoint([F(n, den) for n in nums]), quotient) == {0}
+
+
+def test_filter_at_the_int64_boundary(group):
+    # a denominator at the top of the int64 path, and numerators 0 and den - 1
+    # that give the element reaching the signed bound its largest filter
+    # product, 10 (den - 1)
+    den = 2**63 // 13 - 1
+    rows = _filter_rows(group)
+    signed = [max(sum(a for a in r if a > 0), -sum(a for a in r if a < 0)) for r in rows]
+    g = signed.index(10)
+    sign = 1 if sum(a for a in rows[g] if a > 0) == 10 else -1
+    nums = [den - 1 if sign * a > 0 else 0 for a in rows[g]]
+    assert abs(sum(a * n for a, n in zip(rows[g], nums))) == 10 * (den - 1)
+    p = TorusPoint([F(n, den) for n in nums])
+    assert p.den == den and (6 * group.int6_max_abs + 1) * (den + 1) < 2**63
+    want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
+    assert stabilizer_indices(group, p, "G") == want
+    assert stabilizer_indices(group, p, "H") == want & group.h_set
 
 
 def test_orbit_builds_no_point_until_read(group, monkeypatch):

@@ -292,6 +292,8 @@ def test_registry_point_names(group):
     assert registry_point(group, "omega_10") == omega_point(1, 0)
     assert registry_point(group, "eta_4") == eta_point(4)
     assert registry_point(group, "kappa_3") == kappa_translates(group)[3]
+    # leading zeros do not count toward an index's length
+    assert registry_point(group, "eta_" + "0" * 5000 + "4") == eta_point(4)
     with pytest.raises(KeyError):
         registry_point(group, "zeta_1")
 
