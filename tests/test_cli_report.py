@@ -1,9 +1,11 @@
 import dataclasses
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -328,27 +330,84 @@ INTERNAL_ERRORS = [
 ]
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("error", INTERNAL_ERRORS, ids=lambda e: type(e).__name__)
 @pytest.mark.parametrize(
     "target, argv",
     [
-        ("singularity_report", ["singularities", "--quotient", "G"]),
+        pytest.param("cli.singularity_report", ["singularities", "--quotient", "G"], id="singularity_report-argv0"),
         # the CLI reads the stabilizer's elements and flags from the table itself
-        pytest.param("stabilizer_indices", ["stabilizer", "--point", "beta_0011"], id="stabilizer-argv1"),
+        pytest.param("cli.stabilizer_indices", ["stabilizer", "--point", "beta_0011"], id="stabilizer-argv1"),
+        # raised in the forked child that computes AC14, and raised again in the parent
+        pytest.param("report._ac14", ["verify"], id="ac14-in-the-child"),
     ],
 )
 def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv):
-    import klein336.cli as cli_mod
-
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli_mod, target, fail)
+    monkeypatch.setattr(f"klein336.{target}", fail)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in captured.err
+    _no_child_left()
+
+
+def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, capsys):
+    def exit_5(table, seed):
+        os._exit(5)
+
+    monkeypatch.setattr(report, "_ac14", exit_5)
+    assert main(["verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: ConsistencyError: the forked child computing exit_5 "
+        "ended without a result, exit status 5\n"
+    )
+    _no_child_left()
+
+
+def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(monkeypatch, capsys):
+    def fail(table):
+        raise ConsistencyError("AC10 broke")
+
+    # a child that would outlive the test unless the parent kills it
+    monkeypatch.setattr(report, "_ac14", lambda table, seed: time.sleep(600))
+    monkeypatch.setattr(report, "_ac10", fail)
+    start = time.monotonic()
+    assert main(["verify"]) == 3
+    assert time.monotonic() - start < 60
+    assert capsys.readouterr().err == "internal error: ConsistencyError: AC10 broke\n"
+    _no_child_left()
+
+
+def test_verify_writes_its_stdout_once(monkeypatch, capfd, verify_outcomes):
+    # text still in a block-buffered stdout when the child is forked is written
+    # once: the child leaves by os._exit and flushes nothing it inherited
+    stdout = io.TextIOWrapper(open(os.dup(1), "wb"), write_through=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("header")
+    assert main(["verify"]) == 0
+    stdout.close()
+    lines = [f"{o.status.upper():18s} {o.name}" for o in verify_outcomes]
+    summary = "14 passed, 0 failed, 3 paper discrepancies"
+    assert capfd.readouterr().out == "\n".join(["header", *lines, summary]) + "\n"
+    _no_child_left()
+
+
+def test_verify_bytes_are_the_same_with_and_without_fork(group, monkeypatch):
+    forked = run_verify(group, seed=0)
+    monkeypatch.delattr(os, "fork")
+    in_process = run_verify(group, seed=0)
+    for fmt in ("json", "tsv"):
+        assert emit_report(in_process, fmt) == emit_report(forked, fmt)
 
 
 def _fresh_klein336_modules(code: str) -> set[str]:

@@ -149,6 +149,26 @@ def test_hall_eulerian_function_certifies_both_lattices(group):
         assert mu_trivial == 0
 
 
+def test_hall_eulerian_function_holds_below_every_subgroup_class_of_h(group):
+    # Hall's identity on each interval [1, L]: sum over K <= L of mu(K, L) |K|^2
+    # = phi_2(L), for a representative L of each proper class, with phi_2(L)
+    # counted by plain closures over L x L (2092 pairs in all)
+    subs_h = [k for c in group.all_subgroups_of_h() for k in c.members]
+    found = []
+    for c in group.all_subgroups_of_h():
+        top = c.representative
+        if len(top) == 168:
+            continue  # H itself: the test above
+        total, _ = _moebius_sum([k for k in subs_h if k <= top], top)
+        pairs = sum(oracles.plain_subgroup_closure(group, [a, b]) == top for a in top for b in top)
+        assert total == pairs
+        found.append((c.structure, pairs))
+    assert found == [
+        ("2^2:S3", 216), ("2^2:S3", 216), ("7:3", 336), ("A4", 96), ("A4", 96), ("D8", 24),
+        ("7", 48), ("S3", 18), ("2^2", 6), ("2^2", 6), ("4", 12), ("3", 8), ("2", 3), ("1", 1),
+    ]
+
+
 def test_columns_are_half_roots(group):
     root_keys = {tuple((q.x, q.y) for q in e) for e in roots()}
     for el in group.elements:

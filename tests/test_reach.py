@@ -3,7 +3,9 @@
 The package's import, a fixed list of ``cli.main`` argv run in process, and
 the point query of ``perfbench/points.py`` on its special points all run under a global
 trace function that records the code object of each call and returns None,
-so no line is traced.  Each ``def`` in the package must have been entered,
+so no line is traced.  ``os.fork`` is removed while they run, so ``verify``
+computes AC14 in this process, where the trace function sees it, and not in
+a forked child.  Each ``def`` in the package must have been entered,
 except the entries of ALLOWED, each with its reason.  A function that only
 tests call is deleted, with the tests whose only subject it is.
 """
@@ -11,6 +13,7 @@ tests call is deleted, with the tests whose only subject it is.
 import ast
 import functools
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -134,6 +137,8 @@ def test_every_function_is_reached(tmp_path, monkeypatch, capsys):
                     fresh[id(obj)] = functools.lru_cache(maxsize=None)(obj.__wrapped__)
                 monkeypatch.setattr(module, attr, fresh[id(obj)])
 
+    # verify's in-process path, which runs every function that its forked path runs
+    monkeypatch.delattr(os, "fork")
     entered = set()
 
     def trace(frame, event, arg):
