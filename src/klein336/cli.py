@@ -88,6 +88,8 @@ def _parse_element(table: GroupTable, args) -> int:
         mat = Mat3.from_strings(entries)
     except ZeroDivisionError as exc:
         raise UsageError("bad matrix literal: a denominator is zero") from exc
+    except RecursionError as exc:  # json.loads, on brackets nested past the recursion limit
+        raise UsageError("bad matrix literal: nested too deeply") from exc
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad matrix literal: {exc}") from exc
     try:

@@ -287,8 +287,6 @@ class GroupTable:
         return rows[rows[g][x]][int(self.inv[g])]
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(int(self.inv[i]), -k)
         rows = self.mul_list
         acc = self.identity
         for _ in range(k):

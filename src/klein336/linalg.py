@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .qfield import ALPHA, ALPHA_BAR, CVec3, ONE, QNum, ZERO, vec3, vscale
+from .qfield import ALPHA, ALPHA_BAR, CVec3, ONE, QNum, ZERO, _as_qnum, vec3, vscale
 
 IntMat = list[list[int]]
 
@@ -51,7 +51,7 @@ class Mat3:
         object.__setattr__(
             self,
             "rows",
-            tuple(tuple(_q(v) for v in row) for row in rows),
+            tuple(tuple(_as_qnum(v) for v in row) for row in rows),
         )
 
     def __setattr__(self, name, value):
@@ -88,7 +88,7 @@ class Mat3:
         )
 
     def scale(self, s) -> Mat3:
-        s = _q(s)
+        s = _as_qnum(s)
         return Mat3([[s * v for v in row] for row in self.rows])
 
     def det(self) -> QNum:
@@ -129,14 +129,6 @@ def _entry(v: str | int) -> QNum:
     if type(v) is int:
         return QNum(v)
     raise TypeError(f"matrix entries must be strings or integers, got {v!r}")
-
-
-def _q(v) -> QNum:
-    if isinstance(v, QNum):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return QNum(v)
-    raise TypeError(f"cannot interpret {v!r} as a field element")
 
 
 IDENTITY3 = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -364,7 +356,8 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def hnf_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Membership of an integer vector in the row lattice given by its HNF.
+    """Membership of an integer vector in the row lattice given by its HNF,
+    as ``hnf_rows`` returns it, with no zero row.
 
     Raises ValueError when a basis row and the vector differ in width.
     """
@@ -373,12 +366,8 @@ def hnf_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     for row in basis:
         if len(row) != width:
             raise ValueError(f"a basis row has width {len(row)}, the vector {width}")
-        for c, p in enumerate(row):
-            if p:
-                break
-        else:
-            continue
-        q, r = divmod(v[c], p)
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
         if r:
             return False
         if q:

@@ -125,9 +125,7 @@ class Orbit(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [TorusPoint(row, self.den) for row in self.rows[i].tolist()]
+    def __getitem__(self, i: int) -> TorusPoint:
         return TorusPoint(self.rows[i].tolist(), self.den)
 
     def __iter__(self):

@@ -72,29 +72,17 @@ class QNum:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QNum):
             return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, int):
-            return self.b == 0 and self.d == 1 and self.a == other
-        if isinstance(other, Fraction):
-            return (
-                self.b == 0
-                and self.d == other.denominator
-                and self.a == other.numerator
-            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:  # equal to a rational, so hash as that rational does
-            return hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
-    def __add__(self, other: QNum | Rational) -> QNum:
+    def __add__(self, other: QNum) -> QNum:
         if type(other) is not QNum:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         d1, d2 = self.d, other.d
         if d1 == d2:
             if d1 == 1:
@@ -102,13 +90,9 @@ class QNum:
             return _reduced(self.a + other.a, self.b + other.b, d1)
         return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: QNum | Rational) -> QNum:
+    def __sub__(self, other: QNum) -> QNum:
         if type(other) is not QNum:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         d1, d2 = self.d, other.d
         if d1 == d2:
             if d1 == 1:
@@ -119,11 +103,9 @@ class QNum:
     def __neg__(self) -> QNum:
         return _raw(-self.a, -self.b, self.d)
 
-    def __mul__(self, other: QNum | Rational) -> QNum:
+    def __mul__(self, other: QNum) -> QNum:
         if type(other) is not QNum:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         # (a1 + b1 w)(a2 + b2 w) with w^2 = w - 2
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         bb = b1 * b2
@@ -131,8 +113,6 @@ class QNum:
         if d == 1:
             return _raw(a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb, 1)
         return _reduced(a1 * a2 - 2 * bb, a1 * b2 + b1 * a2 + bb, d)
-
-    __rmul__ = __mul__
 
     def conj(self) -> QNum:
         """Complex conjugate: conj(x + y*w) = (x + y) - y*w."""
@@ -207,14 +187,6 @@ def _reduced(a: int, b: int, d: int) -> QNum:
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 
 
-def _coerce(value) -> QNum | None:
-    if isinstance(value, QNum):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QNum(value)
-    return None
-
-
 ZERO = QNum(0)
 ONE = QNum(1)
 MINUS_ONE = QNum(-1)
@@ -234,11 +206,12 @@ def vec3(a, b, c) -> CVec3:
     return (_as_qnum(a), _as_qnum(b), _as_qnum(c))
 
 
-def _as_qnum(v) -> QNum:
-    q = _coerce(v)
-    if q is None:
-        raise TypeError(f"cannot interpret {v!r} as a field element")
-    return q
+def _as_qnum(v: QNum | Rational) -> QNum:
+    if isinstance(v, QNum):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return QNum(v)
+    raise TypeError(f"cannot interpret {v!r} as a field element")
 
 
 def vscale(s: QNum | Rational, u: CVec3) -> CVec3:

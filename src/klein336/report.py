@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
-from .group import GroupTable, get_group, roots
+from .group import GroupTable, roots
 from .linalg import (
     IDENTITY3,
     hnf_contains,
@@ -673,7 +673,7 @@ class _Forked:
             self.pipe.close()
 
 
-def run_verify(table: GroupTable | None = None, seed: int = 0) -> list[VerifyOutcome]:
+def run_verify(table: GroupTable, seed: int = 0) -> list[VerifyOutcome]:
     """Run the complete acceptance suite and return its outcomes in order.
 
     AC14 does not depend on the other checks, so where ``os.fork`` exists it
@@ -682,8 +682,6 @@ def run_verify(table: GroupTable | None = None, seed: int = 0) -> list[VerifyOut
     The child is reaped before this returns or raises, and an exception it
     raised is raised here with the same type and message.
     """
-    if table is None:
-        table = get_group()
     outcomes: list[VerifyOutcome] = []
     with _Forked(_ac14, table, seed) as ac14:
         outcomes += _ac1(table)

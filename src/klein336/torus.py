@@ -34,6 +34,7 @@ import numpy as np
 
 from .group import GroupTable
 from .linalg import hnf_rows, int_det, smith_normal_form
+from .qfield import _frac_str
 
 
 class ConsistencyError(RuntimeError):
@@ -134,7 +135,7 @@ class TorusPoint:
         return self.den == 1
 
     def __str__(self) -> str:
-        return "[" + ",".join(_frac(c) for c in self.coords) + "]"
+        return "[" + ",".join(_frac_str(c) for c in self.coords) + "]"
 
     def __repr__(self) -> str:
         return f"TorusPoint({self})"
@@ -170,10 +171,6 @@ def _point(nums: Sequence[int], m: int) -> TorusPoint:
 
 
 ZERO_POINT = TorusPoint([0] * 6)
-
-
-def _frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def apply_element(int6: Sequence[Sequence[int]], p: TorusPoint) -> TorusPoint:

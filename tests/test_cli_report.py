@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import klein336
 import oracles
@@ -410,6 +413,29 @@ def test_verify_bytes_are_the_same_with_and_without_fork(group, monkeypatch):
         assert emit_report(in_process, fmt) == emit_report(forked, fmt)
 
 
+def _threads() -> int:
+    """This process's thread count, from the Threads line of /proc/self/status."""
+    line = next(x for x in Path("/proc/self/status").read_text().splitlines() if x.startswith("Threads:"))
+    return int(line.split()[1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status (Linux)")
+def test_verify_forks_while_single_threaded(group, monkeypatch):
+    # CPython 3.12 and later warn when a process that runs other threads forks;
+    # numpy's BLAS pool must be stopped, as OpenBLAS's fork handler stops it
+    fork, counts = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            counts.append(_threads())
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    run_verify(group, seed=0)
+    assert counts == [1]
+
+
 def _fresh_klein336_modules(code: str) -> set[str]:
     """The klein336 modules that ``code`` leaves loaded in a fresh interpreter."""
     src = str(Path(klein336.__file__).parents[1])
@@ -614,8 +640,17 @@ def test_zero_denominator_is_named(argv, message, capsys):
         # coordinates would exceed the integer-to-string limit of 4300 digits
         (["orbit", "--point", "[" + ",".join(f"1/{10**3000 + k}" for k in (1, 3, 7, 9, 13, 19)) + "]"],
          f"bad point literal: the point's order has more than {sys.get_int_max_str_digits()} digits"),
+        # json.loads recurses once per bracket, past the recursion limit
+        (["fixed", "--matrix", "[" * 5000 + "]" * 5000], "bad matrix literal: nested too deeply"),
     ],
-    ids=["stabilizer-1e-5000", "orbit-3e-4400", "stabilizer-1e-10000000", "fixed-1e5000", "orbit-18006-digits"],
+    ids=[
+        "stabilizer-1e-5000",
+        "orbit-3e-4400",
+        "stabilizer-1e-10000000",
+        "fixed-1e5000",
+        "orbit-18006-digits",
+        "fixed-nested-5000-deep",
+    ],
 )
 def test_huge_literals_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2
@@ -711,3 +746,54 @@ def test_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
         assert main(argv + [str(target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+# fragments that the point, matrix and element parsers read
+_NUMBER = st.integers(-30, 30).map(str)
+_FRACTION = _NUMBER | st.builds("{}/{}".format, _NUMBER, _NUMBER)
+_TEXT = st.text(alphabet="0123456789/+-*we. _[],", max_size=6) | st.text(max_size=4)
+_ENTRY = _FRACTION | st.builds("{}{}*w".format, _FRACTION, st.sampled_from(["+", "-", ""])) | _TEXT
+_REGISTRY = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["xi", "beta", "omega", "eta", "kappa", "zeta"]),
+    st.sampled_from(["", "_"]),
+    st.sampled_from(["0011", "01", "10", "22"]) | st.integers(0, 99).map(str),
+)
+_POINTS = _REGISTRY | st.one_of(
+    st.lists(_FRACTION, min_size=6, max_size=6), st.lists(_FRACTION | _TEXT, max_size=8)
+).map(lambda parts: "[" + ",".join(parts) + "]")
+_JSON_ENTRY = _ENTRY | st.integers(-3, 3) | st.floats() | st.none() | st.booleans()
+_MATRICES = st.one_of(
+    st.lists(_JSON_ENTRY, min_size=8, max_size=10),
+    st.lists(st.lists(_JSON_ENTRY, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.recursive(_JSON_ENTRY, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+).map(json.dumps)
+_POINT_ARGVS = st.builds(
+    lambda cmd, point, group: [cmd, f"--point={point}", "--in", group],
+    st.sampled_from(["stabilizer", "orbit"]),
+    _POINTS,
+    st.sampled_from(["G", "H"]),
+)
+# the point commands twice: Hypothesis draws the matrix branch most often
+_ARGVS = st.sampled_from([
+    _POINT_ARGVS,
+    _POINT_ARGVS,
+    _MATRICES.map(lambda m: ["fixed", f"--matrix={m}"]),
+    (st.integers(-5, 400).map(str) | st.sampled_from(["r1", "g7", "rho1", "c"]) | _TEXT).map(
+        lambda e: ["fixed", f"--element={e}"]
+    ),
+]).flatmap(lambda argvs: argvs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ARGVS)
+@example(["fixed", "--matrix=" + "[" * 5000 + "]" * 5000])
+def test_cli_on_generated_literals_exits_0_or_2_without_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception here is the traceback a shell would see
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

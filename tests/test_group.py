@@ -173,7 +173,7 @@ def test_columns_are_half_roots(group):
     root_keys = {tuple((q.x, q.y) for q in e) for e in roots()}
     for el in group.elements:
         for j in range(3):
-            col = tuple(el.mat.rows[i][j] * 2 for i in range(3))
+            col = tuple(el.mat.rows[i][j] * QNum(2) for i in range(3))
             assert tuple((q.x, q.y) for q in col) in root_keys
 
 

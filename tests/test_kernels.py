@@ -59,22 +59,6 @@ def test_ring_operations_match_fraction_pairs(p, r):
 
 
 @PROPERTY
-@given(pairs(), st.integers(-(10**12), 10**12), rationals)
-def test_mixed_operands_match_fraction_pairs(p, k, f):
-    a, fa = p
-    for other in (k, f):
-        for got, want in (
-            (a + other, fa + other),
-            (other + a, other + fa),
-            (a - other, fa - other),
-            (a * other, fa * other),
-            (other * a, other * fa),
-        ):
-            check_triple(got)
-            assert (got.x, got.y) == (want.x, want.y)
-
-
-@PROPERTY
 @given(pairs())
 def test_inv_conj_norm_match_fraction_pairs(p):
     a, fa = p
@@ -94,26 +78,14 @@ def test_inv_conj_norm_match_fraction_pairs(p):
 
 
 @PROPERTY
-@given(pairs(small_rationals), pairs(small_rationals), st.integers(-3, 3), small_rationals)
-def test_equality_and_hash_are_consistent(p, r, k, f):
+@given(pairs(small_rationals), pairs(small_rationals))
+def test_equality_and_hash_are_consistent(p, r):
     (a, fa), (b, fb) = p, r
     assert (a == b) == (fa == fb)
     if a == b:
-        assert hash(a) == hash(b)
-    assert (a == k) == (fa == k) and (k == a) == (k == fa)
-    assert (a == f) == (fa == f) and (f == a) == (f == fa)
-    if a == k:
-        assert hash(a) == hash(k) and len({a, k}) == 1
-    if a == f:
-        assert hash(a) == hash(f) and len({a, f}) == 1
+        assert hash(a) == hash(b) and len({a, b}) == 1
     assert a == QNum.parse(str(a)) and hash(a) == hash(QNum.parse(str(a)))
     assert (a != b) == (fa != fb)
-
-
-def test_rational_values_hash_as_rationals():
-    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
-        q = QNum(value)
-        assert q == value and hash(q) == hash(value) and len({q, value}) == 1
 
 
 @PROPERTY
@@ -317,11 +289,11 @@ def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
         # int64 rows while no entry of g n - n can reach 2^63, else Python integers
         assert (orbit.rows.dtype == object) == ((6 * group.int6_max_abs + 1) * p.den >= 2**63)
         assert all(q.den == p.den == oracles.FracTorusPoint(q.coords).order() for q in orbit)
-        # the Orbit sequence contract: indexing, slicing, order and membership
+        # the Orbit sequence contract: indexing, order and membership
         exact = oracles.exact_orbit(elements, p.coords)
         members = [TorusPoint(c) for c in sorted(exact)]
         assert orbit[0] == members[0] and orbit[-1] == members[-1]
-        assert orbit[1:3] == members[1:3]
+        assert [orbit[i] for i in range(len(members))] == members
         assert list(orbit) == members and len(orbit) == len(members)
         assert all(q in orbit for q in members)
         assert list(orbit) == sorted(members)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -145,6 +146,19 @@ def test_wire_format_roundtrip_randomized():
         a = rand_qnum(rng)
         assert QNum.parse(str(a)) == a
 
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "w"])
+def test_arithmetic_and_equality_take_qnum_operands_only(other):
+    # int and Fraction values are written QNum(x); no operator mixes them in
+    a = QNum(Fraction(1, 2), 3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
+    assert a != other and other != a
+    assert QNum(1) != 1 and QNum(Fraction(1, 2)) != Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
