@@ -5,10 +5,11 @@ expected/actual values.  Checks whose computed value provably contradicts a
 printed table in the source get a dedicated outcome with status
 "paper-discrepancy" carrying both values; the computed value is asserted by
 the corresponding main check.  Output is deterministic byte-for-byte:
-randomized checks take a fixed seed.  Where ``os.fork`` exists, AC14, the
-seeded property suite, runs in a forked child while AC01-AC13 run in the
-calling process; elsewhere it runs in process after them.  Both paths give
-the same outcomes and the same bytes.
+randomized checks take a fixed seed.  Where ``os.fork`` exists, the SNF/HNF
+contracts of AC14, the seeded property suite, run in a forked child while
+AC01-AC13 and AC14's other parts run in the calling process; elsewhere they
+run in process after them.  Both paths give the same outcomes and the same
+bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import pickle
 import random
 import signal
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -532,10 +533,9 @@ def _random_qnum(rng: random.Random) -> QNum:
     return QNum.from_ints(a * d, c * b, b * d)
 
 
-def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
-    rng = random.Random(seed)
-    # orbit-stabilizer on all registry points
-    registry = (
+def _ac14_registry(table: GroupTable) -> list[TorusPoint]:
+    """AC14's 95 points: the fixed-point registries, zero and the kappa translates."""
+    return (
         [xi_point(k) for k in range(64)]
         + [beta_point(i) for i in range(16)]
         + [eta_point(i) for i in range(7)]
@@ -543,36 +543,45 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
         + [ZERO_POINT]
         + [special_curves(table)[f"kappa_{i}"].translate for i in (1, 2, 3)]
     )
-    orbit_stab = all(
-        len(stabilizer_indices(table, p, q)) * len(orbit_points(table, p, q)) == n
-        for p in registry
-        for q, n in (("G", 336), ("H", 168))
-    )
-    # conjugation covariance on 100 random pairs
-    covariant = True
+
+
+# AC14 draws from one seeded stream, in this order: 100 covariance pairs, 1000
+# matrices, 1000 field triples.  A part that starts later in the stream
+# replays the draws before it without checking them.
+
+
+def _covariance_draws(rng: random.Random, registry: list, size: int):
+    """The 100 covariance pairs: a registry point and an element id."""
     for _ in range(100):
-        p = registry[rng.randrange(len(registry))]
-        gidx = rng.randrange(table.size)
-        moved = apply_element(table.elements[gidx].int6, p)
-        expected = frozenset(
-            table.conjugate(gidx, s) for s in stabilizer_indices(table, p, "G")
-        )
-        covariant = covariant and stabilizer_indices(table, moved, "G") == expected
-    # SNF/HNF contracts on 1000 random small matrices
-    normal_forms = True
-    draw = rng.randrange  # randrange(lo, hi + 1) is randint(lo, hi)
+        yield registry[rng.randrange(len(registry))], rng.randrange(size)
+
+
+def _matrix_draws(rng: random.Random):
+    """The 1000 matrices, m x n with m, n in [1, 5] and entries in [-10, 10].
+
+    ``rng.randrange(lo, hi + 1)`` is ``randint(lo, hi)``.
+    """
+    draw = rng.randrange
     for _ in range(1000):
         m = draw(1, 6)
         n = draw(1, 6)
-        a = [[draw(-10, 11) for _ in range(n)] for _ in range(m)]
+        yield [[draw(-10, 11) for _ in range(n)] for _ in range(m)]
+
+
+def _ac14_normal_forms(table: GroupTable, seed: int) -> bool:
+    """The SNF/HNF contracts on AC14's 1000 matrices, drawn from the seed's stream."""
+    rng = random.Random(seed)
+    deque(_covariance_draws(rng, _ac14_registry(table), table.size), maxlen=0)
+    ok = True
+    for a in _matrix_draws(rng):
         u, d, v = smith_normal_form(a)
         uav = int_mat_mul(int_mat_mul(u, a), v)
-        diag = [d[i][i] for i in range(min(m, n))]
+        diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
         chain = all(
             (x and y % x == 0) or (not x and not y) for x, y in zip(diag, diag[1:])
         )
-        normal_forms = (
-            normal_forms
+        ok = (
+            ok
             and uav == d
             and abs(int_det(u)) == 1
             and abs(int_det(v)) == 1
@@ -580,8 +589,31 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
             and all(x >= 0 for x in diag)
         )
         h = hnf_rows(a)
-        normal_forms = normal_forms and all(hnf_contains(h, row) for row in a)
-    # field axioms on 1000 random triples
+        ok = ok and all(hnf_contains(h, row) for row in a)
+    return ok
+
+
+def _ac14(table: GroupTable, seed: int, normal_forms=_ac14_normal_forms) -> list[VerifyOutcome]:
+    """AC14, the seeded property suite, with the SNF/HNF verdict read last.
+
+    ``normal_forms(table, seed)`` gives that verdict.  By default it is
+    computed here; ``run_verify`` passes one that reads it from its child.
+    """
+    registry = _ac14_registry(table)
+    rng = random.Random(seed)
+    orbit_stab = all(
+        len(stabilizer_indices(table, p, q)) * len(orbit_points(table, p, q)) == n
+        for p in registry
+        for q, n in (("G", 336), ("H", 168))
+    )
+    covariant = True
+    for p, gidx in _covariance_draws(rng, registry, table.size):
+        moved = apply_element(table.elements[gidx].int6, p)
+        expected = frozenset(
+            table.conjugate(gidx, s) for s in stabilizer_indices(table, p, "G")
+        )
+        covariant = covariant and stabilizer_indices(table, moved, "G") == expected
+    deque(_matrix_draws(rng), maxlen=0)  # checked by normal_forms
     axioms = True
     for _ in range(1000):
         a, b, c = (_random_qnum(rng) for _ in range(3))
@@ -591,10 +623,11 @@ def _ac14(table: GroupTable, seed: int) -> list[VerifyOutcome]:
             axioms = axioms and a * a.inv() == ONE
         axioms = axioms and ab.conj() == a.conj() * b.conj()
         axioms = axioms and ab.norm() == a.norm() * b.norm()
-    ok = orbit_stab and covariant and normal_forms and axioms
+    checked = normal_forms(table, seed)
+    ok = orbit_stab and covariant and checked and axioms
     actual = (
         f"orbit-stabilizer: {orbit_stab}; covariance(100): {covariant}; "
-        f"normal forms(1000): {normal_forms}; field axioms(1000): {axioms}"
+        f"normal forms(1000): {checked}; field axioms(1000): {axioms}"
     )
     return [
         _outcome(
@@ -676,14 +709,15 @@ class _Forked:
 def run_verify(table: GroupTable, seed: int = 0) -> list[VerifyOutcome]:
     """Run the complete acceptance suite and return its outcomes in order.
 
-    AC14 does not depend on the other checks, so where ``os.fork`` exists it
-    runs in a child forked after the group table is built, on a second core
-    while AC01-AC13 run here; its outcome is read back and appended last.
-    The child is reaped before this returns or raises, and an exception it
-    raised is raised here with the same type and message.
+    AC14's SNF/HNF contracts depend on no other check, so where ``os.fork``
+    exists they run in a child forked after the group table is built, on a
+    second core, while AC01-AC13 and the rest of AC14 run here.  Their
+    verdict is read back last, into AC14's one outcome.  The child is reaped
+    before this returns or raises, and an exception it raised is raised here
+    with the same type and message.
     """
     outcomes: list[VerifyOutcome] = []
-    with _Forked(_ac14, table, seed) as ac14:
+    with _Forked(_ac14_normal_forms, table, seed) as child:
         outcomes += _ac1(table)
         outcomes += _ac2(table)
         outcomes += _ac3(table)
@@ -697,7 +731,7 @@ def run_verify(table: GroupTable, seed: int = 0) -> list[VerifyOutcome]:
         outcomes += _ac11(table)
         outcomes += _ac12(table)
         outcomes += _ac13(table)
-        outcomes += ac14.result()
+        outcomes += _ac14(table, seed, lambda table, seed: child.result())
     return outcomes
 
 

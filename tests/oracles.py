@@ -53,7 +53,9 @@
 * the integer kernels as they were before their unit-pivot rewrite: the
   Smith normal form through four elementary-operation closures, HNF
   membership by a pivot scan, Bareiss determinants for every size; the
-  roots deduplicated on ``Fraction`` keys; and AC14's seed-0 matrix draws.
+  roots deduplicated on ``Fraction`` keys; and AC14's matrix and field draws;
+* an element's eigenvalues as exact exponents, from the averaged traces of
+  its powers (``eigenvalue_exponents``).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -1415,6 +1417,27 @@ def ac14_matrix_draws(group_order: int, seed: int = 0) -> list[list[list[int]]]:
     return out
 
 
+def ac14_field_draws(group_order: int, seed: int = 0) -> list[FracQNum]:
+    """AC14's 3000 field elements, drawn with ``randint`` after its matrices.
+
+    Each is x + y*w with x = a/b and y = c/d, a, c in [-50, 50] and b, d in
+    [1, 10], drawn in the order a, b, c, d.
+    """
+    rng = random.Random(seed)
+    for _ in range(100):
+        rng.randrange(95), rng.randrange(group_order)
+    for _ in range(1000):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        [rng.randint(-10, 10) for _ in range(m * n)]
+    return [
+        FracQNum(
+            Fraction(rng.randint(-50, 50), rng.randint(1, 10)),
+            Fraction(rng.randint(-50, 50), rng.randint(1, 10)),
+        )
+        for _ in range(3 * 1000)
+    ]
+
+
 def fraction_keyed_roots() -> list[CVec3]:
     """The 42 roots from the three seeds by signed permutations, deduplicated on Fractions."""
     seeds = [vec3(2, 0, 0), vec3(0, QNum(0, 1), QNum(0, 1)), vec3(1, 1, QNum(1, -1))]
@@ -1433,3 +1456,52 @@ def fraction_keyed_roots() -> list[CVec3]:
                     out.append(v)  # type: ignore[arg-type]
     out.sort(key=lambda v: tuple((q.x, q.y) for q in v))
     return out
+
+
+# --- eigenvalues from averaged traces -------------------------------------------
+
+# the exponents j of exp(2 pi i j/m) that fill a block of exact order m = 7 or
+# 14, keyed by (m, the block's sum a + b*w as (a, b)): with zeta = exp(2 pi i/7),
+# zeta + zeta^2 + zeta^4 = w - 1, its conjugate block sums to -w, and
+# -zeta^k = exp(2 pi i (2k + 7)/14) negates both sums
+_SEVENTH_BLOCKS = {
+    (7, (-1, 1)): (1, 2, 4),
+    (7, (0, -1)): (3, 5, 6),
+    (14, (1, -1)): (9, 11, 1),
+    (14, (0, 1)): (13, 3, 5),
+}
+
+
+def eigenvalue_exponents(table, g: int) -> list[Fraction]:
+    """The eigenvalues exp(2 pi i e) of g on C^3 as exponents e in [0, 1), exactly.
+
+    No eigenvalue is solved for.  For each m dividing the order r of g, the
+    powers of g whose order divides r/m form the subgroup that fixes exactly
+    the eigenvalues of order dividing m; their average int6 trace 2a + b is
+    twice the number of those, and subtracting the divisors' counts leaves
+    the number of exact order m (as ``orbits._cyclic_weights`` counts them).
+    The characteristic polynomial lies over Q(w), so these eigenvalues fill
+    whole Galois blocks over Q(w): every j/m with gcd(j, m) = 1 when 7 does
+    not divide m, since Q(exp(2 pi i/m)) meets Q(w) in Q.  An element of
+    order 7 or 14 has three, one block of ``_SEVENTH_BLOCKS``, which its
+    trace picks.
+    """
+    el = table.elements[g]
+    r = el.order
+    counts: dict[int, int] = {}
+    out: list[Fraction] = []
+    for m in (m for m in range(1, r + 1) if r % m == 0):
+        sub = [table.elements[i] for i in el.powers if r // m % table.elements[i].order == 0]
+        fixed, rem = divmod(sum(2 * e.trace[0] + e.trace[1] for e in sub), 2 * len(sub))
+        assert rem == 0
+        counts[m] = fixed - sum(n for k, n in counts.items() if m % k == 0)
+        if m % 7 == 0 and counts[m]:
+            assert (m, counts[m]) == (r, 3)
+            block = _SEVENTH_BLOCKS[m, el.trace]
+        else:
+            block = [j for j in range(m) if gcd(j, m) == 1]
+        copies, extra = divmod(counts[m], len(block))
+        assert extra == 0
+        out += [Fraction(j, m) for j in block] * copies
+    assert len(out) == 3
+    return sorted(out)

@@ -326,6 +326,21 @@ def test_ac14_matrix_draws_equal_the_randint_stream(group, monkeypatch):
     assert drawn == oracles.ac14_matrix_draws(group.size)
 
 
+def test_verify_draws_the_field_stream_in_the_parent(group, monkeypatch):
+    # with os.fork present the parent replays AC14's matrix draws unchecked and
+    # draws the field triples itself: the same stream as in process, per seed
+    assert hasattr(os, "fork")
+    draw = report._random_qnum
+    for seed in (0, 7):
+        drawn = []
+        monkeypatch.setattr(report, "_random_qnum", lambda rng: drawn.append(draw(rng)) or drawn[-1])
+        ac14 = run_verify(group, seed)[-1]
+        assert "normal forms(1000): True" in ac14.actual and "field axioms(1000): True" in ac14.actual
+        want = oracles.ac14_field_draws(group.size, seed)
+        assert len(drawn) == 3000
+        assert [(q.x, q.y) for q in drawn] == [(f.x, f.y) for f in want]
+
+
 INTERNAL_ERRORS = [
     ConsistencyError("strata disagree"),
     GroupConstructionError("closure has 335 elements"),
@@ -340,17 +355,21 @@ def _no_child_left():
 
 @pytest.mark.parametrize("error", INTERNAL_ERRORS, ids=lambda e: type(e).__name__)
 @pytest.mark.parametrize(
-    "target, argv",
+    "target, argv, in_child",
     [
-        pytest.param("cli.singularity_report", ["singularities", "--quotient", "G"], id="singularity_report-argv0"),
+        pytest.param("cli.singularity_report", ["singularities", "--quotient", "G"], False, id="singularity_report-argv0"),
         # the CLI reads the stabilizer's elements and flags from the table itself
-        pytest.param("cli.stabilizer_indices", ["stabilizer", "--point", "beta_0011"], id="stabilizer-argv1"),
-        # raised in the forked child that computes AC14, and raised again in the parent
-        pytest.param("report._ac14", ["verify"], id="ac14-in-the-child"),
+        pytest.param("cli.stabilizer_indices", ["stabilizer", "--point", "beta_0011"], False, id="stabilizer-argv1"),
+        # raised in the forked child that checks AC14's SNF/HNF contracts, and
+        # raised again in the parent
+        pytest.param("report._ac14_normal_forms", ["verify"], True, id="ac14-in-the-child"),
     ],
 )
-def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv):
+def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv, in_child):
+    parent = os.getpid()
+
     def fail(*args, **kwargs):
+        assert (os.getpid() != parent) == in_child
         raise error
 
     monkeypatch.setattr(f"klein336.{target}", fail)
@@ -366,7 +385,7 @@ def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, ca
     def exit_5(table, seed):
         os._exit(5)
 
-    monkeypatch.setattr(report, "_ac14", exit_5)
+    monkeypatch.setattr(report, "_ac14_normal_forms", exit_5)
     assert main(["verify"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -377,17 +396,46 @@ def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, ca
     _no_child_left()
 
 
-def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(monkeypatch, capsys):
-    def fail(table):
-        raise ConsistencyError("AC10 broke")
+def _raise_once_the_child_sleeps(monkeypatch, tmp_path, message):
+    """Make AC14's child sleep for 600 s; the returned function raises ``message`` once it sleeps."""
+    parent, started = os.getpid(), tmp_path / "child-started"
 
+    def sleep(table, seed):
+        assert os.getpid() != parent
+        started.touch()
+        time.sleep(600)
+
+    def fail(*args):
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists(), "no forked child ran AC14's SNF/HNF contracts"
+        raise ConsistencyError(message)
+
+    monkeypatch.setattr(report, "_ac14_normal_forms", sleep)
+    return fail
+
+
+def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(monkeypatch, capsys, tmp_path):
     # a child that would outlive the test unless the parent kills it
-    monkeypatch.setattr(report, "_ac14", lambda table, seed: time.sleep(600))
-    monkeypatch.setattr(report, "_ac10", fail)
+    monkeypatch.setattr(report, "_ac10", _raise_once_the_child_sleeps(monkeypatch, tmp_path, "AC10 broke"))
     start = time.monotonic()
     assert main(["verify"]) == 3
     assert time.monotonic() - start < 60
     assert capsys.readouterr().err == "internal error: ConsistencyError: AC10 broke\n"
+    _no_child_left()
+
+
+def test_the_parents_share_of_ac14_that_raises_kills_and_reaps_the_child(monkeypatch, capsys, tmp_path):
+    # the field axioms run in the parent, after AC01-AC13, while the child checks the matrices
+    fail = _raise_once_the_child_sleeps(monkeypatch, tmp_path, "field draw broke")
+    monkeypatch.setattr(report, "_random_qnum", fail)
+    start = time.monotonic()
+    assert main(["verify"]) == 3
+    assert time.monotonic() - start < 60
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ConsistencyError: field draw broke\n"
     _no_child_left()
 
 

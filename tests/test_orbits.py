@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     AntireflectionCurves,
     complement_fixed_locus,
+    eigenvalue_exponents,
     exact_orbit,
     exact_stabilizer,
     field_singularity_weights,
@@ -269,6 +270,31 @@ def test_germs_of_the_subgroups_of_h_are_gorenstein(group):
     smooth = [s for s, g in zip(subgroups, germs) if g.status == "smooth"]
     assert smooth == [frozenset([group.identity])]
     assert Counter(g.status for g in germs) == {"cyclic": 78, "non-cyclic": 100, "smooth": 1}
+
+
+def test_ito_reid_ages_from_the_table(group):
+    # the age of g with eigenvalues exp(2 pi i e_j), 0 <= e_j < 1, is the sum
+    # of the e_j (Ito and Reid 1996), read exactly off the table's traces
+    exponents = {g: eigenvalue_exponents(group, g) for g in range(group.size)}
+    age = {g: sum(e) for g, e in exponents.items()}
+    # exp(2 pi i age) is the determinant
+    assert all(age[g] % 1 == (0 if el.det == 1 else F(1, 2)) for g, el in enumerate(group.elements))
+    h_classes = sorted((c.element_order, {age[g] for g in c.members}) for c in group.conjugacy_classes("H"))
+    assert h_classes == [(1, {0}), (2, {1}), (3, {1}), (4, {1}), (7, {1}), (7, {2})]
+    # C^3/H168: four junior classes (age 1) and one senior class (age 2); with
+    # the identity, six classes, the Euler number of its crepant resolution
+    # (Markushevich 1997)
+    assert Counter(a for _, (a,) in h_classes) == {0: 1, 1: 4, 2: 1}
+    # in G a reflection has age 1/2, as a reflection must, and -1 has age 3/2
+    assert {age[g] for g in group.reflections} == {F(1, 2)}
+    assert age[group.minus_one] == F(3, 2)
+    # the germ rule's cyclic weights 1/d(a, b, c) are the exponents of a generator
+    cyclic = [c for c, _ in group.cyclic_subgroups() if len(c) > 1]
+    assert len(cyclic) == 21 + 28 + 21 + 8
+    for c in cyclic:
+        w = singularity_weights(group, c)
+        gens = [g for g in c if group.elements[g].order == len(c)]
+        assert w.weights in {tuple(sorted(e * len(c) for e in exponents[g])) for g in gens}
 
 
 def test_staged_weights_for_non_reflection_generated_stabilizers(group):

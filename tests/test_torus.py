@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     beta_cvec,
     complement_fixed_locus,
+    eigenvalue_exponents,
     from_eps_coords,
     goursat_subgroups_of_g,
     kernel_K,
@@ -406,6 +407,27 @@ def test_joint_loci_of_every_subgroup_of_g(group):
     assert len(loci) == 881
     assert group.int6_max_abs == 2
     assert max(abs(x) for locus in loci for row in locus.lambda1_rows for x in row) == 6
+
+
+def test_lefschetz_numbers_of_the_quotients(group):
+    # e(J/K) = (1/|K|) sum over g in K of det(I - g) on Z^6 (Lefschetz 1926);
+    # det(I - g) = |det_C(I - g)|^2 is 0 for parabolic g and |Fix g| for elliptic g
+    dets = [
+        int_det([[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(el.int6)])
+        for el in group.elements
+    ]
+    for g, det in enumerate(dets):
+        assert det == (group.elements[g].mat - IDENTITY3).det().norm()
+        # elliptic: 1 is not an eigenvalue, read off the averaged traces of g's powers
+        if 0 not in eigenvalue_exponents(group, g):
+            assert det == fixed_point_count(group, g)
+        else:
+            assert det == 0
+    assert F(sum(dets), group.size) == 4  # e(J/G)
+    assert F(sum(dets[g] for g in group.h_set), len(group.h_set)) == 2  # e(J/H)
+    lefschetz = [F(sum(dets[g] for g in k), len(k)) for k in goursat_subgroups_of_g(group)]
+    assert len(lefschetz) == 547 and all(e.denominator == 1 for e in lefschetz)
+    assert Counter(lefschetz) == {0: 274, 2: 9, 4: 93, 6: 57, 8: 43, 12: 49, 16: 21, 32: 1}
 
 
 def test_eps_roundtrip_on_registry_points(group):
