@@ -676,8 +676,11 @@ def singularity_report(table: GroupTable, quotient: str = "G", seed: int = 0) ->
 
     Sweeps every elliptic special orbit and every special-curve class; for
     the full group the result must consist of exactly one isolated point,
-    one singular curve, and one dissident point on it.  ``seed`` is accepted
-    for compatibility and unused: every stabilizer in the report is exact.
+    one singular curve, and one dissident point on it.  ``seed`` is unused:
+    every stabilizer in the report is exact.  It stays because
+    ``perfbench/cold.py::keep_curves_g`` calls the original with three
+    positional arguments, so deleting it breaks the benchmark's ``verify``;
+    that call goes first, then the parameter.
     """
     point_records: dict[TorusPoint, OrbitRecord] = {}
     for locus in ("T2", "T6", "T4p", "T7"):

@@ -192,8 +192,6 @@ ONE = QNum(1)
 MINUS_ONE = QNum(-1)
 ALPHA = QNum(0, 1)
 ALPHA_BAR = QNum(1, -1)
-# i*sqrt(7) = 2w - 1
-I_SQRT7 = QNum(-1, 2)
 
 # --- vectors over Q(w) ------------------------------------------------------
 #

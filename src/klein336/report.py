@@ -5,11 +5,11 @@ expected/actual values.  Checks whose computed value provably contradicts a
 printed table in the source get a dedicated outcome with status
 "paper-discrepancy" carrying both values; the computed value is asserted by
 the corresponding main check.  Output is deterministic byte-for-byte:
-randomized checks take a fixed seed.  Where ``os.fork`` exists, the SNF/HNF
-contracts of AC14, the seeded property suite, run in a forked child while
-AC01-AC13 and AC14's other parts run in the calling process; elsewhere they
-run in process after them.  Both paths give the same outcomes and the same
-bytes.
+randomized checks take a fixed seed.  AC14, the seeded property suite, draws
+its stream once, in the calling process.  Where ``os.fork`` exists, a forked
+child checks the SNF/HNF contracts on the matrices it inherits while AC01-AC13
+and AC14's other parts run in the calling process; elsewhere the contracts run
+in process after them.  Both paths give the same outcomes and the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import pickle
 import random
 import signal
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -219,21 +219,16 @@ def _ac6(table: GroupTable) -> list[VerifyOutcome]:
     curves = special_curves(table)
     # r2, c3 and h4 carry the mirror and the two axes; rho2 carries no special curve
     expectations = {
-        "r2": (curves["mirror"].locus, 1),
-        "rho2": (fixed_locus_structure(table, table.named["rho2"]), 4),
-        "c3": (curves["c3_axis"].locus, 1),
-        "h4": (curves["h4_axis"].locus, 1),
+        "r2": (curves["mirror"].locus, 1, 2),
+        "rho2": (fixed_locus_structure(table, table.named["rho2"]), 4, 1),
+        "c3": (curves["c3_axis"].locus, 1, 1),
+        "h4": (curves["h4_axis"].locus, 1, 1),
     }
     parts = []
     ok = True
-    for name, (locus, want) in expectations.items():
-        dim = locus.dim
-        ok = ok and locus.component_count == want
-        if name == "r2":
-            ok = ok and dim == 2
-        else:
-            ok = ok and dim == 1
-        parts.append(f"{name}: components={locus.component_count}, dimV1={dim}")
+    for name, (locus, want, want_dim) in expectations.items():
+        ok = ok and locus.component_count == want and locus.dim == want_dim
+        parts.append(f"{name}: components={locus.component_count}, dimV1={locus.dim}")
     return [
         _outcome(
             "AC06-parabolic-structure",
@@ -545,35 +540,29 @@ def _ac14_registry(table: GroupTable) -> list[TorusPoint]:
     )
 
 
-# AC14 draws from one seeded stream, in this order: 100 covariance pairs, 1000
-# matrices, 1000 field triples.  A part that starts later in the stream
-# replays the draws before it without checking them.
+def _ac14_draws(table: GroupTable, seed: int):
+    """AC14's registry and its draws from ``random.Random(seed)``, in stream order.
 
-
-def _covariance_draws(rng: random.Random, registry: list, size: int):
-    """The 100 covariance pairs: a registry point and an element id."""
-    for _ in range(100):
-        yield registry[rng.randrange(len(registry))], rng.randrange(size)
-
-
-def _matrix_draws(rng: random.Random):
-    """The 1000 matrices, m x n with m, n in [1, 5] and entries in [-10, 10].
-
-    ``rng.randrange(lo, hi + 1)`` is ``randint(lo, hi)``.
+    Returns ``(registry, pairs, matrices, rng)``: the 100 covariance pairs (a
+    registry point and an element id), the 1000 matrices (m x n with m, n in
+    [1, 5] and entries in [-10, 10]; ``rng.randrange(lo, hi + 1)`` is
+    ``randint(lo, hi)``), and the stream, positioned at the field draws.
     """
-    draw = rng.randrange
-    for _ in range(1000):
-        m = draw(1, 6)
-        n = draw(1, 6)
-        yield [[draw(-10, 11) for _ in range(n)] for _ in range(m)]
-
-
-def _ac14_normal_forms(table: GroupTable, seed: int) -> bool:
-    """The SNF/HNF contracts on AC14's 1000 matrices, drawn from the seed's stream."""
+    registry = _ac14_registry(table)
     rng = random.Random(seed)
-    deque(_covariance_draws(rng, _ac14_registry(table), table.size), maxlen=0)
+    draw = rng.randrange
+    pairs = [(registry[draw(len(registry))], draw(table.size)) for _ in range(100)]
+    matrices = []
+    for _ in range(1000):
+        m, n = draw(1, 6), draw(1, 6)
+        matrices.append([[draw(-10, 11) for _ in range(n)] for _ in range(m)])
+    return registry, pairs, matrices, rng
+
+
+def _ac14_normal_forms(matrices: list[list[list[int]]]) -> bool:
+    """The SNF/HNF contracts on AC14's 1000 matrices."""
     ok = True
-    for a in _matrix_draws(rng):
+    for a in matrices:
         u, d, v = smith_normal_form(a)
         uav = int_mat_mul(int_mat_mul(u, a), v)
         diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
@@ -593,27 +582,24 @@ def _ac14_normal_forms(table: GroupTable, seed: int) -> bool:
     return ok
 
 
-def _ac14(table: GroupTable, seed: int, normal_forms=_ac14_normal_forms) -> list[VerifyOutcome]:
-    """AC14, the seeded property suite, with the SNF/HNF verdict read last.
+def _ac14(table: GroupTable, registry, pairs, rng, normal_forms) -> list[VerifyOutcome]:
+    """AC14, the seeded property suite, on the registry, pairs and stream of ``_ac14_draws``.
 
-    ``normal_forms(table, seed)`` gives that verdict.  By default it is
-    computed here; ``run_verify`` passes one that reads it from its child.
+    The field axioms continue ``rng``.  ``normal_forms()`` gives the verdict of
+    ``_ac14_normal_forms`` on the matrices; it is read last.
     """
-    registry = _ac14_registry(table)
-    rng = random.Random(seed)
     orbit_stab = all(
         len(stabilizer_indices(table, p, q)) * len(orbit_points(table, p, q)) == n
         for p in registry
         for q, n in (("G", 336), ("H", 168))
     )
     covariant = True
-    for p, gidx in _covariance_draws(rng, registry, table.size):
+    for p, gidx in pairs:
         moved = apply_element(table.elements[gidx].int6, p)
         expected = frozenset(
             table.conjugate(gidx, s) for s in stabilizer_indices(table, p, "G")
         )
         covariant = covariant and stabilizer_indices(table, moved, "G") == expected
-    deque(_matrix_draws(rng), maxlen=0)  # checked by normal_forms
     axioms = True
     for _ in range(1000):
         a, b, c = (_random_qnum(rng) for _ in range(3))
@@ -623,7 +609,7 @@ def _ac14(table: GroupTable, seed: int, normal_forms=_ac14_normal_forms) -> list
             axioms = axioms and a * a.inv() == ONE
         axioms = axioms and ab.conj() == a.conj() * b.conj()
         axioms = axioms and ab.norm() == a.norm() * b.norm()
-    checked = normal_forms(table, seed)
+    checked = normal_forms()
     ok = orbit_stab and covariant and checked and axioms
     actual = (
         f"orbit-stabilizer: {orbit_stab}; covariance(100): {covariant}; "
@@ -709,15 +695,16 @@ class _Forked:
 def run_verify(table: GroupTable, seed: int = 0) -> list[VerifyOutcome]:
     """Run the complete acceptance suite and return its outcomes in order.
 
-    AC14's SNF/HNF contracts depend on no other check, so where ``os.fork``
-    exists they run in a child forked after the group table is built, on a
-    second core, while AC01-AC13 and the rest of AC14 run here.  Their
-    verdict is read back last, into AC14's one outcome.  The child is reaped
-    before this returns or raises, and an exception it raised is raised here
-    with the same type and message.
+    AC14's draws are made here once, before the fork.  Its SNF/HNF contracts
+    depend on no other check, so where ``os.fork`` exists a forked child
+    checks the matrices it inherits, on a second core, while AC01-AC13 and
+    the rest of AC14 run here.  Their verdict is read back last, into AC14's
+    one outcome.  The child is reaped before this returns or raises, and an
+    exception it raised is raised here with the same type and message.
     """
     outcomes: list[VerifyOutcome] = []
-    with _Forked(_ac14_normal_forms, table, seed) as child:
+    registry, pairs, matrices, rng = _ac14_draws(table, seed)
+    with _Forked(_ac14_normal_forms, matrices) as child:
         outcomes += _ac1(table)
         outcomes += _ac2(table)
         outcomes += _ac3(table)
@@ -731,7 +718,7 @@ def run_verify(table: GroupTable, seed: int = 0) -> list[VerifyOutcome]:
         outcomes += _ac11(table)
         outcomes += _ac12(table)
         outcomes += _ac13(table)
-        outcomes += _ac14(table, seed, lambda table, seed: child.result())
+        outcomes += _ac14(table, registry, pairs, rng, child.result)
     return outcomes
 
 

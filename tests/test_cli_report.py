@@ -297,8 +297,9 @@ def test_ac14_field_draws_equal_the_fraction_stream(group, monkeypatch):
     drawn = []
     draw = report._random_qnum
     monkeypatch.setattr(report, "_random_qnum", lambda rng: drawn.append(draw(rng)) or drawn[-1])
-    [outcome] = report._ac14(group, 0)
-    assert "field axioms(1000): True" in outcome.actual
+    monkeypatch.delattr(os, "fork")  # the whole of AC14 in this process
+    ac14 = run_verify(group, 0)[-1]
+    assert "field axioms(1000): True" in ac14.actual
     # the same seed-0 stream drawn as Fraction pairs, after AC14's earlier draws:
     # covariance over the 95 registry points, then the 1000 random matrices
     rng = random.Random(0)
@@ -321,14 +322,27 @@ def test_ac14_matrix_draws_equal_the_randint_stream(group, monkeypatch):
     drawn = []
     snf = report.smith_normal_form
     monkeypatch.setattr(report, "smith_normal_form", lambda a: drawn.append(a) or snf(a))
-    [outcome] = report._ac14(group, 0)
-    assert "normal forms(1000): True" in outcome.actual
+    monkeypatch.delattr(os, "fork")  # the whole of AC14 in this process
+    ac14 = run_verify(group, 0)[-1]
+    assert "normal forms(1000): True" in ac14.actual
     assert drawn == oracles.ac14_matrix_draws(group.size)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_ac14_draws_equal_the_oracle_streams(group, seed):
+    registry, pairs, matrices, rng = report._ac14_draws(group, seed)
+    assert len(registry) == 95
+    oracle = random.Random(seed)
+    assert pairs == [(registry[oracle.randint(0, 94)], oracle.randint(0, group.size - 1)) for _ in range(100)]
+    assert matrices == oracles.ac14_matrix_draws(group.size, seed)
+    # the returned stream is positioned at the field draws
+    drawn = [report._random_qnum(rng) for _ in range(3000)]
+    assert [(q.x, q.y) for q in drawn] == [(f.x, f.y) for f in oracles.ac14_field_draws(group.size, seed)]
+
+
 def test_verify_draws_the_field_stream_in_the_parent(group, monkeypatch):
-    # with os.fork present the parent replays AC14's matrix draws unchecked and
-    # draws the field triples itself: the same stream as in process, per seed
+    # with os.fork present the parent draws AC14's stream once, before the fork,
+    # and continues it into the field triples: the same stream as in process, per seed
     assert hasattr(os, "fork")
     draw = report._random_qnum
     for seed in (0, 7):
@@ -339,6 +353,46 @@ def test_verify_draws_the_field_stream_in_the_parent(group, monkeypatch):
         want = oracles.ac14_field_draws(group.size, seed)
         assert len(drawn) == 3000
         assert [(q.x, q.y) for q in drawn] == [(f.x, f.y) for f in want]
+
+
+def test_verify_builds_ac14s_registry_once_in_the_parent_before_the_fork(group, monkeypatch, tmp_path):
+    # a log file, since a call in the child leaves nothing in the parent's memory
+    parent, log, fork = os.getpid(), tmp_path / "events", os.fork
+    registry = report._ac14_registry
+
+    def logged(event):
+        with open(log, "a") as f:
+            f.write(event + "\n")
+
+    def logged_registry(table):
+        logged(f"registry in {'the parent' if os.getpid() == parent else 'a child'}")
+        return registry(table)
+
+    def logged_fork():
+        pid = fork()
+        if pid:
+            logged("fork")
+        return pid
+
+    monkeypatch.setattr(report, "_ac14_registry", logged_registry)
+    monkeypatch.setattr(os, "fork", logged_fork)
+    assert not has_failures(run_verify(group, 0))
+    assert log.read_text().splitlines() == ["registry in the parent", "fork"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_child_checks_exactly_the_oracle_matrices(group, monkeypatch, seed):
+    # asserted in the child: a failed assertion there is raised again here
+    parent, normal_forms = os.getpid(), report._ac14_normal_forms
+
+    def checked(matrices):
+        assert os.getpid() != parent
+        assert matrices == oracles.ac14_matrix_draws(group.size, seed)
+        return normal_forms(matrices)
+
+    monkeypatch.setattr(report, "_ac14_normal_forms", checked)
+    ac14 = run_verify(group, seed)[-1]
+    assert ac14.status == "pass" and "normal forms(1000): True" in ac14.actual
 
 
 INTERNAL_ERRORS = [
@@ -382,7 +436,7 @@ def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv, in_c
 
 
 def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, capsys):
-    def exit_5(table, seed):
+    def exit_5(matrices):
         os._exit(5)
 
     monkeypatch.setattr(report, "_ac14_normal_forms", exit_5)
@@ -400,7 +454,7 @@ def _raise_once_the_child_sleeps(monkeypatch, tmp_path, message):
     """Make AC14's child sleep for 600 s; the returned function raises ``message`` once it sleeps."""
     parent, started = os.getpid(), tmp_path / "child-started"
 
-    def sleep(table, seed):
+    def sleep(matrices):
         assert os.getpid() != parent
         started.touch()
         time.sleep(600)

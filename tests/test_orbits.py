@@ -479,7 +479,9 @@ def test_curve_loci_are_computed_once_per_table(group, monkeypatch):
     for check in (report._ac8, report._ac9, report._ac12):
         assert all(o.status != "fail" for o in check(table))
     assert calls == once
-    assert all(o.status == "pass" for o in report._ac6(table) + report._ac14(table, seed=0))
+    registry, pairs, matrices, rng = report._ac14_draws(table, 0)
+    ac14 = report._ac14(table, registry, pairs, rng, lambda: report._ac14_normal_forms(matrices))
+    assert all(o.status == "pass" for o in report._ac6(table) + ac14)
     assert calls == {**once, "fixed_locus_structure": 6}
     assert [c.to_dict() for c in curve_strata(table, "G")] == strata_g
     assert [c.to_dict() for c in curve_strata(table, "H")] == strata_h

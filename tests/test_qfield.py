@@ -8,12 +8,14 @@ from oracles import complex_value
 from klein336.qfield import (
     ALPHA,
     ALPHA_BAR,
-    I_SQRT7,
     ONE,
     QNum,
     hermitian,
     vec3,
 )
+
+# i*sqrt(7) = 2w - 1
+I_SQRT7 = QNum(-1, 2)
 
 
 def rand_qnum(rng, max_num=1000, max_den=40):
