@@ -276,6 +276,9 @@ def _same_order_points(den):
 @example(den=3037000500, nums=[-1, 1, 5, 77, 3, -2])
 @example(den=709490156681136600, nums=[-1, 1, 5, 77, 3, -2])
 @example(den=709490156681136601, nums=[-1, 1, 5, 77, 3, -2])
+# a G-stabilizer of order 2: the 336 rows hold 168 repeats below width 6, so
+# the G-orbit takes the lexsort fallback on tied first keys
+@example(den=20011, nums=[2, 5, 77, 89, -79, 170])
 def test_stabilizer_and_orbit_match_exact_oracle(group, den, nums):
     p = TorusPoint([Fraction(n, den) for n in nums])
     int6s = [el.int6 for el in group.elements]

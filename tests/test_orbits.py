@@ -28,7 +28,7 @@ from oracles import (
 )
 from klein336 import orbits
 from klein336.group import _FILTER_COVECTOR, _W6, R1, R2, R3, GroupTable
-from klein336.linalg import IDENTITY3, mat3_to_int6
+from klein336.linalg import IDENTITY3, mat3_to_int6, smith_normal_form
 from klein336.orbits import (
     ConsistencyError,
     _inverse_char_poly,
@@ -218,6 +218,34 @@ def test_orbit_stabilizer_identity_on_registry(group):
             stab = stabilizer_indices(group, p, quotient)
             orb = orbit_points(group, p, quotient)
             assert len(stab) * len(orb) == order
+
+
+@pytest.mark.parametrize("quotient, counts", [("G", [5, 11, 40, 95, 241]), ("H", [5, 11, 42, 111, 317])])
+def test_burnside_counts_the_orbits_on_torsion_subgroups(group, quotient, counts):
+    # K has (1/|K|) sum_g |Fix_g J[n]| orbits on J[n] = (Z/n)^6, and |Fix_g J[n]|
+    # is prod_i gcd(d_i, n) over the Smith diagonal d of g - I (d_i = 0 past the
+    # rank); orbit_points, enumerating J[n], must find exactly these orbits
+    acting = group.acting(quotient)
+    snfs = map(smith_normal_form, acting.minus_identity.tolist())
+    diagonals = [[d[i][i] for i in range(6)] for _, d, _ in snfs]
+    order = len(diagonals)
+    for n, want in zip(range(2, 7), counts):
+        fixed = sum(math.prod(math.gcd(d, n) for d in diagonal) for diagonal in diagonals)
+        assert fixed == want * order
+        places = np.array([n**k for k in range(5, -1, -1)])
+        seen = np.zeros(n**6, dtype=bool)
+        sizes = []
+        for code in range(n**6):
+            if seen[code]:
+                continue
+            p = TorusPoint([F(code // n**k % n, n) for k in range(5, -1, -1)])
+            orbit = orbit_points(group, p, quotient)
+            codes = orbit.rows * (n // orbit.den) @ places
+            assert code in codes and not seen[codes].any()
+            seen[codes] = True
+            assert len(orbit) * len(stabilizer_indices(group, p, quotient)) == order
+            sizes.append(len(orbit))
+        assert seen.all() and sum(sizes) == n**6 and len(sizes) == want
 
 
 def test_stabilizer_conjugation_covariance(group):
