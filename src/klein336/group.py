@@ -101,13 +101,16 @@ class ActingGroup:
     absolute values of the negative ones; numerators lie in [0, den), so
     |l (g - I) n| < 10 den.  The build checks both facts, and the second
     keeps the filter under the int64 bound of ``torus._moved_numerators``,
-    (6 max|int6| + 1) den = 13 den.
+    (6 max|int6| + 1) den = 13 den.  ``trivial``, the set of the identity
+    alone, is one object that G and H share: the stabilizer of a point that
+    only the identity fixes.
     """
 
     ids: np.ndarray
     members: frozenset[int]
     minus_identity: np.ndarray
     filter_columns: np.ndarray
+    trivial: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,9 @@ class GroupTable:
             raise GroupConstructionError(
                 f"the filter's signed row bound {signed} exceeds 6 max|int6| + 1"
             )
+        trivial = frozenset((self.identity,))
         self._acting = {
-            name: ActingGroup(ids, members, m, np.ascontiguousarray(rows.T))
+            name: ActingGroup(ids, members, m, np.ascontiguousarray(rows.T), trivial)
             for name, ids, members, m, rows in (
                 ("G", np.arange(n), self.g_set, self.minus_identity, filter_rows),
                 ("H", np.array(h_list), self.h_set, self.minus_identity[h_list], filter_rows[h_list]),

@@ -13,24 +13,24 @@ per group table, when first asked for, and kept in ``table.derived`` keyed
 by the subgroup.
 
 Stabilizers and orbits of a torsion point n / den apply integer matrices of
-G or H to its numerators at once, in int64 or, for large denominators, in
-Python integers.  The stabilizer tests g - I, built once per group table:
-the rows l (g - I) of one covector l that only the identity fixes, for all
-elements of G or H (``GroupTable.acting``), kept as the columns of one
-(6, N) matrix, filter with one vector-matrix product, and the survivors
-are tested on all six rows only when an element other than the identity
-survives, for a generic point about once in den.  The orbit applies the 168
-matrices of H, kept as one (6, 1008) matrix of their rows, and writes the
-reduced rows into one buffer; a G-orbit fills the buffer's second half with
-their negatives, since G = H x {+-1}.  Residues and divisibility come from
-floor division, a - a // den * den: numpy divides 1008 int64 entries by a
-scalar about three times faster with // than with %.  The rows pack into
-base-den sort keys as wide as int64 allows.  Only the first key of each row
-is built, and one argsort of it orders the rows, unless two first keys tie
-below full width: then all the keys are built and one lexsort of them takes
-over.  Equal neighbouring keys are dropped.  An orbit is an ``Orbit``: its
-distinct image rows, sorted into coordinate order and read-only, whose
-points are built only when read.
+G or H to its numerators at once, in int64 (the point's own vector,
+``TorusPoint.int64_nums``) or, for large denominators, in Python integers.
+The stabilizer tests g - I, built once per group table: the rows l (g - I)
+of one covector l that only the identity fixes, for all elements of G or H
+(``GroupTable.acting``), kept as the columns of one (6, N) matrix, filter
+with one vector-matrix product.  A lone surviving identity, the generic
+case, gives one set that G and H share; other survivors are tested on all
+six rows.  The orbit applies the 168 matrices of H, kept as one (6, 1008)
+matrix of their rows, and writes the reduced rows into one buffer; a
+G-orbit fills the buffer's second half with their negatives, since
+G = H x {+-1}.  Residues take floor division on int64 and % on Python
+integers, whichever is fewer operations (``_residues``).  The rows pack
+into base-den sort keys as wide as int64 allows.  Only the first key of
+each row is built, and one argsort of it orders the rows, unless two first
+keys tie below full width: then all the keys are built and one lexsort of
+them takes over.  Equal neighbouring keys are dropped.  An orbit is an
+``Orbit``: its distinct image rows, sorted into coordinate order and
+read-only, whose points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
 the curve's lattice Lambda_1 and translate t: no point of the curve is
@@ -84,6 +84,22 @@ from .torus import (
 # --- stabilizers and orbits ---------------------------------------------------
 
 
+def _residues(a: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a mod den, entrywise, in [0, den).
+
+    On int64 it is a - a // den * den, exact since |a| < 13 den
+    (``_moved_numerators``): numpy divides 1008 int64 entries by a scalar
+    in 1.9 us with //, against 5.4 us with % (2-vCPU Xeon, numpy 2.4.6).
+    On Python integers % is one operation an entry, and that form three.
+    """
+    if a.dtype == object:
+        return np.remainder(a, den, out=out)
+    return np.subtract(a, a // den * den, out=out)
+
+
+_ONES6 = np.ones(6, dtype=np.int64)
+
+
 def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
     """Ids of the elements of G or H that fix p, tested on g - I.
 
@@ -91,20 +107,25 @@ def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") ->
     l (g - I) of one covector l that only the identity fixes, kept as the
     columns of one (6, N) matrix (``ActingGroup.filter_columns``), filter
     every element with one vector-matrix product n @ columns.  A g that
-    moves p survives only when l (g - I) n is 0 mod den, about once in den,
-    so for a generic point the identity, which comes first in G and in H,
-    mostly survives alone.  When others survive, all six rows of their g - I
-    are tested.  An entry a is 0 mod den exactly when a == a // den * den,
-    in the filter and in the six-row test alike: floor division is faster
-    than % in numpy (see ``orbit_points``), and exact, since |a| < 13 den
-    on the int64 path (``_moved_numerators``).
+    moves p survives only when l (g - I) n is 0 mod den, about once in den.
+    The identity, which comes first in G and in H, always survives; for a
+    generic point it survives alone, and the answer is the acting group's
+    shared ``trivial`` set.  When others survive, all six rows of their
+    g - I are tested: each row's six residues, in [0, den), sum to 0 exactly
+    when all of them are 0, and one product with a ones vector sums them.
+    On int64 the filter tests a == a // den * den, faster in numpy than
+    a % den == 0; Python integers take % (``_residues``).
     """
     group = table.acting(quotient)
     moved, n, den = _moved_numerators(table, group.filter_columns, p)
-    kept = (moved == moved // den * den).nonzero()[0]
-    if len(kept) > 1:
-        moved = group.minus_identity.take(kept, axis=0).astype(n.dtype, copy=False) @ n
-        kept = kept.compress((moved == moved // den * den).all(axis=1))
+    if moved.dtype == object:
+        kept = (moved % den == 0).nonzero()[0]
+    else:
+        kept = (moved == moved // den * den).nonzero()[0]
+    if len(kept) == 1:
+        return group.trivial
+    moved = group.minus_identity.take(kept, axis=0).astype(n.dtype, copy=False) @ n
+    kept = kept.compress(_residues(moved, den) @ _ONES6 == 0)
     return frozenset(group.ids.take(kept).tolist())
 
 
@@ -153,21 +174,22 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
     det(-I_3) = -1, so G = H + (-I)H and (-h) p = -(h p).  When the acting
     group holds -I, the buffer has a second half, the other coset's rows
     den - rows, with zero entries kept at 0; nothing is concatenated.  The
-    residues are a - a // den * den rather than a % den: numpy's floor
-    division by a scalar is about three times faster than its %, and exact
-    on both paths.
+    residues are a - a // den * den on int64 and a % den on Python integers
+    (``_residues``).
 
     Rows pack into sort keys of ``width`` base-den digits each: the widest
-    of 6, 3, 2 and 1 with den^width <= 2^63, and one Python-integer key for
-    object rows.  A key is a product of width entries of a row with the
-    place values den^(width - 1), ..., den, 1; every entry lies in [0, den),
-    so each key is exact and below 2^63.  Key order is coordinate order, so
-    one argsort of the first keys orders the rows when no two of them tie,
-    and only the first key of each row, from its first width entries, is
-    built.  At width 6 the first key is the whole row, and equal neighbours
-    are the repeats; below it, tied first keys fall back to one product of
-    all the rows, grouped width entries at a time, giving all 6 / width keys
-    of each row, one lexsort of them and a comparison of neighbouring keys.
+    of 6, 3, 2 and 1 with den^width <= 2^63 (``_key_width``), and one
+    Python-integer key for object rows.  A key is a product of width entries
+    of a row with the place values den^(width - 1), ..., den, 1; every entry
+    lies in [0, den), so each key is exact and below 2^63.  Key order is
+    coordinate order, so one argsort of the first keys orders the rows when
+    no two of them tie, and only the first key of each row, from its first
+    width entries, is built.  When every first key is distinct, as for a
+    point with a trivial stabilizer, the rows are gathered in that order.
+    At width 6 the first key is the whole row, and equal neighbours are the
+    repeats; below it, tied first keys fall back to one product of all the
+    rows, width entries at a time, giving all 6 / width keys of each row,
+    one lexsort of them and a comparison of neighbouring keys.
     No ``TorusPoint`` is built until the orbit is read.
     """
     group = table.acting(quotient)
@@ -175,15 +197,11 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
     moved = moved.reshape(-1, 6)
     h = len(moved)
     rows = np.empty((2 * h if table.minus_one in group.members else h, 6), dtype=moved.dtype)
-    # a - a // den * den is a mod den, exactly: on the int64 path |a| < 13 den
-    # (``_moved_numerators``), so a // den * den cannot wrap, and object rows
-    # hold Python integers.  numpy divides 1008 int64 entries by a scalar in
-    # 1.9 us with //, against 5.4 us with % (2-vCPU Xeon, numpy 2.4.6)
-    np.subtract(moved, moved // den * den, out=rows[:h])
+    _residues(moved, den, out=rows[:h])
     if len(rows) > h:
         np.subtract(den, rows[:h], out=rows[h:])
         rows[h:][rows[:h] == 0] = 0
-    width = 6 if rows.dtype == object else next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+    width = 6 if rows.dtype == object else _key_width(den)
     places = np.array([den**k for k in range(width - 1, -1, -1)], dtype=rows.dtype)
     first = rows[:, :width] @ places
     order = first.argsort()
@@ -192,13 +210,20 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
     distinct[0] = True
     np.not_equal(first[1:], first[:-1], out=distinct[1:])
     # every int6 has det +-1, so each image has the exact order den of p
-    if width == 6 or distinct.all():
+    if np.count_nonzero(distinct) == len(rows):
+        return Orbit(rows.take(order, axis=0), den)
+    if width == 6:
         return Orbit(rows.take(order.compress(distinct), axis=0), den)
-    keys = rows.reshape(len(rows), 6 // width, width) @ places
+    keys = (rows.reshape(-1, width) @ places).reshape(len(rows), -1)
     order = np.lexsort(keys.T[::-1])
     keys = keys.take(order, axis=0)
     distinct[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     return Orbit(rows.take(order.compress(distinct), axis=0), den)
+
+
+def _key_width(den: int) -> int:
+    """The widest of 6, 3, 2 and 1 base-den digits with den**width <= 2**63."""
+    return 6 if den <= 1448 else 3 if den <= 2097152 else 2 if den <= 3037000499 else 1
 
 
 # --- cyclic quotient weights ---------------------------------------------------

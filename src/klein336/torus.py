@@ -60,14 +60,18 @@ class TorusPoint:
     ``den``, and ``den`` is the point's exact additive order, so
     gcd(*nums, den) == 1.  Equality, hashing, order and arithmetic work on
     this form; ``coords``, the six coordinates as Fractions in [0, 1), is
-    built on first read.
+    built on first read.  So is ``int64_nums``, the numerators as one
+    read-only int64 vector, which the int64 path of ``_moved_numerators``
+    reads: a point's stabilizer and orbit queries convert it once.  A point
+    whose products leave int64 is computed in Python integers and never
+    builds it.
 
     ``TorusPoint(coords)`` reduces any six rationals mod 1.
     ``TorusPoint(nums, den)`` takes the canonical form as given: the caller
     guarantees 0 <= n < den for each n and gcd(*nums, den) == 1.
     """
 
-    __slots__ = ("nums", "den", "_coords")
+    __slots__ = ("nums", "den", "_coords", "_int64_nums")
 
     def __init__(self, coords: Sequence[Fraction | int], den: int | None = None) -> None:
         if len(coords) != 6:
@@ -94,6 +98,16 @@ class TorusPoint:
             coords = tuple(Fraction(n, self.den) for n in self.nums)
             object.__setattr__(self, "_coords", coords)
             return coords
+
+    @property
+    def int64_nums(self) -> np.ndarray:
+        try:
+            return self._int64_nums
+        except AttributeError:
+            vector = np.array(self.nums, dtype=np.int64)
+            vector.setflags(write=False)
+            object.__setattr__(self, "_int64_nums", vector)
+            return vector
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TorusPoint):
@@ -301,15 +315,16 @@ def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
     g - I has absolute sum at most 6 max|int6| + 1.  A filter row's positive
     entries sum to at most that bound, and so do its negative entries'
     sizes (the group build checks it), so |l (g - I) n| stays below it
-    times den as well, though the row's absolute sum may not.  Larger
-    denominators use Python integers in object arrays, through the same
-    numpy operations.
+    times den as well, though the row's absolute sum may not.  n is then
+    the point's own read-only ``int64_nums``, converted once per point.
+    Larger denominators use Python integers in object arrays, through the
+    same numpy operations.
     """
-    nums, den = p.nums, p.den
+    den = p.den
     if (6 * table.int6_max_abs + 1) * den < 2**63:
-        n = np.array(nums, dtype=np.int64)
+        n = p.int64_nums
         return n @ cols, n, den
-    n = np.array(nums, dtype=object)
+    n = np.array(p.nums, dtype=object)
     return n @ cols.astype(object), n, den
 
 

@@ -39,6 +39,11 @@ Regenerate with:
     klein336 stabilizer --point "[0,-1/$d,-1/$d,-1/$d,0,0]" --json tests/golden/stabilizer_den$d.json > tests/golden/stabilizer_den$d.txt
     p="[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
     klein336 orbit --point "$p" --json tests/golden/orbit_den20011_mirror.json > tests/golden/orbit_den20011_mirror.txt
+    d=100000000000000000000
+    klein336 stabilizer --point "[1/$d,3/$d,0,0,0,7/$d]" --json tests/golden/stabilizer_den$d.json > tests/golden/stabilizer_den$d.txt
+    d=4611686018427387847
+    p="[3042356033772981421/$d,4463189694429390602/$d,2841667321312818362/$d,2406187365443775453/$d,3042356033772981421/$d,1272337336658411936/$d]"
+    klein336 stabilizer --point "$p" --json tests/golden/stabilizer_den$d.json > tests/golden/stabilizer_den$d.txt
 """
 
 import json
@@ -136,6 +141,14 @@ MIRROR_20011 = "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"
 # a denominator at the top of the int64 path, 13 den < 2^63, with numerators
 # 0 and den - 1
 BOUNDARY_INT64 = "[0,-1/709490156681136599,-1/709490156681136599,-1/709490156681136599,0,0]"
+# Python-integer numerators: over 10^20 > 2^63, and over 4611686018427387847,
+# a point of the h4 axis and the r2 mirror (perfbench's OVERFLOW list)
+HUGE_10_20 = "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"
+H4_AXIS = (
+    "[3042356033772981421/4611686018427387847,4463189694429390602/4611686018427387847,"
+    "2841667321312818362/4611686018427387847,2406187365443775453/4611686018427387847,"
+    "3042356033772981421/4611686018427387847,1272337336658411936/4611686018427387847]"
+)
 
 
 @pytest.mark.parametrize(
@@ -168,6 +181,10 @@ BOUNDARY_INT64 = "[0,-1/709490156681136599,-1/709490156681136599,-1/709490156681
         # trivial stabilizers: a generic point, and one at the int64 boundary
         (["stabilizer", "--point", GENERIC_20011], "stabilizer_den20011_generic"),
         (["stabilizer", "--point", BOUNDARY_INT64], "stabilizer_den709490156681136599"),
+        # on Python integers: a trivial stabilizer, and D8', whose survivors
+        # of the filter are rechecked on object rows
+        (["stabilizer", "--point", HUGE_10_20], "stabilizer_den100000000000000000000"),
+        (["stabilizer", "--point", H4_AXIS], "stabilizer_den4611686018427387847"),
     ],
 )
 def test_point_outputs_match_golden(tmp_path, capsys, argv, name):

@@ -147,6 +147,82 @@ def test_generic_point_keeps_only_the_identity_after_the_filter(group):
         assert stabilizer_indices(group, TorusPoint([F(n, den) for n in nums]), quotient) == {0}
 
 
+def test_a_lone_identity_is_the_shared_trivial_set(group):
+    # a generic point's stabilizer, on int64 and on Python-integer numerators,
+    # is the one set G and H share; a point of the r2 mirror, on which r2 also
+    # survives the filter, gets a set of its own
+    trivial = group.acting("G").trivial
+    assert trivial is group.acting("H").trivial and trivial == {group.identity}
+    generic = TorusPoint([F(n, 20011) for n in (3, 1000, 4567, 12345, 777, 19000)])
+    rng = random.Random(5)
+    huge = TorusPoint([F(rng.randrange(10**20 + 39), 10**20 + 39) for _ in range(6)])
+    for p in (generic, huge):
+        for quotient in ("G", "H"):
+            assert stabilizer_indices(group, p, quotient) is trivial
+    mirror = TorusPoint([F(n, 20011) for n in (2, 5, 77, 89, -79, 170)])
+    stab = stabilizer_indices(group, mirror, "G")
+    assert stab == {group.identity, group.named["r2"]} and stab is not trivial
+    assert stabilizer_indices(group, mirror, "H") is trivial
+
+
+@pytest.mark.parametrize("den", [20011, 10**20 + 39], ids=["int64", "python-int"])
+def test_recheck_reduces_each_entry_before_the_row_sum(group, den):
+    # a point that g7 moves, though both l (g7 - I) n and the sum of the six
+    # entries of (g7 - I) n are 0 mod den: only the residues of the entries,
+    # summed, reject g7; their raw sum, reduced, would keep it
+    g7 = group.named["g7"]
+    m = (np.array(group.elements[g7].int6, dtype=object) - np.eye(6, dtype=int)).tolist()
+    a = _filter_rows(group)[g7]
+    b = [sum(row[j] for row in m) for j in range(6)]
+    rng = random.Random(den)
+    nums = [rng.randrange(den) for _ in range(6)]
+    j, k = next((j, k) for j in range(6) for k in range(j + 1, 6) if math.gcd(a[j] * b[k] - a[k] * b[j], den) == 1)
+    nums[j] = nums[k] = 0
+    ra, rb = -sum(x * n for x, n in zip(a, nums)), -sum(x * n for x, n in zip(b, nums))
+    inv = pow(a[j] * b[k] - a[k] * b[j], -1, den)
+    nums[j] = (ra * b[k] - rb * a[k]) * inv % den
+    nums[k] = (a[j] * rb - b[j] * ra) * inv % den
+    p = TorusPoint([F(n, den) for n in nums])
+    assert p.nums == tuple(nums) and p.den == den
+    moved = [sum(x * n for x, n in zip(row, nums)) for row in m]
+    assert sum(x * n for x, n in zip(a, nums)) % den == 0 and sum(moved) % den == 0
+    assert any(x % den for x in moved)
+    want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
+    assert g7 not in want
+    for quotient in ("G", "H"):
+        assert stabilizer_indices(group, p, quotient) == want & group.acting(quotient).members
+
+
+def test_int64_numerators_are_one_read_only_vector_per_point(group, monkeypatch):
+    reads = []
+    read = TorusPoint.int64_nums.fget
+    monkeypatch.setattr(TorusPoint, "int64_nums", property(lambda q: reads.append(q) or read(q)))
+    p = TorusPoint([F(n, 20011) for n in (3, 1000, 4567, 12345, 777, 19000)])
+    vector = p.int64_nums
+    assert vector.dtype == np.int64 and vector.tolist() == list(p.nums)
+    assert not vector.flags.writeable
+    with pytest.raises(ValueError):
+        vector[0] = 1
+    for quotient in ("G", "H"):
+        stabilizer_indices(group, p, quotient)
+        orbit_points(group, p, quotient)
+    assert p.int64_nums is vector and reads == [p] * 6
+    # numerators beyond the int64 path never build it
+    reads.clear()
+    huge = TorusPoint([F(n, 10**20) for n in (1, 3, 0, 0, 0, 7)])
+    for quotient in ("G", "H"):
+        stabilizer_indices(group, huge, quotient)
+        orbit_points(group, huge, quotient)
+    assert reads == []
+
+
+@pytest.mark.parametrize(
+    "den", [2, 1448, 1449, 20011, 2097152, 2097153, 3037000499, 3037000500, 10**12 + 39, 2**63 // 13 - 1]
+)
+def test_key_width_is_the_widest_int64_holds(den):
+    assert orbits._key_width(den) == next((c for c in (6, 3, 2) if den**c <= 2**63), 1)
+
+
 def test_filter_at_the_int64_boundary(group):
     # a denominator at the top of the int64 path, and numerators 0 and den - 1
     # that give the element reaching the signed bound its largest filter

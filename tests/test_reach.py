@@ -87,6 +87,7 @@ ALLOWED = {
 }
 
 POINT = "[1/1009,5/1009,77/1009,0,3/1009,-1/1009]"
+GENERIC = "[3/20011,1000/20011,4567/20011,12345/20011,777/20011,19000/20011]"
 # exit code, argv; "{out}" is a fresh path under tmp_path
 COMMANDS = [
     (0, ["group", "build", "--json", "{out}"]),
@@ -100,7 +101,13 @@ COMMANDS = [
     (0, ["fixed", "--matrix", '["1/2","-1/2","1/2*w-w","-1/2","1/2","-1/2*w","w-1/2-1/2*w","-1/2+1/2*w",0]']),
     (0, ["stabilizer", "--point", "beta_0011", "--json", "{out}"]),
     (0, ["stabilizer", "--point", "kappa_3", "--in", "H", "--json", "{out}"]),
+    # trivial stabilizers: the identity alone passes the filter, and a filter
+    # on Python-integer numerators that others pass too
+    (0, ["stabilizer", "--point", GENERIC]),
+    (0, ["stabilizer", "--point", "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"]),
     (0, ["orbit", "--point", POINT, "--json", "{out}"]),
+    # 336 distinct first keys of width 3
+    (0, ["orbit", "--point", GENERIC]),
     # tied first sort keys, and Python-integer numerators
     (0, ["orbit", "--point", "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"]),
     (0, ["orbit", "--point", "[1/100000000000000000000,0,0,0,0,0]"]),
