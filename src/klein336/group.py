@@ -4,14 +4,15 @@ The group is generated by three reflections r1, r2, r3 whose matrices have
 entries in half the ring of integers of Q(w).  ``GroupTable`` closes the
 generators' integer 6x6 matrices on the invariant lattice under
 multiplication (BFS, fixed generator order, so element ids and witness words
-are reproducible).  The multiplication table is filled column by column
-from the right-regular permutations of the generators.  Each element fact
-is computed once, from the integer matrices and the table: determinants are
-the parity of the witness word, traces in Z[w] are read off two integer
-traces, the powers of each element (so its order and cyclic subgroup) come
-from one walk along its column, and the reflections and antireflections are
-the involutions of trace 1 and -1.  Each element's 3x3 matrix over Q(w) is
-read back from its integer matrix when first read.
+are reproducible).  The multiplication table is filled column by column from
+the right-regular permutations of the generators.  Each element fact is
+computed once, from the integer matrices and the table: determinants are the
+parity of the witness word, traces in Z[w] are read off two integer traces,
+the powers of each element (so its order and cyclic subgroup) come from one
+walk along its column, and the reflections and antireflections are the
+involutions of trace 1 and -1.  Each element's 3x3 matrix over Q(w) is read
+back from its integer matrix when first read, and its eigenvalue exponents
+on each call, from its powers' traces.
 
 On top of the table live conjugacy classes, the full subgroup lattice of
 the determinant-1 subgroup (168 elements, 179 subgroups in 15 conjugacy
@@ -33,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import itemgetter
 from typing import Iterable
 
@@ -61,6 +63,10 @@ _FILTER_COVECTOR = (-1, 0, 0, 1, -1, 1)
 
 class GroupConstructionError(RuntimeError):
     pass
+
+
+class ConsistencyError(RuntimeError):
+    """A computed result contradicts an exact check."""
 
 
 class UnrecognizedSubgroupError(ValueError):
@@ -303,6 +309,39 @@ class GroupTable:
         for i in ids:
             acc = rows[acc][i]
         return acc
+
+    def exponents(self, g: int) -> tuple[int, ...]:
+        """The eigenvalues exp(2 pi i k/r) of g on C^3 as sorted k in [0, r), r = g's order.
+
+        Counted on each call, and kept nowhere, from g's powers and their traces.
+        For m dividing r, the subgroup of S = <g> of order r/m fixes exactly the
+        eigenvalues of order dividing m; its average int6 trace (2a + b for
+        a + b*w) is twice their number, so subtracting the divisors' counts leaves
+        the number of exact order m.  Over Q(w) these fill whole blocks: all j r/m
+        with gcd(j, m) = 1 when 7 does not divide m, since Q(exp(2 pi i/m)) meets
+        Q(w) in Q, else j = 1, 2, 4 mod 7 or the other three.  As zeta + zeta^2 +
+        zeta^4 = w - 1 for zeta = exp(2 pi i/7), and -zeta^j = exp(2 pi i (2j + 7)/14),
+        the first is g's block when its trace is w - 1 (order 7) or 1 - w (order 14).
+        """
+        els = self.elements
+        el, r = els[g], els[g].order
+        sevenths = (1, 2, 4) if el.trace in ((-1, 1), (1, -1)) else (3, 5, 6)
+        counts: dict[int, int] = {}
+        exponents: list[int] = []
+        for m in (m for m in range(1, r + 1) if r % m == 0):
+            traces = [els[i].trace for i in el.powers if r // m % els[i].order == 0]
+            fixed, rem = divmod(sum(2 * a + b for a, b in traces), 2 * r // m)
+            if rem:
+                raise ConsistencyError(f"an averaged trace of S of order {r} is not whole")
+            counts[m] = fixed - sum(n for k, n in counts.items() if m % k == 0)
+            block = [j * r // m for j in range(m) if gcd(j, m) == 1 and (m % 7 or j % 7 in sevenths)]
+            copies, extra = divmod(counts[m], len(block))
+            if extra or copies < 0:
+                raise ConsistencyError(f"{counts[m]} eigenvalues of order {m} fill no whole block")
+            exponents += block * copies
+        if len(exponents) != 3:
+            raise ConsistencyError(f"cyclic S of order {r} has eigenvalue exponents {exponents}")
+        return tuple(sorted(exponents))
 
     def _build_named_registry(self, gen_ids: list[int]) -> dict[str, int]:
         """r1, r2 and r3 by their BFS ids, c by its matrix, the rest by their words."""

@@ -3,9 +3,9 @@
 A point's image in the quotient is smooth exactly when its stabilizer is
 generated by the reflections it contains; otherwise the germ is the linear
 quotient by the stabilizer.  For cyclic stabilizers the generator's
-eigenvalue exponents are read off the averaged traces of the subgroups,
-which count the eigenvalues of each order; the group table keeps each
-element's trace in Z[w].  When the reflection
+eigenvalue exponents are one exact fact of the group table
+(``GroupTable.exponents``), counted from the traces in Z[w] of its powers,
+and the germ reads them for one generator.  When the reflection
 part W has index 2, the degrees of W's basic invariants and the signs of the
 other coset on them are read off averaged series of 1/det(1 - t g) in Z[w].
 No floating point enters any germ.  Each subgroup's germ is computed once
@@ -244,43 +244,6 @@ class WeightInfo:
         return "non-cyclic-singular"
 
 
-def _cyclic_weights(table: GroupTable, s: frozenset[int], d: int) -> tuple[int, ...]:
-    """Germ weights of a cyclic S of order d, from element orders and traces.
-
-    The subgroup of order d/m fixes exactly the eigenvalues whose order
-    divides m; on Z^6 = V + conj(V) its average int6 trace, 2a + b for the
-    trace a + b*w that the group table keeps for each element, is twice
-    their number, and subtracting the divisors' counts leaves n_m, the
-    number of exact order m.  These fill whole Q(w)-conjugacy blocks: all j*d/m with
-    gcd(j, m) = 1 when 7 does not divide m, else the j = 1, 2, 4 mod 7,
-    since zeta + zeta^2 + zeta^4 = w - 1 (the conjugate block is a unit
-    multiple, which the minimum over units absorbs).  The canonical form is
-    the smallest sorted u * a mod d over the units u: the minimum over the
-    generators g^u.
-    """
-    els = table.elements
-    traces = [(els[i].order, 2 * els[i].trace[0] + els[i].trace[1]) for i in s]
-    counts: dict[int, int] = {}
-    exponents: list[int] = []
-    for m in (m for m in range(1, d + 1) if d % m == 0):
-        fixed, rem = divmod(sum(t for order, t in traces if d // m % order == 0), 2 * d // m)
-        if rem:
-            raise ConsistencyError(f"an averaged trace of S of order {d} is not whole")
-        counts[m] = fixed - sum(n for k, n in counts.items() if m % k == 0)
-        block = [
-            j * d // m for j in range(m) if math.gcd(j, m) == 1 and (m % 7 or j % 7 in (1, 2, 4))
-        ]
-        copies, extra = divmod(counts[m], len(block))
-        if extra or copies < 0:
-            raise ConsistencyError(f"{counts[m]} eigenvalues of order {m} fill no whole block")
-        exponents += block * copies
-    if len(exponents) != 3:
-        raise ConsistencyError(f"cyclic S of order {d} has eigenvalue exponents {exponents}")
-    return min(
-        tuple(sorted(u * a % d for a in exponents)) for u in range(d) if math.gcd(u, d) == 1
-    )
-
-
 @lru_cache(maxsize=None)  # keys: the few (trace, det) pairs of G, and n = |W|
 def _inverse_char_poly(tr: tuple[int, int], det: int, n: int) -> tuple[tuple[int, int], ...]:
     """1/det(1 - t g) up to t^n, each coefficient a pair (a, b) meaning a + b*w.
@@ -378,24 +341,26 @@ def _germ_type(table: GroupTable, s: frozenset[int]) -> WeightInfo:
 
     The germ is smooth exactly when S is generated by its reflections
     (Chevalley 1955; Shephard and Todd 1954), so S's reflection part W is
-    closed first, once, and the index-2 test below reuses it.  For cyclic
-    stabilizers the canonical form is the lexicographically smallest sorted
-    weight tuple over all generators, found exactly from element orders and
-    traces (``_cyclic_weights``).  A stabilizer whose reflection part W
-    has index 2 reduces in stages: the quotient by W is affine space on W's
-    basic invariants, where the other coset acts by signs, so the germ is
-    1/2(...) with a 1 for each sign -1.  Degrees and signs come from averaged
-    series over W and over the coset, guarded exactly: the averages are
-    rational integers, the degrees multiply to |W| and exceed the reflection
-    count by 3 in sum, and at least two signs are -1, or the germ would be
-    smooth.  Any other stabilizer is non-cyclic.
+    closed first, once, and the index-2 test below reuses it.  A cyclic S of
+    order d takes the lexicographically smallest sorted weight tuple over
+    its generators g^u, u k mod d over the units u, for the exact exponents
+    k of one generator g (``GroupTable.exponents``).  A stabilizer whose
+    reflection part W has index 2 reduces in stages: the quotient by W is
+    affine space on W's basic invariants, where the other coset acts by
+    signs, so the germ is 1/2(...) with a 1 for each sign -1.  Degrees and
+    signs come from averaged series over W and over the coset, guarded
+    exactly: the averages are rational integers, the degrees multiply to |W|
+    and exceed the reflection count by 3 in sum, and at least two signs are
+    -1, or the germ would be smooth.  Any other stabilizer is non-cyclic.
     """
     w_part = table.subgroup_closure(sorted(s & table.reflection_set))
     if w_part == s:
         return WeightInfo("smooth")
     d = len(s)
-    if any(table.elements[i].order == d for i in s):
-        return WeightInfo("cyclic", d, _cyclic_weights(table, s, d))
+    gen = next((i for i in s if table.elements[i].order == d), None)
+    if gen is not None:
+        k, units = table.exponents(gen), [u for u in range(d) if math.gcd(u, d) == 1]
+        return WeightInfo("cyclic", d, min(tuple(sorted(u * e % d for e in k)) for u in units))
     if len(w_part) * 2 != d:
         return WeightInfo("non-cyclic")
     return WeightInfo("cyclic", 2, _coset_weights(table, s, w_part))

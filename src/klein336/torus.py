@@ -32,13 +32,9 @@ from operator import mul
 
 import numpy as np
 
-from .group import GroupTable
+from .group import ConsistencyError, GroupTable
 from .linalg import hnf_rows, int_det, smith_normal_form
 from .qfield import _frac_str
-
-
-class ConsistencyError(RuntimeError):
-    """A computed result contradicts an exact check."""
 
 
 class ParabolicElementError(ValueError):

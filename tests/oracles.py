@@ -40,9 +40,10 @@
 * subgroup closures by plain BFS, with no Lagrange cut-off; the subgroup
   lattice of H by fixpoint closure over all subgroups, with those closures;
   and the quartic action expanded in ``QNum`` arithmetic;
-* germ weights the floating-point way for cyclic stabilizers: a
-  generator's eigenvalues snapped to roots of unity and cross-checked
-  against the exact trace and determinant;
+* eigenvalue exponents the floating-point way: an element's eigenvalues
+  snapped to roots of unity and cross-checked against the exact trace and
+  determinant (``snap_weights``), the reference for ``GroupTable.exponents``
+  on every element and, through a generator, for cyclic germ weights;
 * germ weights of index-2 reflection parts the field-valued way: degree
   parity for W x {+-1} with degrees from a divisor search, and the residual
   involution on the W-invariant linear and quadratic forms, solved with
@@ -53,9 +54,7 @@
 * the integer kernels as they were before their unit-pivot rewrite: the
   Smith normal form through four elementary-operation closures, HNF
   membership by a pivot scan, Bareiss determinants for every size; the
-  roots deduplicated on ``Fraction`` keys; and AC14's matrix and field draws;
-* an element's eigenvalues as exact exponents, from the averaged traces of
-  its powers (``eigenvalue_exponents``).
+  roots deduplicated on ``Fraction`` keys; and AC14's matrix and field draws.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -1456,52 +1455,3 @@ def fraction_keyed_roots() -> list[CVec3]:
                     out.append(v)  # type: ignore[arg-type]
     out.sort(key=lambda v: tuple((q.x, q.y) for q in v))
     return out
-
-
-# --- eigenvalues from averaged traces -------------------------------------------
-
-# the exponents j of exp(2 pi i j/m) that fill a block of exact order m = 7 or
-# 14, keyed by (m, the block's sum a + b*w as (a, b)): with zeta = exp(2 pi i/7),
-# zeta + zeta^2 + zeta^4 = w - 1, its conjugate block sums to -w, and
-# -zeta^k = exp(2 pi i (2k + 7)/14) negates both sums
-_SEVENTH_BLOCKS = {
-    (7, (-1, 1)): (1, 2, 4),
-    (7, (0, -1)): (3, 5, 6),
-    (14, (1, -1)): (9, 11, 1),
-    (14, (0, 1)): (13, 3, 5),
-}
-
-
-def eigenvalue_exponents(table, g: int) -> list[Fraction]:
-    """The eigenvalues exp(2 pi i e) of g on C^3 as exponents e in [0, 1), exactly.
-
-    No eigenvalue is solved for.  For each m dividing the order r of g, the
-    powers of g whose order divides r/m form the subgroup that fixes exactly
-    the eigenvalues of order dividing m; their average int6 trace 2a + b is
-    twice the number of those, and subtracting the divisors' counts leaves
-    the number of exact order m (as ``orbits._cyclic_weights`` counts them).
-    The characteristic polynomial lies over Q(w), so these eigenvalues fill
-    whole Galois blocks over Q(w): every j/m with gcd(j, m) = 1 when 7 does
-    not divide m, since Q(exp(2 pi i/m)) meets Q(w) in Q.  An element of
-    order 7 or 14 has three, one block of ``_SEVENTH_BLOCKS``, which its
-    trace picks.
-    """
-    el = table.elements[g]
-    r = el.order
-    counts: dict[int, int] = {}
-    out: list[Fraction] = []
-    for m in (m for m in range(1, r + 1) if r % m == 0):
-        sub = [table.elements[i] for i in el.powers if r // m % table.elements[i].order == 0]
-        fixed, rem = divmod(sum(2 * e.trace[0] + e.trace[1] for e in sub), 2 * len(sub))
-        assert rem == 0
-        counts[m] = fixed - sum(n for k, n in counts.items() if m % k == 0)
-        if m % 7 == 0 and counts[m]:
-            assert (m, counts[m]) == (r, 3)
-            block = _SEVENTH_BLOCKS[m, el.trace]
-        else:
-            block = [j for j in range(m) if gcd(j, m) == 1]
-        copies, extra = divmod(counts[m], len(block))
-        assert extra == 0
-        out += [Fraction(j, m) for j in block] * copies
-    assert len(out) == 3
-    return sorted(out)

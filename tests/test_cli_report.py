@@ -19,7 +19,7 @@ import klein336
 import oracles
 from klein336 import report, torus
 from klein336.cli import main
-from klein336.group import R1, GroupConstructionError, UnrecognizedSubgroupError, get_group
+from klein336.group import R1, GroupConstructionError, GroupTable, UnrecognizedSubgroupError, get_group
 from klein336.linalg import IDENTITY3, Mat3, NonIntegralError, mat3_to_int6
 from klein336.orbits import ConsistencyError
 from klein336.qfield import QNum
@@ -433,6 +433,18 @@ def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv, in_c
     assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in captured.err
     _no_child_left()
+
+
+def test_a_cold_stabilizer_computes_exponents_in_its_stabilizer_only(monkeypatch, capsys):
+    # a fresh table, as in a cold process: the germ of beta_0011's C4 reads
+    # the exponents of one generator, and no other element's
+    table, calls = GroupTable(), []
+    exponents = table.exponents
+    monkeypatch.setattr(table, "exponents", lambda g: calls.append(g) or exponents(g))
+    monkeypatch.setattr("klein336.cli.get_group", lambda: table)
+    assert main(["stabilizer", "--point", "beta_0011"]) == 0
+    assert "image status: 1/4(1,2,3)\nelements: 0 21 323 329\n" in capsys.readouterr().out
+    assert len(calls) == 1 and set(calls) <= {0, 21, 323, 329}
 
 
 def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, capsys):

@@ -311,6 +311,14 @@ def test_field_matrices_are_built_on_first_read():
     assert all("mat" in vars(el) for el in table.elements)
 
 
+def test_exponents_equal_the_float_eigenvalue_solve(group):
+    # the exact count from the traces of each element's powers against numpy's
+    # eigenvalues of its 3x3 matrix, each snapped to a root of unity of the
+    # element's order and cross-checked against the exact trace and determinant
+    for g, el in enumerate(group.elements):
+        assert group.exponents(g) == oracles.snap_weights(group, g, el.order)
+
+
 def test_reflections_and_antireflections(group):
     for i in group.reflections:
         el = group.elements[i]

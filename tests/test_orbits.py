@@ -12,7 +12,6 @@ import pytest
 from oracles import (
     AntireflectionCurves,
     complement_fixed_locus,
-    eigenvalue_exponents,
     exact_orbit,
     exact_stabilizer,
     field_singularity_weights,
@@ -378,9 +377,8 @@ def test_germs_of_the_subgroups_of_h_are_gorenstein(group):
 
 def test_ito_reid_ages_from_the_table(group):
     # the age of g with eigenvalues exp(2 pi i e_j), 0 <= e_j < 1, is the sum
-    # of the e_j (Ito and Reid 1996), read exactly off the table's traces
-    exponents = {g: eigenvalue_exponents(group, g) for g in range(group.size)}
-    age = {g: sum(e) for g, e in exponents.items()}
+    # of the e_j (Ito and Reid 1996), read exactly off the table's exponents
+    age = {g: F(sum(group.exponents(g)), el.order) for g, el in enumerate(group.elements)}
     # exp(2 pi i age) is the determinant
     assert all(age[g] % 1 == (0 if el.det == 1 else F(1, 2)) for g, el in enumerate(group.elements))
     h_classes = sorted((c.element_order, {age[g] for g in c.members}) for c in group.conjugacy_classes("H"))
@@ -392,13 +390,17 @@ def test_ito_reid_ages_from_the_table(group):
     # in G a reflection has age 1/2, as a reflection must, and -1 has age 3/2
     assert {age[g] for g in group.reflections} == {F(1, 2)}
     assert age[group.minus_one] == F(3, 2)
-    # the germ rule's cyclic weights 1/d(a, b, c) are the exponents of a generator
-    cyclic = [c for c, _ in group.cyclic_subgroups() if len(c) > 1]
-    assert len(cyclic) == 21 + 28 + 21 + 8
+    # the germ rule's cyclic weights 1/d(a, b, c) are the exponents of a
+    # generator, on every non-trivial cyclic subgroup of G: of orders 2 to 14,
+    # and of determinant -1; those of the reflections, exponents (0, 0, 1), are smooth
+    cyclic = {el.powers for el in group.elements} - {frozenset([group.identity])}
+    assert len(cyclic) == 157
+    assert Counter(len(c) for c in cyclic) == {2: 43, 3: 28, 4: 42, 6: 28, 7: 8, 14: 8}
     for c in cyclic:
         w = singularity_weights(group, c)
-        gens = [g for g in c if group.elements[g].order == len(c)]
-        assert w.weights in {tuple(sorted(e * len(c) for e in exponents[g])) for g in gens}
+        exponents = {group.exponents(g) for g in c if group.elements[g].order == len(c)}
+        assert w.weights in exponents if w.status == "cyclic" else exponents == {(0, 0, 1)}
+    assert Counter(singularity_weights(group, c).status for c in cyclic) == {"cyclic": 136, "smooth": 21}
 
 
 def test_staged_weights_for_non_reflection_generated_stabilizers(group):
@@ -500,17 +502,25 @@ def test_germs_are_kept_once_per_subgroup(monkeypatch):
     ],
 )
 def test_cyclic_weights_reject_traces_that_fit_no_eigenvalues(group, gen, trace, drop_identity):
-    # every non-identity element of <gen> gets the trace trace*w, of int6 trace `trace`
-    s = group.subgroup_closure([group.named[gen]])
-    d = len(s)
+    # the exponents that the cyclic weights read: every non-identity element of
+    # <gen> gets the trace trace*w, of int6 trace `trace`; without the identity,
+    # gen's powers are those of an element of order 6
+    g = group.named[gen]
+    s = group.elements[g].powers
     elements = [
         dataclasses.replace(el, trace=(0, trace)) if el.index in s and el.index else el
         for el in group.elements
     ]
     if drop_identity:
-        s -= {group.identity}
-    with pytest.raises(ConsistencyError):
-        orbits._cyclic_weights(types.SimpleNamespace(elements=elements), s, d)
+        elements[g] = dataclasses.replace(elements[g], powers=s - {group.identity})
+    message = {
+        ("g7", 0): "an averaged trace of S of order 7 is not whole",
+        ("g7", 13): "-3 eigenvalues of order 7 fill no whole block",
+        ("c3", 3): "1 eigenvalues of order 3 fill no whole block",
+        ("g7", -1): "an averaged trace of S of order 6 is not whole",
+    }[gen, trace]
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        GroupTable.exponents(types.SimpleNamespace(elements=elements), g)
 
 
 def test_cyclic_weights_need_three_eigenvalues(group):
@@ -518,7 +528,7 @@ def test_cyclic_weights_need_three_eigenvalues(group):
     elements = [dataclasses.replace(el, trace=(6, 0)) if el.index == group.identity else el for el in group.elements]
     message = "cyclic S of order 1 has eigenvalue exponents [0, 0, 0, 0, 0, 0]"
     with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        orbits._cyclic_weights(types.SimpleNamespace(elements=elements), frozenset({group.identity}), 1)
+        GroupTable.exponents(types.SimpleNamespace(elements=elements), group.identity)
 
 
 def test_averaged_series_guards(group):

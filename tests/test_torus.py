@@ -2,12 +2,12 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from oracles import (
     beta_cvec,
     complement_fixed_locus,
-    eigenvalue_exponents,
     from_eps_coords,
     goursat_subgroups_of_g,
     kernel_K,
@@ -409,17 +409,22 @@ def test_joint_loci_of_every_subgroup_of_g(group):
     assert max(abs(x) for locus in loci for row in locus.lambda1_rows for x in row) == 6
 
 
-def test_lefschetz_numbers_of_the_quotients(group):
-    # e(J/K) = (1/|K|) sum over g in K of det(I - g) on Z^6 (Lefschetz 1926);
-    # det(I - g) = |det_C(I - g)|^2 is 0 for parabolic g and |Fix g| for elliptic g
-    dets = [
+def _lefschetz_terms(group) -> list[int]:
+    """det(I - g) on Z^6 for every g, by id."""
+    return [
         int_det([[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(el.int6)])
         for el in group.elements
     ]
+
+
+def test_lefschetz_numbers_of_the_quotients(group):
+    # e(J/K) = (1/|K|) sum over g in K of det(I - g) on Z^6 (Lefschetz 1926);
+    # det(I - g) = |det_C(I - g)|^2 is 0 for parabolic g and |Fix g| for elliptic g
+    dets = _lefschetz_terms(group)
     for g, det in enumerate(dets):
         assert det == (group.elements[g].mat - IDENTITY3).det().norm()
-        # elliptic: 1 is not an eigenvalue, read off the averaged traces of g's powers
-        if 0 not in eigenvalue_exponents(group, g):
+        # elliptic: 1 is not an eigenvalue, read off the table's exponents
+        if 0 not in group.exponents(g):
             assert det == fixed_point_count(group, g)
         else:
             assert det == 0
@@ -428,6 +433,43 @@ def test_lefschetz_numbers_of_the_quotients(group):
     lefschetz = [F(sum(dets[g] for g in k), len(k)) for k in goursat_subgroups_of_g(group)]
     assert len(lefschetz) == 547 and all(e.denominator == 1 for e in lefschetz)
     assert Counter(lefschetz) == {0: 274, 2: 9, 4: 93, 6: 57, 8: 43, 12: 49, 16: 21, 32: 1}
+
+
+def _zw_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b*w)(c + d*w) in Z[w], with w^2 = w - 2."""
+    (a, b), (c, d) = x, y
+    return a * c - 2 * b * d, a * d + b * c + b * d
+
+
+def test_invariant_hodge_numbers_of_the_quotients(group):
+    # H^{p,q}(J/K) = H^{p,q}(J)^K (Grothendieck 1957), and H^{p,q}(J) is
+    # conj(Lambda^p V*) (x) Lambda^q V*, so h^{p,q}(J/K) = (1/|K|) sum over g in K
+    # of conj(e_p(g)) e_q(g) with e_0 = 1, e_1 = tr g, e_2 = (tr^2 g - tr g^2)/2
+    # and e_3 = det g, exactly in Z[w], where conj(a + b*w) = (a + b) - b*w
+    els = group.elements
+    chars = []
+    for g, el in enumerate(els):
+        square, trace2 = _zw_mul(el.trace, el.trace), els[group.multiply(g, g)].trace
+        e2 = tuple(F(x - y, 2) for x, y in zip(square, trace2))
+        # g is unitary of determinant det: e_2 = det conj(tr), which orbits._inverse_char_poly uses
+        assert e2 == (el.det * sum(el.trace), -el.det * el.trace[1])
+        e = [(1, 0), el.trace, (int(e2[0]), int(e2[1])), (el.det, 0)]
+        chars.append([[_zw_mul((a + b, -b), f) for f in e] for a, b in e])
+    chars = np.array(chars, dtype=np.int64)  # (336, p, q, 2): conj(e_p) e_q as a + b*w
+
+    def hodge(k: frozenset[int]) -> np.ndarray:
+        total = chars[sorted(k)].sum(axis=0)
+        assert not total[..., 1].any() and not (total[..., 0] % len(k)).any()
+        return total[..., 0] // len(k)
+
+    sign = (-1) ** np.add.outer(np.arange(4), np.arange(4))
+    dets = _lefschetz_terms(group)
+    for k in goursat_subgroups_of_g(group):
+        assert (sign * hodge(k)).sum() == F(sum(dets[g] for g in k), len(k))
+    assert hodge(group.g_set).tolist() == np.eye(4, dtype=int).tolist()  # X = J/G
+    y = np.eye(4, dtype=int)
+    y[3, 0] = y[0, 3] = 1
+    assert hodge(group.h_set).tolist() == y.tolist()  # Y = J/H: h^{3,0} = h^{0,3} = 1
 
 
 def test_eps_roundtrip_on_registry_points(group):
