@@ -5,12 +5,12 @@ generated by the reflections it contains; otherwise the germ is the linear
 quotient by the stabilizer.  For cyclic stabilizers the generator's
 eigenvalue exponents are one exact fact of the group table
 (``GroupTable.exponents``), counted from the traces in Z[w] of its powers,
-and the germ reads them for one generator.  When the reflection
-part W has index 2, the degrees of W's basic invariants and the signs of the
-other coset on them are read off averaged series of 1/det(1 - t g) in Z[w].
-No floating point enters any germ.  Each subgroup's germ is computed once
-per group table, when first asked for, and kept in ``table.derived`` keyed
-by the subgroup.
+and the germ reads them for one generator.  When the reflection part W has
+index 2, the other coset acts on W's basic invariants by signs, and the
+number of signs +1 is the largest number of exponents 0 among the coset's
+elements.  No floating point enters any germ.  Each subgroup's germ is
+computed once per group table, when first asked for, and kept in
+``table.derived`` keyed by the subgroup.
 
 Stabilizers and orbits of a torsion point n / den apply integer matrices of
 G or H to its numerators at once, in int64 (the point's own vector,
@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -244,84 +243,6 @@ class WeightInfo:
         return "non-cyclic-singular"
 
 
-@lru_cache(maxsize=None)  # keys: the few (trace, det) pairs of G, and n = |W|
-def _inverse_char_poly(tr: tuple[int, int], det: int, n: int) -> tuple[tuple[int, int], ...]:
-    """1/det(1 - t g) up to t^n, each coefficient a pair (a, b) meaning a + b*w.
-
-    det(1 - t g) = 1 - e1 t + e2 t^2 - e3 t^3 with e1 = tr g, e3 = det g and,
-    g being unitary, e2 = det g * conj(tr g); so the series depends on the
-    trace and determinant alone.  Arithmetic in Z[w] uses w^2 = w - 2.
-    """
-    p, q = tr
-    u, v = det * (p + q), -det * q  # e2
-    c = [(0, 0), (0, 0), (1, 0)]  # two zero terms start the recurrence
-    for _ in range(n):
-        (a1, b1), (a2, b2), (a3, b3) = c[-1], c[-2], c[-3]
-        c.append((
-            p * a1 - 2 * q * b1 - u * a2 + 2 * v * b2 + det * a3,
-            p * b1 + q * a1 + q * b1 - u * b2 - v * a2 - v * b2 + det * b3,
-        ))
-    return tuple(c[2:])
-
-
-def _averaged_series(table: GroupTable, elements: frozenset[int], order: int) -> list[int]:
-    """(1/order) * sum over the elements of 1/det(1 - t g), up to t^order.
-
-    Each term depends on the element's trace in Z[w] and its determinant
-    alone (``_inverse_char_poly``), both read off the group table.
-    """
-    total_a, total_b = [0] * (order + 1), [0] * (order + 1)
-    for i in elements:
-        el = table.elements[i]
-        for k, (a, b) in enumerate(_inverse_char_poly(el.trace, el.det, order)):
-            total_a[k] += a
-            total_b[k] += b
-    if any(total_b) or any(a % order for a in total_a):
-        raise ConsistencyError("an averaged series coefficient is not a rational integer")
-    return [a // order for a in total_a]
-
-
-def _times(series: list[int], sign: int, d: int) -> None:
-    """Multiply a truncated series in place by 1 - sign * t^d."""
-    for k in range(len(series) - 1, d - 1, -1):
-        series[k] -= sign * series[k - d]
-
-
-def _coset_weights(
-    table: GroupTable, s: frozenset[int], w_part: frozenset[int]
-) -> tuple[int, ...]:
-    """Germ weights of S when its reflection part W has index 2.
-
-    (1/|W|) sum_{g in sigma W} 1/det(1 - t g) = prod 1/(1 - eps_i t^d_i), where
-    eps_i is sigma's sign on W's i-th basic invariant (Stanley 1979; Springer
-    1974); sigma = 1 gives Molien's series and the degrees d_i.
-    """
-    order = len(w_part)
-    molien = _averaged_series(table, w_part, order)
-    degrees: list[int] = []
-    for d in range(1, order + 1):
-        for _ in range(min(molien[d], 3 - len(degrees))):  # surplus fails below
-            degrees.append(d)
-            _times(molien, 1, d)
-    if (
-        any(molien[1:])
-        or len(degrees) != 3
-        or math.prod(degrees) != order
-        or sum(degrees) - 3 != len(w_part & table.reflection_set)
-    ):
-        raise ConsistencyError(f"no reflection-group degrees fit |W|={order}: {degrees}")
-    # the sign sums per degree fix the signs; the remainder check proves them
-    coset = _averaged_series(table, s - w_part, order)
-    weights = []
-    for d in degrees:
-        sign = 1 if coset[d] > 0 else -1
-        _times(coset, sign, d)
-        weights.append(int(sign < 0))
-    if any(coset[1:]) or sum(weights) < 2:
-        raise ConsistencyError(f"coset weights {weights} contradict the series or closure")
-    return tuple(sorted(weights))
-
-
 def singularity_weights(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     """Quotient-germ type of a stabilizer: smooth, cyclic 1/d(...), or worse.
 
@@ -347,11 +268,9 @@ def _germ_type(table: GroupTable, s: frozenset[int]) -> WeightInfo:
     k of one generator g (``GroupTable.exponents``).  A stabilizer whose
     reflection part W has index 2 reduces in stages: the quotient by W is
     affine space on W's basic invariants, where the other coset acts by
-    signs, so the germ is 1/2(...) with a 1 for each sign -1.  Degrees and
-    signs come from averaged series over W and over the coset, guarded
-    exactly: the averages are rational integers, the degrees multiply to |W|
-    and exceed the reflection count by 3 in sum, and at least two signs are
-    -1, or the germ would be smooth.  Any other stabilizer is non-cyclic.
+    signs, so the germ is 1/2(...) with a 1 for each sign -1, counted from
+    the exponents 0 of the elements of S - W.  Any other stabilizer is
+    non-cyclic.
     """
     w_part = table.subgroup_closure(sorted(s & table.reflection_set))
     if w_part == s:
@@ -363,7 +282,16 @@ def _germ_type(table: GroupTable, s: frozenset[int]) -> WeightInfo:
         return WeightInfo("cyclic", d, min(tuple(sorted(u * e % d for e in k)) for u in units))
     if len(w_part) * 2 != d:
         return WeightInfo("non-cyclic")
-    return WeightInfo("cyclic", 2, _coset_weights(table, s, w_part))
+    # C^3/W is C^3 on W's basic invariants (Chevalley 1955; Shephard and Todd
+    # 1954), chosen so that sigma in S - W acts on them by signs.  Its fixed
+    # space there, spanned by the signs +1, is the union of the images of
+    # Fix(g) for g in S - W (Prill 1967), so its dimension is the largest
+    # dim Fix(g).  A g in S - W that fixes a plane is a reflection outside W,
+    # which the closure above rules out.
+    fixed = max(table.exponents(g).count(0) for g in s - w_part)
+    if fixed > 1:
+        raise ConsistencyError(f"an element of S - W fixes a space of dimension {fixed}: W misses a reflection")
+    return WeightInfo("cyclic", 2, (0,) * fixed + (1,) * (3 - fixed))
 
 
 # --- generic points of special curves ------------------------------------------

@@ -86,6 +86,9 @@ class TorusPoint:
     def __deepcopy__(self, memo) -> "TorusPoint":
         return self  # immutable, so records holding points copy them as they are
 
+    def __reduce__(self):
+        return TorusPoint, (self.nums, self.den)  # for pickle and copy.copy, which set no slot
+
     @property
     def coords(self) -> tuple[Fraction, ...]:
         try:

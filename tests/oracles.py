@@ -48,6 +48,11 @@
   parity for W x {+-1} with degrees from a divisor search, and the residual
   involution on the W-invariant linear and quadratic forms, solved with
   ``qnum_solve``; the subgroups of G from those of H by Goursat's lemma;
+* Molien and Stanley series: 1/det(1 - t g) from g's trace and determinant
+  in Z[w] (``inverse_char_poly``), averaged over a subgroup or a coset
+  (``averaged_series``), the degrees of free invariants read off a Molien
+  series (``free_degrees``), and the signs of the other coset on them, the
+  germ weights of an index-2 reflection part (``coset_series_weights``);
 * subgroup labels by a chain of rules on element orders, -1, determinants,
   reflections and commutativity (``rule_recognize``), and reflection
   generation by plain closure (``reflection_generated``);
@@ -66,7 +71,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -1164,6 +1170,79 @@ def field_singularity_weights(table, s: frozenset[int]) -> WeightInfo:
         if weights is not None:
             return WeightInfo("cyclic", 2, weights)
     return WeightInfo("non-cyclic")
+
+
+@lru_cache(maxsize=None)  # keys: the few (trace, det) pairs of G, and n
+def inverse_char_poly(tr: tuple[int, int], det: int, n: int) -> tuple[tuple[int, int], ...]:
+    """1/det(1 - t g) up to t^n, each coefficient a pair (a, b) meaning a + b*w.
+
+    det(1 - t g) = 1 - e1 t + e2 t^2 - e3 t^3 with e1 = tr g, e3 = det g and,
+    g being unitary, e2 = det g * conj(tr g); so the series depends on the
+    trace and determinant alone.  Arithmetic in Z[w] uses w^2 = w - 2.
+    """
+    p, q = tr
+    u, v = det * (p + q), -det * q  # e2
+    c = [(0, 0), (0, 0), (1, 0)]  # two zero terms start the recurrence
+    for _ in range(n):
+        (a1, b1), (a2, b2), (a3, b3) = c[-1], c[-2], c[-3]
+        c.append((
+            p * a1 - 2 * q * b1 - u * a2 + 2 * v * b2 + det * a3,
+            p * b1 + q * a1 + q * b1 - u * b2 - v * a2 - v * b2 + det * b3,
+        ))
+    return tuple(c[2:])
+
+
+def averaged_series(table, elements: frozenset[int], order: int) -> list[int]:
+    """(1/order) * sum over the elements of 1/det(1 - t g), up to t^order, in Z."""
+    total_a, total_b = [0] * (order + 1), [0] * (order + 1)
+    for i in elements:
+        el = table.elements[i]
+        for k, (a, b) in enumerate(inverse_char_poly(el.trace, el.det, order)):
+            total_a[k] += a
+            total_b[k] += b
+    if any(total_b) or any(a % order for a in total_a):
+        raise ConsistencyError("an averaged series coefficient is not a rational integer")
+    return [a // order for a in total_a]
+
+
+def _times(series: list[int], sign: int, d: int) -> None:
+    """Multiply a truncated series in place by 1 - sign * t^d."""
+    for k in range(len(series) - 1, d - 1, -1):
+        series[k] -= sign * series[k - d]
+
+
+def free_degrees(series: list[int]) -> list[int] | None:
+    """The three degrees d_i if the truncated series is prod 1/(1 - t^d_i), else None."""
+    series, degrees = list(series), []
+    for d in range(1, len(series)):
+        if series[d] < 0 or len(degrees) + series[d] > 3:
+            return None
+        for _ in range(series[d]):
+            degrees.append(d)
+            _times(series, 1, d)
+    return degrees if len(degrees) == 3 and not any(series[1:]) else None
+
+
+def coset_series_weights(table, s: frozenset[int], w_part: frozenset[int]) -> tuple[int, ...]:
+    """Germ weights of S when its reflection part W has index 2, from series.
+
+    (1/|W|) sum_{g in sigma W} 1/det(1 - t g) = prod 1/(1 - eps_i t^d_i), where
+    eps_i is sigma's sign on W's i-th basic invariant (Stanley 1979; Springer
+    1974); sigma = 1 gives Molien's series and the degrees d_i.  The germ is
+    1/2(...) with a 1 for each sign -1.
+    """
+    order = len(w_part)
+    degrees = free_degrees(averaged_series(table, w_part, order))
+    assert degrees is not None and prod(degrees) == order, degrees
+    # the sign sums per degree fix the signs; the remainder check proves them
+    coset = averaged_series(table, s - w_part, order)
+    weights = []
+    for d in degrees:
+        sign = 1 if coset[d] > 0 else -1
+        _times(coset, sign, d)
+        weights.append(int(sign < 0))
+    assert not any(coset[1:]), coset
+    return tuple(sorted(weights))
 
 
 def goursat_subgroups_of_g(table) -> list[frozenset[int]]:

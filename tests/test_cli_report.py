@@ -437,7 +437,8 @@ def test_internal_error_exit_code(monkeypatch, capsys, error, target, argv, in_c
 
 def test_a_cold_stabilizer_computes_exponents_in_its_stabilizer_only(monkeypatch, capsys):
     # a fresh table, as in a cold process: the germ of beta_0011's C4 reads
-    # the exponents of one generator, and no other element's
+    # the exponents of one generator, and no other element's; that of
+    # beta_1010's D8' reads those of the four elements outside its reflection part
     table, calls = GroupTable(), []
     exponents = table.exponents
     monkeypatch.setattr(table, "exponents", lambda g: calls.append(g) or exponents(g))
@@ -445,6 +446,11 @@ def test_a_cold_stabilizer_computes_exponents_in_its_stabilizer_only(monkeypatch
     assert main(["stabilizer", "--point", "beta_0011"]) == 0
     assert "image status: 1/4(1,2,3)\nelements: 0 21 323 329\n" in capsys.readouterr().out
     assert len(calls) == 1 and set(calls) <= {0, 21, 323, 329}
+    calls.clear()
+    assert main(["stabilizer", "--point", "beta_1010"]) == 0
+    out = capsys.readouterr().out
+    assert "label D8'\n" in out and "image status: 1/2(0,1,1)\nelements: 0 1 14 21 310 323 329 332\n" in out
+    assert len(calls) == 4 and set(calls) <= {0, 1, 14, 21, 310, 323, 329, 332}
 
 
 def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, capsys):

@@ -11,14 +11,18 @@ import pytest
 
 from oracles import (
     AntireflectionCurves,
+    averaged_series,
     complement_fixed_locus,
+    coset_series_weights,
     exact_orbit,
     exact_stabilizer,
     field_singularity_weights,
     fixes_curve,
+    free_degrees,
     full_stack_orbit,
     goursat_subgroups_of_g,
     group_ids,
+    inverse_char_poly,
     looped_curve_stabilizer,
     projector_setwise_stabilizer,
     reflection_generated,
@@ -30,7 +34,6 @@ from klein336.group import _FILTER_COVECTOR, _W6, R1, R2, R3, GroupTable
 from klein336.linalg import IDENTITY3, mat3_to_int6, smith_normal_form
 from klein336.orbits import (
     ConsistencyError,
-    _inverse_char_poly,
     beta_table_summary,
     classify_locus,
     curve_setwise_stabilizer,
@@ -443,24 +446,29 @@ def test_reflection_part_is_closed_once(monkeypatch):
 
 
 def test_germ_rule_matches_field_oracle_on_all_subgroups_of_g():
-    # the averaged-trace rule against snapped float eigenvalues, the coset
-    # series against degree parity and the residual involution, on a fresh
+    # the exponent rules against snapped float eigenvalues, degree parity and
+    # the residual involution: a generator's exponents for a cyclic S, and the
+    # coset's fixed spaces for an index-2 reflection part W, whose germs also
+    # match the signs of the other coset in its Stanley series; on a fresh
     # table, so that every germ is computed here
     table = GroupTable()
     subgroups = goursat_subgroups_of_g(table)
     assert len(set(subgroups)) == 547
-    index2_shapes = set()
+    index2_shapes = Counter()
     cyclic = 0
     for s in subgroups:
-        assert singularity_weights(table, s) == field_singularity_weights(table, s)
+        germ = singularity_weights(table, s)
+        assert germ == field_singularity_weights(table, s)
         if reflection_generated(table, s):
             continue
+        w_part = table.subgroup_closure(sorted(s & table.reflection_set))
         if any(table.elements[i].order == len(s) for i in s):
             cyclic += 1
-        elif 2 * len(table.subgroup_closure(sorted(s & table.reflection_set))) == len(s):
-            index2_shapes.add(table.recognize(s))
+        elif 2 * len(w_part) == len(s):
+            assert germ.weights == coset_series_weights(table, s, w_part)
+            index2_shapes[table.recognize(s)] += 1
     assert cyclic == 136
-    assert index2_shapes == {"C2xC2'", "±S3", "D8'"}
+    assert index2_shapes == {"C2xC2'": 21, "±S3": 28, "D8'": 42}
 
 
 def test_germ_rule_uses_no_floating_point_on_any_subgroup(monkeypatch):
@@ -535,21 +543,19 @@ def test_averaged_series_guards(group):
     g7 = group.named["g7"]
     # {g7} is no group, and its series has a coefficient outside Z
     with pytest.raises(ConsistencyError, match="^an averaged series coefficient is not a rational integer$"):
-        orbits._averaged_series(group, frozenset({g7}), 1)
+        averaged_series(group, frozenset({g7}), 1)
 
 
-def test_coset_weights_guards(group):
-    c3, m1 = group.named["c3"], group.named["m1"]
-    # <c3> holds no reflection, so no reflection-group degrees multiply to its order
-    message = "no reflection-group degrees fit |W|=3: [1, 2, 3]"
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        orbits._coset_weights(group, group.subgroup_closure([c3, m1]), group.subgroup_closure([c3]))
-    # <r, r'> over <r> for commuting reflections: one sign -1 leaves the germ smooth
+def test_coset_weights_guards(group, monkeypatch):
+    # <r, r'> over <r> for commuting reflections, as if the closure of S's
+    # reflections missed r': r' lies in S - W and fixes a plane
     r, *others = sorted(group.reflections)
     r2 = next(x for x in others if group.multiply(r, x) == group.multiply(x, r))
-    message = "coset weights [1, 0, 0] contradict the series or closure"
+    s, w_part = group.subgroup_closure([r, r2]), group.subgroup_closure([r])
+    monkeypatch.setattr(group, "subgroup_closure", lambda gens: w_part)
+    message = "an element of S - W fixes a space of dimension 2: W misses a reflection"
     with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        orbits._coset_weights(group, group.subgroup_closure([r, r2]), group.subgroup_closure([r]))
+        orbits._germ_type(group, s)
 
 
 def test_traces_read_off_the_integer_matrices(group):
@@ -641,7 +647,7 @@ def test_inverse_char_poly_inverts_det_one_minus_tg(group):
         )
         tr = m[0][0] + m[1][1] + m[2][2]
         poly = [QNum(1), -tr, e2, QNum(-el.det)]
-        series = [QNum(a, b) for a, b in _inverse_char_poly((tr.a, tr.b), el.det, n)]
+        series = [QNum(a, b) for a, b in inverse_char_poly((tr.a, tr.b), el.det, n)]
         for k in range(n + 1):
             product = sum((poly[j] * series[k - j] for j in range(min(k, 3) + 1)), QNum(0))
             assert product == QNum(int(k == 0))
@@ -658,25 +664,12 @@ def _over_free_product(numerator: list[int], degrees: tuple[int, ...], n: int) -
     return series
 
 
-def _free_degrees(series: list[int]) -> list[int] | None:
-    """The three degrees d_i if the truncated series is prod 1/(1 - t^d_i), else None."""
-    series, degrees = list(series), []
-    for d in range(1, len(series)):
-        if series[d] < 0 or len(degrees) + series[d] > 3:
-            return None
-        for _ in range(series[d]):
-            degrees.append(d)
-            for k in range(len(series) - 1, d - 1, -1):  # times 1 - t^d
-                series[k] -= series[k - d]
-    return degrees if len(degrees) == 3 and not any(series[1:]) else None
-
-
 def test_molien_series_of_g_and_h(group):
     # Klein's invariants of degrees 4, 6 and 14 generate those of G freely;
     # H adds one of degree 21, whose square lies in the ring of G
     klein = (4, 6, 14)
-    assert orbits._averaged_series(group, group.g_set, 336) == _over_free_product([0], klein, 336)
-    assert orbits._averaged_series(group, group.h_set, 168) == _over_free_product([0, 21], klein, 168)
+    assert averaged_series(group, group.g_set, 336) == _over_free_product([0], klein, 336)
+    assert averaged_series(group, group.h_set, 168) == _over_free_product([0, 21], klein, 168)
 
 
 def test_molien_series_certify_the_smooth_germs(group):
@@ -685,7 +678,7 @@ def test_molien_series_certify_the_smooth_germs(group):
     # with prod d_i = |S| and sum (d_i - 1) its number of reflections
     smooth = 0
     for s in goursat_subgroups_of_g(group):
-        degrees = _free_degrees(orbits._averaged_series(group, s, len(s)))
+        degrees = free_degrees(averaged_series(group, s, len(s)))
         free = (
             degrees is not None
             and math.prod(degrees) == len(s)

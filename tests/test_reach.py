@@ -47,6 +47,7 @@ ALLOWED = {
         "quartic:QuarticForm.__eq__",
         "quartic:QuarticForm.__hash__",
     ): "value semantics of the value types: equal values compare and hash equal",
+    ("torus:TorusPoint.__reduce__",): "pickle and copy.copy of a point: no command copies a point or sends it to a process",
     ("linalg:Mat3.__mul__",): "BENCHMARK.json traces it for linalg.Mat3.mul.calls",
     ("linalg:qnum_nullspace",): "BENCHMARK.json traces it for linalg.qnum_nullspace.self_s",
     ("quartic:act",): "BENCHMARK.json traces it for quartic.act.calls and quartic.act.self_s",

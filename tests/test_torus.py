@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -62,6 +64,22 @@ def test_torus_point_canonicalization():
     assert p.den == 12
     assert (p - p).is_zero()
     assert (-1 * p + p).is_zero()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1/7,2/7,0,0,0,5/7]", "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"],
+    ids=["int64", "python-int"],
+)
+def test_torus_points_pickle_and_copy(text):
+    # an int64-path point, whose int64 vector is built and not carried over,
+    # and a point over 10^20
+    p = TorusPoint.parse(text)
+    if p.den < 2**63:
+        assert p.int64_nums.tolist() == list(p.nums)
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p)):
+        assert type(q) is TorusPoint and (q.nums, q.den) == (p.nums, p.den)
+        assert q == p and hash(q) == hash(p) and str(q) == text
 
 
 @pytest.mark.parametrize("other", [1, None, "[0,0,0,0,0,0]"])
@@ -451,7 +469,7 @@ def test_invariant_hodge_numbers_of_the_quotients(group):
     for g, el in enumerate(els):
         square, trace2 = _zw_mul(el.trace, el.trace), els[group.multiply(g, g)].trace
         e2 = tuple(F(x - y, 2) for x, y in zip(square, trace2))
-        # g is unitary of determinant det: e_2 = det conj(tr), which orbits._inverse_char_poly uses
+        # g is unitary of determinant det: e_2 = det conj(tr), which oracles.inverse_char_poly uses
         assert e2 == (el.det * sum(el.trace), -el.det * el.trace[1])
         e = [(1, 0), el.trace, (int(e2[0]), int(e2[1])), (el.det, 0)]
         chars.append([[_zw_mul((a + b, -b), f) for f in e] for a, b in e])
