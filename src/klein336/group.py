@@ -57,8 +57,6 @@ R3 = Mat3(
 C = Mat3([[0, 0, -1], [-1, 0, 0], [0, -1, 0]])
 # the eps-basis matrix of w * I: tr g = a + b*w gives tr(int6) = 2a + b, tr(_W6 int6) = a - 3b
 _W6 = np.array(mat3_to_int6(IDENTITY3.scale(QNum(0, 1))))
-# the covector l of the stabilizer filter (``ActingGroup``): only the identity fixes it
-_FILTER_COVECTOR = (-1, 0, 0, 1, -1, 1)
 
 
 class GroupConstructionError(RuntimeError):
@@ -97,25 +95,16 @@ class GroupElement:
 class ActingGroup:
     """G or H as it acts, from ``GroupTable.acting``.
 
-    Its ids in id order, as an array and as a set, their g - I, and the rows
-    l (g - I) of the covector l = ``_FILTER_COVECTOR`` as the columns of one
-    C-contiguous (6, N) matrix, so that one vector-matrix product
-    n @ filter_columns filters a point's stabilizer.  Only the identity
-    fixes l, so only the identity's row vanishes, and a non-stabilizing g
-    passes the filter only when l (g - I) n is 0 mod den: about once in den.
-    The positive entries of each row sum to at most 10, and so do the
-    absolute values of the negative ones; numerators lie in [0, den), so
-    |l (g - I) n| < 10 den.  The build checks both facts, and the second
-    keeps the filter under the int64 bound of ``torus._moved_numerators``,
-    (6 max|int6| + 1) den = 13 den.  ``trivial``, the set of the identity
-    alone, is one object that G and H share: the stabilizer of a point that
-    only the identity fixes.
+    Its ids in image order, as an array, and as a set.  Image order is the
+    order of the rows of ``orbits._images``: H's ids in id order, then -1
+    times each of them, since G = H x {+-1}.  So H's ids are the first 168
+    of G's, and the identity comes first in both.  ``trivial``, the set of
+    the identity alone, is one object that G and H share: the stabilizer of
+    a point that only the identity fixes.
     """
 
     ids: np.ndarray
     members: frozenset[int]
-    minus_identity: np.ndarray
-    filter_columns: np.ndarray
     trivial: frozenset[int]
 
 
@@ -241,29 +230,18 @@ class GroupTable:
         self.h_indices = tuple(i for i in range(n) if dets[i] == 1)
         self.g_set, self.h_set = frozenset(range(n)), frozenset(self.h_indices)
         # the rows of H's matrices as the columns of one C-contiguous (6, 1008)
-        # matrix: n @ h_columns is every h n at once, h after h (orbit_points)
+        # matrix: n @ h_columns is every h n at once, h after h (orbits._images)
         h_list = list(self.h_indices)
         self.h_columns = np.ascontiguousarray(self.int6_stack[h_list].reshape(-1, 6).T)
         self.minus_identity = self.int6_stack - ident6  # g - I for every g in G
-        # the stabilizer filter's rows l (g - I), and the two facts ActingGroup states
-        filter_rows = np.array(_FILTER_COVECTOR, dtype=np.int64) @ self.minus_identity
-        fixing = (~filter_rows.any(axis=1)).nonzero()[0].tolist()
-        if fixing != [0]:
-            raise GroupConstructionError(f"the filter covector is fixed by elements {fixing}")
-        # the largest sum of a row's positive entries or of its negative entries' sizes
-        signed = int(np.maximum(np.stack((filter_rows, -filter_rows)), 0).sum(axis=2).max())
-        if signed > 6 * self.int6_max_abs + 1:
-            raise GroupConstructionError(
-                f"the filter's signed row bound {signed} exceeds 6 max|int6| + 1"
-            )
+        g_ids = np.array(h_list + self.mul[self.minus_one, h_list].tolist())
         trivial = frozenset((self.identity,))
         self._acting = {
-            name: ActingGroup(ids, members, m, np.ascontiguousarray(rows.T), trivial)
-            for name, ids, members, m, rows in (
-                ("G", np.arange(n), self.g_set, self.minus_identity, filter_rows),
-                ("H", np.array(h_list), self.h_set, self.minus_identity[h_list], filter_rows[h_list]),
-            )
+            "G": ActingGroup(g_ids, self.g_set, trivial),
+            "H": ActingGroup(g_ids[: len(h_list)], self.h_set, trivial),
         }
+        # the last point's images (``orbits._images``): one entry, replaced whole
+        self.last_images: tuple = (None, None, None)
         # an involution of trace 1 has eigenvalues (1, 1, -1): a reflection;
         # one of trace -1 has (-1, -1, 1): an antireflection (Shephard and Todd 1954)
         involutions = [el for el in self.elements if el.order == 2]

@@ -12,24 +12,24 @@ elements.  No floating point enters any germ.  Each subgroup's germ is
 computed once per group table, when first asked for, and kept in
 ``table.derived`` keyed by the subgroup.
 
-Stabilizers and orbits of a torsion point n / den apply integer matrices of
-G or H to its numerators at once, in int64 (the point's own vector,
-``TorusPoint.int64_nums``) or, for large denominators, in Python integers.
-The stabilizer tests g - I, built once per group table: the rows l (g - I)
-of one covector l that only the identity fixes, for all elements of G or H
-(``GroupTable.acting``), kept as the columns of one (6, N) matrix, filter
-with one vector-matrix product.  A lone surviving identity, the generic
-case, gives one set that G and H share; other survivors are tested on all
-six rows.  The orbit applies the 168 matrices of H, kept as one (6, 1008)
-matrix of their rows, and writes the reduced rows into one buffer; a
-G-orbit fills the buffer's second half with their negatives, since
-G = H x {+-1}.  Residues take floor division on int64 and % on Python
-integers, whichever is fewer operations (``_residues``).  The rows pack
-into base-den sort keys as wide as int64 allows.  Only the first key of
-each row is built, and one argsort of it orders the rows, unless two first
-keys tie below full width: then all the keys are built and one lexsort of
-them takes over.  Equal neighbouring keys are dropped.  An orbit is an
-``Orbit``: its distinct image rows, sorted into coordinate order and
+Stabilizers and orbits of a torsion point n / den read one image pass
+(``_images``): one product of n with the (6, 1008) matrix of H's rows, in
+int64 (the point's own vector, ``TorusPoint.int64_nums``) or, for large
+denominators, in Python integers, gives every h p, reduced into one (336, 6)
+buffer whose second half holds their negatives, since G = H x {+-1}.
+Residues take floor division on int64 and % on Python integers, whichever
+is fewer operations (``_residues``).  The rows pack into base-den sort keys
+as wide as int64 allows, and only each row's first key is built.  The table
+keeps the images of the last point asked about, one entry matched by
+identity, so the stabilizers in G and H and the orbits of one point share
+one pass.  g fixes p exactly when its image row is p's own: a stabilizer
+keeps the positions whose first key equals the identity's, rechecks their
+full rows below full width, and maps them to ids in image order
+(``ActingGroup.ids``); a lone identity, the generic case, gives one set that
+G and H share.  An orbit orders the rows by one argsort of their first keys,
+unless two tie below full width: then all the keys are built and one
+lexsort of them takes over.  Equal neighbouring keys are dropped.  An orbit
+is an ``Orbit``: its distinct image rows, sorted into coordinate order and
 read-only, whose points are built only when read.
 
 The stabilizers along a special curve t + V_1 are exact integer tests on
@@ -96,36 +96,70 @@ def _residues(a: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndar
     return np.subtract(a, a // den * den, out=out)
 
 
-_ONES6 = np.ones(6, dtype=np.int64)
+def _images(table: GroupTable, p: TorusPoint) -> tuple[np.ndarray, np.ndarray]:
+    """p's images under G as reduced rows in image order, and their first keys.
+
+    One product of n with the (6, 1008) matrix of H's rows gives every h p,
+    reduced to [0, den) into the first 168 rows of one (336, 6) buffer.  G is
+    the direct product H x {+-1}: -I lies in G but not in H, since
+    det(-I_3) = -1, so G = H + (-I)H and (-h) p = -(h p).  The other 168
+    rows are their negatives, den - rows, with zero entries kept at 0;
+    nothing is concatenated.  Row i is the image under ``ActingGroup.ids[i]``
+    of G, and H's images are the first 168 rows.  The residues are
+    a - a // den * den on int64 and a % den on Python integers
+    (``_residues``).  Each row's first key packs its first width entries in
+    base den (``_places``); at width 6 it is the whole row.
+
+    The table keeps the result for the last point asked about in one
+    attribute, ``last_images``: one entry (p, rows, keys), matched by
+    identity and replaced whole, whose arrays are read-only.  The entry
+    holds p, so no other point can take p's identity while it stands.  A
+    point query asks for p's G- and H-stabilizers and its orbit, and
+    ``verify``'s AC14 sweep for both stabilizers and both orbits of each
+    registry point: all but the first call read the entry.  The cost falls
+    on a lone stabilizer call, which builds all 336 rows where a filter on
+    one covector built one entry an element: 24 against 9 us for a generic
+    point, 32 against 25 us for a special one (2-vCPU Xeon, numpy 2.4.6).
+    """
+    last, rows, keys = table.last_images
+    if last is p:
+        return rows, keys
+    moved, _, den = _moved_numerators(table, table.h_columns, p)
+    moved = moved.reshape(-1, 6)
+    h = len(moved)
+    rows = np.empty((2 * h, 6), dtype=moved.dtype)
+    _residues(moved, den, out=rows[:h])
+    np.subtract(den, rows[:h], out=rows[h:])
+    rows[h:][rows[:h] == 0] = 0
+    places = _places(den, rows.dtype)
+    keys = rows[:, : len(places)] @ places
+    rows.setflags(write=False)
+    keys.setflags(write=False)
+    table.last_images = (p, rows, keys)
+    return rows, keys
 
 
 def stabilizer_indices(table: GroupTable, p: TorusPoint, quotient: str = "G") -> frozenset[int]:
-    """Ids of the elements of G or H that fix p, tested on g - I.
+    """Ids of the elements of G or H that fix p, read off p's images.
 
-    g fixes p = n / den exactly when (g - I) n is 0 mod den.  The rows
-    l (g - I) of one covector l that only the identity fixes, kept as the
-    columns of one (6, N) matrix (``ActingGroup.filter_columns``), filter
-    every element with one vector-matrix product n @ columns.  A g that
-    moves p survives only when l (g - I) n is 0 mod den, about once in den.
-    The identity, which comes first in G and in H, always survives; for a
-    generic point it survives alone, and the answer is the acting group's
-    shared ``trivial`` set.  When others survive, all six rows of their
-    g - I are tested: each row's six residues, in [0, den), sum to 0 exactly
-    when all of them are 0, and one product with a ones vector sums them.
-    On int64 the filter tests a == a // den * den, faster in numpy than
-    a % den == 0; Python integers take % (``_residues``).
+    g fixes p exactly when g's image row equals p's own row, row 0, which
+    holds the identity's image (``_images``).  The positions whose first key
+    equals row 0's are kept; H reads only the first 168.  At width 6 the
+    key is the whole row.  Below it, a tie may hide a row that differs
+    later, so the full rows of the kept positions are compared.  The
+    positions map to ids through ``ActingGroup.ids``, which lists G in
+    image order.  When the identity is kept alone, the generic case, the
+    answer is the acting group's shared ``trivial`` set.
     """
     group = table.acting(quotient)
-    moved, n, den = _moved_numerators(table, group.filter_columns, p)
-    if moved.dtype == object:
-        kept = (moved % den == 0).nonzero()[0]
-    else:
-        kept = (moved == moved // den * den).nonzero()[0]
+    rows, keys = _images(table, p)
+    ids = group.ids
+    kept = (keys[: len(ids)] == keys[0]).nonzero()[0]
+    if len(kept) > 1 and rows.dtype != object and _key_width(p.den) < 6:
+        kept = kept.compress((rows.take(kept, axis=0) == rows[0]).all(axis=1))
     if len(kept) == 1:
         return group.trivial
-    moved = group.minus_identity.take(kept, axis=0).astype(n.dtype, copy=False) @ n
-    kept = kept.compress(_residues(moved, den) @ _ONES6 == 0)
-    return frozenset(group.ids.take(kept).tolist())
+    return frozenset(ids.take(kept).tolist())
 
 
 class Orbit(Sequence):
@@ -167,53 +201,38 @@ class Orbit(Sequence):
 def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit:
     """The orbit of p under G or H, as an ``Orbit`` in coordinate order.
 
-    One product of n with the (6, 1008) matrix of H's rows gives the
-    H-orbit's rows, reduced to [0, den) into the first half of one buffer.
-    G is the direct product H x {+-1}: -I lies in G but not in H, since
-    det(-I_3) = -1, so G = H + (-I)H and (-h) p = -(h p).  When the acting
-    group holds -I, the buffer has a second half, the other coset's rows
-    den - rows, with zero entries kept at 0; nothing is concatenated.  The
-    residues are a - a // den * den on int64 and a % den on Python integers
-    (``_residues``).
-
-    Rows pack into sort keys of ``width`` base-den digits each: the widest
-    of 6, 3, 2 and 1 with den^width <= 2^63 (``_key_width``), and one
-    Python-integer key for object rows.  A key is a product of width entries
-    of a row with the place values den^(width - 1), ..., den, 1; every entry
-    lies in [0, den), so each key is exact and below 2^63.  Key order is
-    coordinate order, so one argsort of the first keys orders the rows when
-    no two of them tie, and only the first key of each row, from its first
-    width entries, is built.  When every first key is distinct, as for a
-    point with a trivial stabilizer, the rows are gathered in that order.
-    At width 6 the first key is the whole row, and equal neighbours are the
-    repeats; below it, tied first keys fall back to one product of all the
-    rows, width entries at a time, giving all 6 / width keys of each row,
-    one lexsort of them and a comparison of neighbouring keys.
-    No ``TorusPoint`` is built until the orbit is read.
+    The rows are p's images (``_images``): all 336 for G, the first 168,
+    H's, for H.  Each row packs into sort keys of ``width`` base-den digits
+    each: the widest of 6, 3, 2 and 1 with den^width <= 2^63
+    (``_key_width``), and one Python-integer key for object rows.  A key is
+    a product of width entries of a row with the place values
+    den^(width - 1), ..., den, 1; every entry lies in [0, den), so each key
+    is exact and below 2^63.  Key order is coordinate order, so one argsort
+    of the images' first keys orders the rows when no two of them tie.
+    When every first key is distinct, as for a point with a trivial
+    stabilizer, the rows are gathered in that order.  At width 6 the first
+    key is the whole row, and equal neighbours are the repeats; below it,
+    tied first keys fall back to one product of all the rows, width entries
+    at a time, giving all 6 / width keys of each row, one lexsort of them
+    and a comparison of neighbouring keys.  No ``TorusPoint`` is built
+    until the orbit is read.
     """
-    group = table.acting(quotient)
-    moved, _, den = _moved_numerators(table, table.h_columns, p)
-    moved = moved.reshape(-1, 6)
-    h = len(moved)
-    rows = np.empty((2 * h if table.minus_one in group.members else h, 6), dtype=moved.dtype)
-    _residues(moved, den, out=rows[:h])
-    if len(rows) > h:
-        np.subtract(den, rows[:h], out=rows[h:])
-        rows[h:][rows[:h] == 0] = 0
-    width = 6 if rows.dtype == object else _key_width(den)
-    places = np.array([den**k for k in range(width - 1, -1, -1)], dtype=rows.dtype)
-    first = rows[:, :width] @ places
-    order = first.argsort()
+    size = len(table.acting(quotient).ids)
+    rows, first = _images(table, p)
+    rows, den = rows[:size], p.den
+    order = first[:size].argsort()
     first = first.take(order)
-    distinct = np.empty(len(rows), dtype=bool)
+    distinct = np.empty(size, dtype=bool)
     distinct[0] = True
     np.not_equal(first[1:], first[:-1], out=distinct[1:])
     # every int6 has det +-1, so each image has the exact order den of p
-    if np.count_nonzero(distinct) == len(rows):
+    if np.count_nonzero(distinct) == size:
         return Orbit(rows.take(order, axis=0), den)
+    places = _places(den, rows.dtype)
+    width = len(places)
     if width == 6:
         return Orbit(rows.take(order.compress(distinct), axis=0), den)
-    keys = (rows.reshape(-1, width) @ places).reshape(len(rows), -1)
+    keys = (rows.reshape(-1, width) @ places).reshape(size, -1)
     order = np.lexsort(keys.T[::-1])
     keys = keys.take(order, axis=0)
     distinct[1:] = (keys[1:] != keys[:-1]).any(axis=1)
@@ -223,6 +242,12 @@ def orbit_points(table: GroupTable, p: TorusPoint, quotient: str = "G") -> Orbit
 def _key_width(den: int) -> int:
     """The widest of 6, 3, 2 and 1 base-den digits with den**width <= 2**63."""
     return 6 if den <= 1448 else 3 if den <= 2097152 else 2 if den <= 3037000499 else 1
+
+
+def _places(den: int, dtype: np.dtype) -> np.ndarray:
+    """A key's place values den^(width - 1), ..., den, 1: width 6 on Python integers."""
+    width = 6 if dtype == object else _key_width(den)
+    return np.array([den**k for k in range(width - 1, -1, -1)], dtype=dtype)
 
 
 # --- cyclic quotient weights ---------------------------------------------------

@@ -304,18 +304,14 @@ def fixed_locus_structure(table: GroupTable, gi: int) -> FixedLocus:
 def _moved_numerators(table: GroupTable, cols: np.ndarray, p: TorusPoint):
     """The products n @ cols on p's numerators n over den, computed exactly.
 
-    cols is a (6, k) matrix whose columns are rows of group matrices g, of
-    their g - I, or of l (g - I) for the stabilizer filter's covector l:
-    the filter rows (``ActingGroup.filter_columns``), H's rows
-    (``GroupTable.h_columns``), or a stack of matrices passed as
+    cols is a (6, k) matrix whose columns are rows of group matrices g:
+    H's rows (``GroupTable.h_columns``), which ``orbits._images`` applies
+    once per point, or a stack of matrices passed as
     ``stack.reshape(-1, 6).T``, whose products the caller reshapes to
     (-1, 6).  Numerators lie in [0, den).  int64 serves while no entry of
-    g n - n, and so none of g n or (g - I) n, can reach 2^63: each row of
-    g - I has absolute sum at most 6 max|int6| + 1.  A filter row's positive
-    entries sum to at most that bound, and so do its negative entries'
-    sizes (the group build checks it), so |l (g - I) n| stays below it
-    times den as well, though the row's absolute sum may not.  n is then
-    the point's own read-only ``int64_nums``, converted once per point.
+    g n - n, and so none of g n, can reach 2^63: each row of g - I has
+    absolute sum at most 6 max|int6| + 1.  n is then the point's own
+    read-only ``int64_nums``, converted once per point.
     Larger denominators use Python integers in object arrays, through the
     same numpy operations.
     """

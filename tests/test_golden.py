@@ -181,8 +181,8 @@ H4_AXIS = (
         # trivial stabilizers: a generic point, and one at the int64 boundary
         (["stabilizer", "--point", GENERIC_20011], "stabilizer_den20011_generic"),
         (["stabilizer", "--point", BOUNDARY_INT64], "stabilizer_den709490156681136599"),
-        # on Python integers: a trivial stabilizer, and D8', whose survivors
-        # of the filter are rechecked on object rows
+        # on Python integers: a trivial stabilizer, and D8', whose image rows
+        # take one whole-row key each
         (["stabilizer", "--point", HUGE_10_20], "stabilizer_den100000000000000000000"),
         (["stabilizer", "--point", H4_AXIS], "stabilizer_den4611686018427387847"),
     ],

@@ -285,24 +285,6 @@ def test_lattice_build_checks_the_subgroup_orders_of_h(monkeypatch):
     assert "lattice" not in table.derived
 
 
-@pytest.mark.parametrize(
-    "covector, message",
-    [
-        # e_1: the first row of g - I vanishes on a D8' of G
-        ((1, 0, 0, 0, 0, 0), r"the filter covector is fixed by elements \[0, 2, 3, 7, 9, 17, 20, 33\]"),
-        # 5 l: only the identity fixes it, but 5 (g - I) n could pass 13 den
-        ((-5, 0, 0, 5, -5, 5), r"the filter's signed row bound 50 exceeds 6 max\|int6\| \+ 1"),
-    ],
-    ids=["nontrivial-stabilizer", "signed-bound"],
-)
-def test_build_checks_the_filter_covector(monkeypatch, covector, message):
-    from klein336 import group as group_mod
-
-    monkeypatch.setattr(group_mod, "_FILTER_COVECTOR", covector)
-    with pytest.raises(GroupConstructionError, match=f"^{message}$"):
-        GroupTable()
-
-
 def test_field_matrices_are_built_on_first_read():
     table = GroupTable()
     assert not any("mat" in vars(el) for el in table.elements)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -8,6 +9,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     AntireflectionCurves,
@@ -30,7 +33,7 @@ from oracles import (
     swept_locus_points,
 )
 from klein336 import orbits
-from klein336.group import _FILTER_COVECTOR, _W6, R1, R2, R3, GroupTable
+from klein336.group import _W6, R1, R2, R3, GroupTable
 from klein336.linalg import IDENTITY3, mat3_to_int6, smith_normal_form
 from klein336.orbits import (
     ConsistencyError,
@@ -86,73 +89,81 @@ def test_stabilizer_matches_exact_application(group):
             assert fixes == (i in stab)
 
 
-def _filter_rows(group):
-    """l (g - I) for every g in G, from the covector and the element matrices."""
-    cov = np.array(_FILTER_COVECTOR, dtype=object)
-    return [(cov @ (np.array(el.int6, dtype=object) - np.eye(6, dtype=int))).tolist() for el in group.elements]
+def _first_key_tie(group, g: int, den: int, width: int, rng: random.Random) -> TorusPoint:
+    """A point whose image under g agrees with it on the first width coordinates.
 
-
-@pytest.mark.parametrize("den", [1009, 10**20 + 39], ids=["int64", "python-int"])
-def test_stabilizer_rechecks_filter_survivors(group, den):
-    # a point on which g7 (in H) passes the filter, l (g7 - I) n = 0 mod den,
-    # yet which g7 moves: the six-row test runs and rejects it, in G and in H
-    row = _filter_rows(group)[group.named["g7"]]
-    rng = random.Random(den)
+    The first width rows of g - I vanish on n mod the prime den: width free
+    coordinates are solved for by Gaussian elimination, the rest drawn at
+    random.
+    """
+    m = [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(group.elements[g].int6)][:width]
     nums = [rng.randrange(den) for _ in range(6)]
-    j = next(i for i, a in enumerate(row) if a)
-    nums[j] = 0
-    nums[j] = -sum(a * n for a, n in zip(row, nums)) * pow(row[j], -1, den) % den
-    p = TorusPoint([F(n, den) for n in nums])
-    assert p.nums == tuple(nums) and p.den == den
-    assert (p.den * 13 < 2**63) == (den == 1009)
+    for free in itertools.combinations(range(6), width):
+        rest = [j for j in range(6) if j not in free]
+        aug = [[row[j] for j in free] + [-sum(row[j] * nums[j] for j in rest) % den] for row in m]
+        for k in range(width):
+            pivot = next((i for i in range(k, width) if aug[i][k] % den), None)
+            if pivot is None:
+                break
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            inv = pow(aug[k][k], -1, den)
+            aug[k] = [x * inv % den for x in aug[k]]
+            for i in range(width):
+                if i != k:
+                    aug[i] = [(x - aug[i][k] * y) % den for x, y in zip(aug[i], aug[k])]
+        else:
+            for k, j in enumerate(free):
+                nums[j] = aug[k][width]
+            return TorusPoint(nums, den)
+    raise AssertionError("no width columns of g - I are independent mod den")
+
+
+@pytest.mark.parametrize("width, den", [(3, 20011), (2, 2097169), (1, 10**12 + 39)], ids=["width3", "width2", "width1"])
+def test_stabilizer_rechecks_first_key_ties(group, width, den):
+    # a point whose image under g7 (in H) has row 0's first key, since it
+    # agrees with the point on the first width coordinates, yet differs on
+    # the rest: the full-row recheck rejects g7, in G and in H
+    g7 = group.named["g7"]
+    assert orbits._key_width(den) == width
+    p = _first_key_tie(group, g7, den, width, random.Random(den))
+    assert any(p.nums)
     want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
-    assert group.named["g7"] not in want
+    assert g7 not in want
+    rows, keys = orbits._images(group, p)
+    i = group.acting("G").ids.tolist().index(g7)
+    assert i < 168 and keys[i] == keys[0] and not np.array_equal(rows[i], rows[0])
     for quotient in ("G", "H"):
-        acting = group.acting(quotient)
-        ids = acting.ids.tolist()
-        assert ids == list(group_ids(group, quotient))
-        survivors = {
-            ids[i]
-            for i, col in enumerate(acting.filter_columns.T.tolist())
-            if sum(a * n for a, n in zip(col, nums)) % den == 0
-        }
-        stab = stabilizer_indices(group, p, quotient)
-        assert group.named["g7"] in survivors
-        assert stab == want & frozenset(ids)
-        assert stab < survivors
+        assert stabilizer_indices(group, p, quotient) == want & group.acting(quotient).members
 
 
-def test_filter_rows_vanish_only_at_the_identity(group):
-    rows = _filter_rows(group)
-    for quotient in ("G", "H"):
-        acting = group.acting(quotient)
-        cols = acting.filter_columns
-        assert cols.shape == (6, len(acting.ids)) and cols.flags.c_contiguous
-        assert cols.T.tolist() == [rows[i] for i in acting.ids.tolist()]
-        assert (~cols.any(axis=0)).nonzero()[0].tolist() == [0]
-
-
-def test_filter_signed_bound_keeps_the_int64_guard(group):
-    # |l (g - I) n| < bound * den for numerators in [0, den): within 13 den
-    rows = _filter_rows(group)
-    bound = max(max(sum(a for a in r if a > 0), -sum(a for a in r if a < 0)) for r in rows)
-    assert bound == 10 <= 6 * group.int6_max_abs + 1 == 13
-    # the absolute sums exceed 13, so only the signed bound keeps the guard
-    assert max(sum(map(abs, r)) for r in rows) == 16
+def test_acting_ids_list_g_in_image_order(group):
+    # H's ids in id order, then -1 times each: row i of the images is the
+    # image under ids[i], and the identity comes first in G and in H
+    g_ids = group.acting("G").ids.tolist()
+    h_ids = group.acting("H").ids.tolist()
+    assert g_ids[0] == h_ids[0] == group.identity
+    assert h_ids == list(group.h_indices) == g_ids[:168]
+    assert g_ids[168:] == [group.multiply(group.minus_one, h) for h in h_ids]
+    assert set(g_ids) == group.g_set and set(h_ids) == group.h_set
+    for p in (beta_point("0011"), TorusPoint([F(n, 20011) for n in (2, 5, 77, 89, -79, 170)])):
+        rows, _ = orbits._images(group, p)
+        images = [apply_element(group.elements[g].int6, p) for g in g_ids]
+        assert [TorusPoint(row, p.den) for row in rows.tolist()] == images
 
 
 def test_generic_point_keeps_only_the_identity_after_the_filter(group):
-    nums, den = [3, 1000, 4567, 12345, 777, 19000], 20011
+    # only position 0, the identity's, holds row 0's first key
+    p = TorusPoint([F(n, 20011) for n in (3, 1000, 4567, 12345, 777, 19000)])
+    _, keys = orbits._images(group, p)
+    assert (keys == keys[0]).nonzero()[0].tolist() == [0]
     for quotient in ("G", "H"):
-        cols = group.acting(quotient).filter_columns
-        assert ((np.array(nums) @ cols) % den == 0).nonzero()[0].tolist() == [0]
-        assert stabilizer_indices(group, TorusPoint([F(n, den) for n in nums]), quotient) == {0}
+        assert stabilizer_indices(group, p, quotient) == {0}
 
 
 def test_a_lone_identity_is_the_shared_trivial_set(group):
     # a generic point's stabilizer, on int64 and on Python-integer numerators,
-    # is the one set G and H share; a point of the r2 mirror, on which r2 also
-    # survives the filter, gets a set of its own
+    # is the one set G and H share; a point of the r2 mirror, whose image
+    # under r2 is its own row, gets a set of its own
     trivial = group.acting("G").trivial
     assert trivial is group.acting("H").trivial and trivial == {group.identity}
     generic = TorusPoint([F(n, 20011) for n in (3, 1000, 4567, 12345, 777, 19000)])
@@ -169,12 +180,12 @@ def test_a_lone_identity_is_the_shared_trivial_set(group):
 
 @pytest.mark.parametrize("den", [20011, 10**20 + 39], ids=["int64", "python-int"])
 def test_recheck_reduces_each_entry_before_the_row_sum(group, den):
-    # a point that g7 moves, though both l (g7 - I) n and the sum of the six
-    # entries of (g7 - I) n are 0 mod den: only the residues of the entries,
-    # summed, reject g7; their raw sum, reduced, would keep it
+    # an oracle case: a point that g7 moves, though two linear forms of
+    # (g7 - I) n vanish mod den, l (g7 - I) n for l = (-1, 0, 0, 1, -1, 1)
+    # and the sum of the six entries; only some entries themselves do not
     g7 = group.named["g7"]
     m = (np.array(group.elements[g7].int6, dtype=object) - np.eye(6, dtype=int)).tolist()
-    a = _filter_rows(group)[g7]
+    a = (np.array((-1, 0, 0, 1, -1, 1), dtype=object) @ np.array(m, dtype=object)).tolist()
     b = [sum(row[j] for row in m) for j in range(6)]
     rng = random.Random(den)
     nums = [rng.randrange(den) for _ in range(6)]
@@ -205,10 +216,12 @@ def test_int64_numerators_are_one_read_only_vector_per_point(group, monkeypatch)
     assert not vector.flags.writeable
     with pytest.raises(ValueError):
         vector[0] = 1
+    # the four kernel calls read the vector once, in one image pass
+    reads.clear()
     for quotient in ("G", "H"):
         stabilizer_indices(group, p, quotient)
         orbit_points(group, p, quotient)
-    assert p.int64_nums is vector and reads == [p] * 6
+    assert reads == [p] and p.int64_nums is vector
     # numerators beyond the int64 path never build it
     reads.clear()
     huge = TorusPoint([F(n, 10**20) for n in (1, 3, 0, 0, 0, 7)])
@@ -227,20 +240,97 @@ def test_key_width_is_the_widest_int64_holds(den):
 
 def test_filter_at_the_int64_boundary(group):
     # a denominator at the top of the int64 path, and numerators 0 and den - 1
-    # that give the element reaching the signed bound its largest filter
-    # product, 10 (den - 1)
+    # that give the row of H's matrices reaching the signed bound its largest
+    # image entry |h n|, which stays below 13 den
     den = 2**63 // 13 - 1
-    rows = _filter_rows(group)
+    rows = group.int6_stack[list(group.h_indices)].reshape(-1, 6).tolist()
     signed = [max(sum(a for a in r if a > 0), -sum(a for a in r if a < 0)) for r in rows]
-    g = signed.index(10)
-    sign = 1 if sum(a for a in rows[g] if a > 0) == 10 else -1
-    nums = [den - 1 if sign * a > 0 else 0 for a in rows[g]]
-    assert abs(sum(a * n for a, n in zip(rows[g], nums))) == 10 * (den - 1)
+    bound = max(signed)
+    assert bound < 6 * group.int6_max_abs + 1 == 13
+    r = rows[signed.index(bound)]
+    sign = 1 if sum(a for a in r if a > 0) == bound else -1
+    nums = [den - 1 if sign * a > 0 else 0 for a in r]
+    assert abs(sum(a * n for a, n in zip(r, nums))) == bound * (den - 1)
     p = TorusPoint([F(n, den) for n in nums])
     assert p.den == den and (6 * group.int6_max_abs + 1) * (den + 1) < 2**63
-    want = exact_stabilizer([el.int6 for el in group.elements], p.coords)
+    int6s = [el.int6 for el in group.elements]
+    want = exact_stabilizer(int6s, p.coords)
     assert stabilizer_indices(group, p, "G") == want
     assert stabilizer_indices(group, p, "H") == want & group.h_set
+    assert {q.coords for q in orbit_points(group, p, "G")} == exact_orbit(int6s, p.coords)
+
+
+# --- the last point's images ------------------------------------------------------
+
+
+def _counting_images(monkeypatch):
+    calls = []
+    moved = orbits._moved_numerators
+    monkeypatch.setattr(orbits, "_moved_numerators", lambda *a: calls.append(a[2]) or moved(*a))
+    return calls
+
+
+def test_one_image_pass_serves_both_stabilizers_and_orbits(group, monkeypatch):
+    calls = _counting_images(monkeypatch)
+    p = beta_point("0011")
+    answers = [f(group, p, q) for q in ("G", "H") for f in (stabilizer_indices, orbit_points)]
+    assert calls == [p]
+    int6s = [el.int6 for el in group.elements]
+    want = exact_stabilizer(int6s, p.coords)
+    assert answers[0] == want and answers[2] == want & group.h_set
+    assert {q.coords for q in answers[1]} == exact_orbit(int6s, p.coords)
+    assert {q.coords for q in answers[3]} == exact_orbit([int6s[h] for h in group.h_indices], p.coords)
+
+
+def test_images_are_kept_for_the_last_point_by_identity(group, monkeypatch):
+    calls = _counting_images(monkeypatch)
+    p, q = eta_point(1), beta_point("1000")
+    int6s = [el.int6 for el in group.elements]
+    for x in (p, q, p):
+        assert stabilizer_indices(group, x, "G") == exact_stabilizer(int6s, x.coords)
+        assert {y.coords for y in orbit_points(group, x, "G")} == exact_orbit(int6s, x.coords)
+    assert calls == [p, q, p]
+    # an equal point that is another object is computed again, then kept
+    twin = TorusPoint(p.nums, p.den)
+    assert twin == p and twin is not p
+    for quotient in ("G", "H"):
+        assert stabilizer_indices(group, twin, quotient) == exact_stabilizer(int6s, p.coords) & group.acting(quotient).members
+    assert len(calls) == 4 and calls[-1] is twin
+    last, rows, keys = group.last_images
+    assert last is twin and all(a is b for a, b in zip((rows, keys), orbits._images(group, twin)))
+
+
+def test_images_are_read_only(group):
+    for p in (eta_point(2), TorusPoint([F(n, 10**20) for n in (1, 3, 0, 0, 0, 7)])):
+        rows, keys = orbits._images(group, p)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            keys[0] = 1
+
+
+_DENS = [2, 3, 4, 6, 7, 8, 14, 1009, 20011, 2097169, 10**12 + 39, 10**20 + 39]
+_POINTS = st.sampled_from(_DENS).flatmap(
+    lambda d: st.lists(st.integers(0, d - 1), min_size=6, max_size=6).map(lambda ns: TorusPoint([F(n, d) for n in ns]))
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_POINTS, _POINTS, st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=4, max_size=10))
+def test_alternating_points_match_the_exact_oracle(group, p, q, calls):
+    int6s = [el.int6 for el in group.elements]
+    h_int6s = [int6s[h] for h in group.h_indices]
+    want = {}
+    for x in (p, q):
+        stab = exact_stabilizer(int6s, x.coords)
+        want[x] = [stab, stab & group.h_set, exact_orbit(int6s, x.coords), exact_orbit(h_int6s, x.coords)]
+    for i, kind in calls:
+        x = (p, q)[i]
+        if kind < 2:
+            assert stabilizer_indices(group, x, "GH"[kind]) == want[x][kind]
+        else:
+            orbit = orbit_points(group, x, "GH"[kind - 2])
+            assert {y.coords for y in orbit} == want[x][kind] and list(orbit) == sorted(orbit)
 
 
 def test_orbit_builds_no_point_until_read(group, monkeypatch):
@@ -304,7 +394,7 @@ def test_burnside_counts_the_orbits_on_torsion_subgroups(group, quotient, counts
     # is prod_i gcd(d_i, n) over the Smith diagonal d of g - I (d_i = 0 past the
     # rank); orbit_points, enumerating J[n], must find exactly these orbits
     acting = group.acting(quotient)
-    snfs = map(smith_normal_form, acting.minus_identity.tolist())
+    snfs = map(smith_normal_form, group.minus_identity[acting.ids].tolist())
     diagonals = [[d[i][i] for i in range(6)] for _, d, _ in snfs]
     order = len(diagonals)
     for n, want in zip(range(2, 7), counts):

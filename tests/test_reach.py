@@ -102,10 +102,13 @@ COMMANDS = [
     (0, ["fixed", "--matrix", '["1/2","-1/2","1/2*w-w","-1/2","1/2","-1/2*w","w-1/2-1/2*w","-1/2+1/2*w",0]']),
     (0, ["stabilizer", "--point", "beta_0011", "--json", "{out}"]),
     (0, ["stabilizer", "--point", "kappa_3", "--in", "H", "--json", "{out}"]),
-    # trivial stabilizers: the identity alone passes the filter, and a filter
-    # on Python-integer numerators that others pass too
+    # trivial stabilizers: the identity alone holds row 0's first key, on
+    # int64 and on Python-integer numerators
     (0, ["stabilizer", "--point", GENERIC]),
     (0, ["stabilizer", "--point", "[1/100000000000000000000,3/100000000000000000000,0,0,0,7/100000000000000000000]"]),
+    # a point of the r2 mirror: r2's image ties its first key of width 3, and
+    # the full rows of the tied positions are compared
+    (0, ["stabilizer", "--point", "[2/20011,5/20011,77/20011,89/20011,-79/20011,170/20011]"]),
     (0, ["orbit", "--point", POINT, "--json", "{out}"]),
     # 336 distinct first keys of width 3
     (0, ["orbit", "--point", GENERIC]),
